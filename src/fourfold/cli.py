@@ -211,6 +211,8 @@ def cmd_growth(betti: int, probe: int) -> CommandResult:
 
 
 def cmd_verify(betti: int, max_degree: int, budget=None) -> CommandResult:
+    if betti < 1:
+        raise DomainError(f"second Betti number must be >= 1, got {betti}")
     checks = {}
     payload = {"betti": betti, "max_degree": max_degree}
     lines = [f"verification at b2 = {betti}, oracle degree {max_degree}"]
@@ -367,15 +369,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_budget(args) -> int | None:
+    """Oracle budget from --budget, else FOURFOLD_BUDGET, else None (default)."""
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV_VAR, "")
-    if env:
+        budget, source = args.budget, "--budget"
+    else:
+        env = os.environ.get(BUDGET_ENV_VAR, "")
+        if not env:
+            return None
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise DomainError(f"{BUDGET_ENV_VAR}={env!r} is not an integer") from None
-    return None
+        source = BUDGET_ENV_VAR
+    if budget < 1:
+        raise DomainError(f"{source} must be >= 1, got {budget}")
+    return budget
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,7 @@ class LogDomain(FourfoldError):
     """Logarithm requested for a series whose constant term is not 1."""
 
 
-class UngradedGenerator(FourfoldError):
+class UngradedGenerator(DomainError):
     """Generator multiplicities include a degree-0 generator."""
 
 

@@ -5,8 +5,14 @@ For k >= 2 the rank of pi_{n+1} tensor Q is
 
     m_n(k) = -sum_{d|n} (-1)^(n + n/d) mu(d) lambda_{n/d} / d
 
-where lambda_n is the t^n coefficient of log(1 - k t + t^2).  The sum must
-cancel to a nonnegative integer; anything else is a bug and raises.
+where lambda_n is the t^n coefficient of log(1 - k t + t^2).  Since
+lambda_n = -L_n / n for the Lucas sequence L_0 = 2, L_1 = k,
+L_n = k L_{n-1} - L_{n-2}, this is the necklace formula
+
+    m_n(k) = (1/n) sum_{d|n} (-1)^(n + n/d) mu(d) L_{n/d}
+
+in pure integers.  The division by n must be exact and the result
+nonnegative; anything else is a bug and raises.
 
 Public parameter convention: every function here takes b2 itself.  The
 closed-form polynomials for low degrees are internally evaluated at b2 - 1;
@@ -16,14 +22,12 @@ it is the easiest place to slip.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError, InternalInconsistency
-from .series import TruncatedSeries, pbw_series, quotient_series, series_reciprocal
+from .series import _poly_reciprocal, pbw_series, quotient_series
 
 #: Working precision (decimal digits) for the growth base beta.  The residual
 #: check probes n = 60 against a 1e-6 tolerance; 50+ digits leaves headroom.
@@ -64,21 +68,12 @@ def _divisors(n: int) -> list:
     return small + large[::-1]
 
 
-def lambda_coeff(k: int, n: int) -> Fraction:
-    """t^n coefficient of log(1 - k t + t^2):
-
-        lambda_n = -sum_{a + 2b = n} (-1)^b C(a+b, b) k^a / (a+b)
-
-    >>> lambda_coeff(3, 2)
-    Fraction(-7, 2)
-    """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    acc = Fraction(0)
-    for b in range(n // 2 + 1):
-        a = n - 2 * b
-        acc += Fraction((-1) ** b * math.comb(a + b, b) * k**a, a + b)
-    return -acc
+def _lucas(k: int, N: int) -> list:
+    """L_0..L_N with L_0 = 2, L_1 = k, L_n = k L_{n-1} - L_{n-2}."""
+    lucas = [2, k]
+    for _ in range(2, N + 1):
+        lucas.append(k * lucas[-1] - lucas[-2])
+    return lucas
 
 
 @dataclass(frozen=True)
@@ -132,19 +127,17 @@ def homotopy_ranks(betti: int, N: int) -> RankTable:
         ranks = tuple(_ELLIPTIC_B2_1[n - 1] if n <= 4 else 0 for n in range(1, N + 1))
         return RankTable(betti=1, max_degree=N, ranks=ranks)
 
-    lam = {n: lambda_coeff(k, n) for n in range(1, N + 1)}
+    lucas = _lucas(k, N)
     ranks = []
     for n in range(1, N + 1):
-        acc = Fraction(0)
-        for d in _divisors(n):
-            acc += (-1) ** (n + n // d) * moebius(d) * lam[n // d] / d
-        m_n = -acc
-        if m_n.denominator != 1 or m_n < 0:
+        acc = sum((-1) ** (n + n // d) * moebius(d) * lucas[n // d] for d in _divisors(n))
+        m_n, rem = divmod(acc, n)
+        if rem or m_n < 0:
             raise InternalInconsistency(
-                f"m_{n}({k}) = {m_n} is not a nonnegative integer; "
+                f"m_{n}({k}) = {acc}/{n} is not a nonnegative integer; "
                 "sign convention violated"
             )
-        ranks.append(m_n.numerator)
+        ranks.append(m_n)
     # anchors forced independently of the inversion: m_1 by Hurewicz,
     # m_2 by the degree-3 closed form
     if ranks[0] != k:
@@ -236,9 +229,9 @@ def pbw_identity_check(betti: int, N: int) -> PbwCheck:
     table = homotopy_ranks(k, N)
 
     lhs1 = pbw_series(table, N)
-    rhs1 = series_reciprocal(TruncatedSeries.from_coefficients([1, -k, 1], N))
+    rhs1 = _poly_reciprocal([1, -k, 1], N)
     for n in range(N + 1):
-        if lhs1.coefficient(n) != rhs1.coefficient(n):
+        if lhs1.coefficient(n) != rhs1[n]:
             return PbwCheck(status=PBW_FAIL, first_failure=n)
 
     l_dims = {1: k - 1}
@@ -257,7 +250,9 @@ class GrowthReport:
     """Growth classification of the rank sequence at a given Betti number.
 
     growth_base and limit_residual are Decimals carrying `precision` digits;
-    they are absent (None) in the elliptic case b2 <= 2.
+    they are absent (None) in the elliptic case b2 <= 2.  exponential_growth
+    is decided exactly: it holds when b2 >= 3 and every cumulative lower
+    bound sum_{i<=2n} m_i >= (b2 - 1)^(2n) / (2n) in the probe window holds.
     """
 
     betti: int
@@ -297,36 +292,6 @@ def growth_base(betti: int, precision: int = GROWTH_PRECISION) -> Decimal:
         return +((k + (k * k - 4).sqrt()) / 2)
 
 
-def _fit_exponential(ranks: tuple) -> tuple:
-    """Least-squares fit of the running max M_n against C^n; returns (C, lam).
-
-    The flag's definition: the sequence grows exponentially when there are
-    C > 1 and lam > 0 with max_{i<=n} m_i >= lam * C^n for all n.  We fit C
-    on the upper half of the probe window and take lam as the worst observed
-    ratio; the caller flags growth when C > 1 and lam > 0.
-    """
-    running = []
-    best = 0
-    for m in ranks:
-        best = max(best, m)
-        running.append(best)
-    N = len(running)
-    lo = max(3, N // 2)
-    pts = [(n, math.log(running[n - 1])) for n in range(lo, N + 1) if running[n - 1] > 0]
-    if len(pts) < 2:
-        return 1.0, 0.0
-    xbar = sum(p[0] for p in pts) / len(pts)
-    ybar = sum(p[1] for p in pts) / len(pts)
-    sxx = sum((p[0] - xbar) ** 2 for p in pts)
-    sxy = sum((p[0] - xbar) * (p[1] - ybar) for p in pts)
-    slope = sxy / sxx if sxx else 0.0
-    C = math.exp(slope)
-    if C <= 1.0:
-        return C, 0.0
-    lam = min(running[n - 1] / C**n for n in range(1, N + 1))
-    return C, lam
-
-
 def growth_report(betti: int, N: int = 60) -> GrowthReport:
     """Classify the rank sequence and probe its growth out to degree N.
 
@@ -337,10 +302,6 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
         raise DomainError(f"second Betti number must be >= 1, got {betti}")
     if N < 1:
         raise DomainError(f"probe degree must be >= 1, got {N}")
-    table = homotopy_ranks(betti, N)
-    C, lam = _fit_exponential(table.ranks)
-    exponential = C > 1.0 and lam > 0.0
-
     if betti <= 2:
         return GrowthReport(
             betti=betti,
@@ -348,11 +309,12 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
             probe_degree=N,
             growth_base=None,
             limit_residual=None,
-            exponential_growth=exponential,
+            exponential_growth=False,
             precision=GROWTH_PRECISION,
             cumulative_bound_ok={},
         )
 
+    table = homotopy_ranks(betti, N)
     beta = growth_base(betti)
     with localcontext() as ctx:
         ctx.prec = GROWTH_PRECISION
@@ -365,7 +327,7 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
         probe_degree=N,
         growth_base=beta,
         limit_residual=residual,
-        exponential_growth=exponential,
+        exponential_growth=all(bounds.values()),
         precision=GROWTH_PRECISION,
         cumulative_bound_ok=bounds,
     )
@@ -409,8 +371,8 @@ def divisibility_report(betti: int, n_max: int = 12) -> list:
 def cumulative_bound_check(betti: int, n_max: int, _table: Optional[RankTable] = None) -> dict:
     """Check sum_{i=1}^{2n} m_i(b2) >= (b2 - 1)^(2n) / (2n) for n = 1..n_max.
 
-    The left side is the total rank of pi_2..pi_{2n+1}.  Comparison is exact
-    (Fraction right side).  Returns {n: bool}.
+    The left side is the total rank of pi_2..pi_{2n+1}.  The comparison is
+    made exactly, in integers, as 2n * sum >= (b2 - 1)^(2n).  Returns {n: bool}.
 
     >>> cumulative_bound_check(3, 2)
     {1: True, 2: True}
@@ -429,5 +391,5 @@ def cumulative_bound_check(betti: int, n_max: int, _table: Optional[RankTable] =
         partial += table.rank(i)
         if i % 2 == 0:
             n = i // 2
-            out[n] = Fraction(partial) >= Fraction(k ** (2 * n), 2 * n)
+            out[n] = 2 * n * partial >= k ** (2 * n)
     return out

@@ -1,8 +1,10 @@
 """Exact truncated formal power series and the generating-series constructors.
 
 Everything here is a polynomial in t truncated at an explicit order N, with
-fractions.Fraction coefficients.  No floats: the downstream rank formulas rely
-on exact cancellation to integers, so this module never rounds.
+fractions.Fraction coefficients.  No floats, no rounding.  The named
+constructors have integer coefficients and compute them by integer
+recurrences; the general arithmetic (series_mul, series_reciprocal,
+series_log) is the Fraction reference the tests compare them against.
 
 Binary operations truncate to the minimum of the two orders.  Operations never
 extend a truncation order.
@@ -226,20 +228,6 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out), n)
 
 
-def series_pow(a: TruncatedSeries, e: int) -> TruncatedSeries:
-    """a**e for integer e >= 0, by binary exponentiation."""
-    if e < 0:
-        raise DomainError("negative exponent; use series_reciprocal explicitly")
-    result = TruncatedSeries.one(a.truncation_order)
-    base = a
-    while e:
-        if e & 1:
-            result = series_mul(result, base)
-        base = series_mul(base, base)
-        e >>= 1
-    return result
-
-
 def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     """The series r with a*r = 1 up to the truncation order.
 
@@ -281,25 +269,19 @@ def series_log(a: TruncatedSeries) -> TruncatedSeries:
     return out
 
 
-def series_exp(a: TruncatedSeries) -> TruncatedSeries:
-    """exp(a) = sum_{m>=0} a^m / m!, for series with constant term 0.
-
-    Inverse of series_log; the roundtrip property test lives on this pair.
-    """
-    n = a.truncation_order
-    if a.coeffs[0] != 0:
-        raise DomainError(f"constant term must be 0, got {a.coeffs[0]}")
-    out = TruncatedSeries.one(n)
-    power = TruncatedSeries.one(n)
-    fact = 1
-    for m in range(1, n + 1):
-        power = series_mul(power, a)
-        fact *= m
-        out = series_add(out, series_scale(power, Fraction(1, fact)))
-    return out
-
-
 # -- generating-series constructors ----------------------------------------
+
+
+def _poly_reciprocal(poly: Sequence[int], N: int) -> list:
+    """Coefficients 0..N of 1/poly for an integer polynomial with poly[0] = 1.
+
+    r_0 = 1 and r_n = -sum_{i=1..min(n, deg poly)} poly[i] r_{n-i}.
+    """
+    terms = [(i, c) for i, c in enumerate(poly) if i and c]
+    out = [1] + [0] * N
+    for n in range(1, N + 1):
+        out[n] = -sum(c * out[n - i] for i, c in terms if i <= n)
+    return out
 
 
 def free_comm_series(dims: DimsLike, N: int) -> TruncatedSeries:
@@ -320,23 +302,27 @@ def free_comm_series(dims: DimsLike, N: int) -> TruncatedSeries:
     by_deg = _dims_by_degree(dims)
     if by_deg.get(0, 0) != 0:
         raise UngradedGenerator("degree-0 generators are not allowed")
-    num = TruncatedSeries.one(N)
-    den = TruncatedSeries.one(N)
-    for deg in sorted(by_deg):
-        mult = by_deg[deg]
-        if deg > N or mult == 0:
-            continue
-        if deg % 2 == 1:
-            factor = series_add(
-                TruncatedSeries.one(N), TruncatedSeries.monomial(deg, N)
-            )
-            num = series_mul(num, series_pow(factor, mult))
-        else:
-            factor = series_add(
-                TruncatedSeries.one(N), TruncatedSeries.monomial(deg, N, -1)
-            )
-            den = series_mul(den, series_pow(factor, mult))
-    return series_mul(num, series_reciprocal(den))
+    # As prod_j (1 - t^j)^(-e_j), using (1 + t^i) = (1 - t^(2i)) / (1 - t^i);
+    # then n a_n = sum_{j=1..n} c_j a_{n-j} with c_j = sum_{d|j} d e_d.
+    e = [0] * (N + 1)
+    for deg, mult in by_deg.items():
+        if mult < 0:
+            raise DomainError(f"negative multiplicity {mult} in degree {deg}")
+        if 1 <= deg <= N:
+            e[deg] += mult
+            if deg % 2 == 1 and 2 * deg <= N:
+                e[2 * deg] -= mult
+    c = [0] * (N + 1)
+    for d in range(1, N + 1):
+        if e[d]:
+            for j in range(d, N + 1, d):
+                c[j] += d * e[d]
+    a = [1] + [0] * N
+    for n in range(1, N + 1):
+        a[n], rem = divmod(sum(c[j] * a[n - j] for j in range(1, n + 1)), n)
+        if rem:
+            raise InternalInconsistency(f"product series coefficient {n} is not integral")
+    return TruncatedSeries.from_coefficients(a, N)
 
 
 def tensor_series(dims: DimsLike, N: int) -> TruncatedSeries:
@@ -351,11 +337,11 @@ def tensor_series(dims: DimsLike, N: int) -> TruncatedSeries:
     by_deg = _dims_by_degree(dims)
     if by_deg.get(0, 0) != 0:
         raise UngradedGenerator("degree-0 generators are not allowed")
-    den = TruncatedSeries.one(N)
+    den = [1] + [0] * N
     for deg, mult in by_deg.items():
-        if 1 <= deg <= N and mult:
-            den = series_add(den, TruncatedSeries.monomial(deg, N, -mult))
-    return series_reciprocal(den)
+        if 1 <= deg <= N:
+            den[deg] = -mult
+    return TruncatedSeries.from_coefficients(_poly_reciprocal(den, N), N)
 
 
 def quotient_series(k: int, N: int) -> TruncatedSeries:
@@ -369,7 +355,7 @@ def quotient_series(k: int, N: int) -> TruncatedSeries:
         a_0 = 1,  a_1 = k,  a_2 = k^2 + k,
         a_n = k a_{n-1} + k a_{n-2} - a_{n-3}   (n >= 3)
 
-    and cross-checked against the reciprocal of the cubic.
+    and cross-checked against the generic reciprocal of the cubic.
 
     >>> quotient_series(2, 5).as_int_list()
     [1, 2, 6, 15, 40, 104]
@@ -390,8 +376,7 @@ def quotient_series(k: int, N: int) -> TruncatedSeries:
         else:
             a[n] = k * a[n - 1] + k * a[n - 2] - a[n - 3]
     by_recurrence = TruncatedSeries.from_coefficients(a, N)
-    cubic = TruncatedSeries.from_coefficients([1, -k, -k, 1], N)
-    if series_reciprocal(cubic) != by_recurrence:
+    if a != _poly_reciprocal([1, -k, -k, 1], N):
         raise InternalInconsistency(
             f"recurrence and reciprocal disagree for k={k}, N={N}"
         )

@@ -84,6 +84,14 @@ def test_series_bad_dims_is_usage_error(capsys):
     assert "dims" in err
 
 
+def test_series_degree_zero_generator_is_usage_error(capsys):
+    code, _, err = run(
+        capsys, "series", "--kind", "free-comm", "--betti", "1", "--dims", "0:1"
+    )
+    assert code == 2
+    assert "degree-0" in err
+
+
 def test_stable_table_output(capsys):
     code, out, _ = run(capsys, "stable", "--betti", "2", "--n", "5")
     assert code == 0
@@ -156,6 +164,14 @@ def test_growth_elliptic(capsys):
     assert payload["growth_base"] is None
 
 
+def test_growth_large_probe(capsys):
+    # far past the degree where a float C**n would overflow
+    code, out, err = run(capsys, "growth", "--betti", "3", "--probe", "1000")
+    assert code == 0
+    assert "exponential growth: yes" in out
+    assert err == ""
+
+
 def test_verify_passes_at_small_degree(capsys):
     code, out, _ = run(capsys, "verify", "--betti", "2", "--max-degree", "5")
     assert code == 0
@@ -217,6 +233,28 @@ def test_verify_bad_env_budget(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--betti", "2", "--max-degree", "3")
     assert code == 2
     assert "FOURFOLD_BUDGET" in err
+
+
+def test_verify_rejects_nonpositive_budget_flag(capsys):
+    code, out, err = run(capsys, "verify", "--betti", "3", "--budget", "-5")
+    assert code == 2
+    assert out == ""
+    assert "--budget must be >= 1" in err
+
+
+def test_verify_rejects_nonpositive_env_budget(capsys, monkeypatch):
+    monkeypatch.setenv("FOURFOLD_BUDGET", "0")
+    code, out, err = run(capsys, "verify", "--betti", "3")
+    assert code == 2
+    assert out == ""
+    assert "FOURFOLD_BUDGET must be >= 1" in err
+
+
+def test_verify_rejects_nonpositive_betti(capsys):
+    code, _, err = run(capsys, "verify", "--betti", "0")
+    assert code == 2
+    assert "second Betti number must be >= 1" in err
+    assert "alphabet" not in err
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -17,7 +17,6 @@ from fourfold import (
     growth_base,
     growth_report,
     homotopy_ranks,
-    lambda_coeff,
     moebius,
     pbw_identity_check,
     rank_polynomial_eval,
@@ -44,24 +43,24 @@ def test_moebius_divisor_sum_is_indicator(n):
     assert total == (1 if n == 1 else 0)
 
 
-@given(st.integers(min_value=2, max_value=9), st.integers(min_value=1, max_value=15))
-@settings(max_examples=80)
-def test_lambda_matches_log_series(k, n):
-    """The binomial sum for lambda_n is the t^n coefficient of log(1 - kt + t^2)."""
-    poly = series_log(
-        TruncatedSeries.from_coefficients([1, -k, 1] + [0] * max(0, n - 2), max(n, 2))
-    )
-    assert lambda_coeff(k, n) == poly.coefficient(n)
+def test_ranks_match_log_series_inversion():
+    """Independent Fraction path: Moebius-invert the coefficients of log(1 - kt + t^2).
 
-
-def test_lambda_power_sum_recurrence():
-    # n * lambda_n = -s_n where s_n = k s_{n-1} - s_{n-2}, s_0 = 2, s_1 = k
-    for k in (2, 3, 5):
-        s = [2, k]
-        for n in range(2, 12):
-            s.append(k * s[-1] - s[-2])
-        for n in range(1, 12):
-            assert n * lambda_coeff(k, n) == -s[n]
+    m_n = -sum_{d|n} (-1)^(n + n/d) mu(d) lambda_{n/d} / d, with lambda_j the
+    t^j coefficient of the series logarithm and mu from the table above.
+    """
+    n_max = 15
+    for k in range(2, 10):
+        lam = series_log(TruncatedSeries.from_coefficients([1, -k, 1], n_max))
+        expected = tuple(
+            -sum(
+                (-1) ** (n + n // d) * MOEBIUS_20[d - 1] * lam.coefficient(n // d) / d
+                for d in range(1, n + 1)
+                if n % d == 0
+            )
+            for n in range(1, n_max + 1)
+        )
+        assert homotopy_ranks(k, n_max).ranks == expected, k
 
 
 def test_homotopy_ranks_hyperbolic_table():
@@ -123,8 +122,9 @@ def test_closed_form_domain():
 
 def test_pbw_identities_pass_for_hyperbolic_range():
     for k in range(2, 7):
-        chk = pbw_identity_check(k, 12)
-        assert chk.status == PBW_PASS, (k, chk)
+        for n in (1, 2, 12):
+            chk = pbw_identity_check(k, n)
+            assert chk.status == PBW_PASS, (k, n, chk)
 
 
 def test_pbw_not_applicable_at_betti_one():
@@ -163,6 +163,13 @@ def test_growth_report_hyperbolic():
     assert rep.exponential_growth
     assert rep.limit_residual < Decimal("1e-6")
     assert all(rep.cumulative_bound_ok.values())
+
+
+def test_growth_flag_is_exact_at_tiny_probes():
+    # the cumulative bound decides the flag, so it needs no minimum window
+    for betti in range(3, 13):
+        for probe in (1, 2, 3):
+            assert growth_report(betti, probe).exponential_growth, (betti, probe)
 
 
 def test_growth_report_json_is_plain_data():

@@ -17,10 +17,8 @@ from fourfold import (
     free_comm_series,
     pbw_series,
     quotient_series,
-    series_exp,
     series_log,
     series_mul,
-    series_pow,
     series_reciprocal,
     tensor_series,
 )
@@ -80,38 +78,18 @@ def test_reciprocal_needs_unit_constant_term():
         series_reciprocal(mk([0, 1]))
 
 
-@given(coeff_lists)
+@given(coeff_lists, coeff_lists)
 @settings(max_examples=60)
-def test_exp_log_roundtrip(coeffs):
-    coeffs = [Fraction(0)] + coeffs[1:]  # exp needs zero constant term
-    s = mk(coeffs)
-    e = series_exp(s)
-    assert e.coefficient(0) == 1
-    back = series_log(e)
-    for n in range(len(coeffs)):
-        assert back.coefficient(n) == s.coefficient(n)
+def test_log_turns_products_into_sums(xs, ys):
+    n = min(len(xs), len(ys))
+    a = mk([1] + xs[1:n])  # log needs constant term 1
+    b = mk([1] + ys[1:n])
+    assert series_log(a * b) == series_log(a) + series_log(b)
 
 
 def test_log_needs_unit_constant_term():
     with pytest.raises(LogDomain):
         series_log(mk([2, 1]))
-
-
-def test_exp_needs_zero_constant_term():
-    with pytest.raises(DomainError):
-        series_exp(mk([1, 1]))
-
-
-@given(coeff_lists, st.integers(min_value=0, max_value=5))
-@settings(max_examples=40)
-def test_pow_matches_repeated_multiplication(coeffs, e):
-    s = mk(coeffs)
-    expected = TruncatedSeries.from_coefficients(
-        [1] + [0] * (len(coeffs) - 1), len(coeffs) - 1
-    )
-    for _ in range(e):
-        expected = series_mul(expected, s)
-    assert series_pow(s, e) == expected
 
 
 def test_geometric_series():
@@ -142,6 +120,26 @@ def test_free_comm_rejects_degree_zero_generator():
         free_comm_series({0: 1, 2: 1}, 4)
 
 
+@given(
+    st.dictionaries(st.integers(min_value=1, max_value=12), st.integers(0, 4), max_size=4),
+    st.integers(min_value=0, max_value=12),
+)
+@settings(max_examples=80, deadline=None)
+def test_constructors_match_fraction_products(dims, N):
+    """The integer recurrences agree with factor-by-factor Fraction arithmetic."""
+    one = TruncatedSeries.one(N)
+    product = one
+    den = one
+    for deg, mult in dims.items():
+        t = TruncatedSeries.monomial(deg, N)
+        factor = one + t if deg % 2 else series_reciprocal(one - t)
+        for _ in range(mult):
+            product = series_mul(product, factor)
+        den = den - TruncatedSeries.monomial(deg, N, mult)
+    assert free_comm_series(dims, N) == product
+    assert tensor_series(dims, N) == series_reciprocal(den)
+
+
 def test_graded_dims_wrapper_round_trip():
     d = GradedDims.from_mapping({1: 2, 3: 4}, 4)
     assert d.degree_dim(1) == 2
@@ -169,6 +167,10 @@ def test_quotient_series_recurrence_values():
     ]
     assert quotient_series(2, 8).as_int_list() == [
         1, 2, 6, 15, 40, 104, 273, 714, 1870,
+    ]
+    # orders below the cubic's degree
+    assert [quotient_series(3, n).as_int_list() for n in range(3)] == [
+        [1], [1, 3], [1, 3, 12],
     ]
 
 
