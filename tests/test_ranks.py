@@ -22,6 +22,7 @@ from fourfold import (
     rank_polynomial_eval,
     series_log,
 )
+from fourfold.ranks import _lucas
 
 
 # mu on 1..20, from any number theory table
@@ -41,6 +42,28 @@ def test_moebius_rejects_nonpositive():
 def test_moebius_divisor_sum_is_indicator(n):
     total = sum(moebius(d) for d in range(1, n + 1) if n % d == 0)
     assert total == (1 if n == 1 else 0)
+
+
+@given(st.integers(min_value=2, max_value=9), st.integers(min_value=1, max_value=15))
+@settings(max_examples=80)
+def test_lambda_matches_log_series(k, n):
+    """lambda_n = -L_n / n is the t^n coefficient of log(1 - kt + t^2)."""
+    poly = series_log(
+        TruncatedSeries.from_coefficients([1, -k, 1] + [0] * max(0, n - 2), max(n, 2))
+    )
+    assert Fraction(-_lucas(k, n)[n], n) == poly.coefficient(n)
+
+
+def test_lambda_power_sum_recurrence():
+    # n * lambda_n = -s_n where s_n = k s_{n-1} - s_{n-2}, s_0 = 2, s_1 = k
+    for k in (2, 3, 5):
+        s = [2, k]
+        for n in range(2, 12):
+            s.append(k * s[-1] - s[-2])
+        assert _lucas(k, 11) == s
+        lam = series_log(TruncatedSeries.from_coefficients([1, -k, 1], 11))
+        for n in range(1, 12):
+            assert n * lam.coefficient(n) == -s[n]
 
 
 def test_ranks_match_log_series_inversion():
