@@ -99,12 +99,14 @@ def cmd_ranks(betti: int, max_degree: int) -> CommandResult:
 
 
 def cmd_series(kind: str, betti: int, terms: int, dims_spec: str = "") -> CommandResult:
+    if betti < 1:
+        raise DomainError(f"second Betti number must be >= 1, got {betti}")
     if kind == "tensor":
         series = tensor_series({1: betti, 2: betti}, terms)
     elif kind == "quotient":
         series = quotient_series(betti, terms)
     elif kind == "pbw":
-        series = pbw_series(homotopy_ranks(betti, terms), terms)
+        series = pbw_series(homotopy_ranks(betti, max(terms, 1)), terms)
     elif kind == "free-comm":
         dims = _parse_dims(dims_spec) if dims_spec else {1: betti, 2: betti}
         series = free_comm_series(dims, terms)

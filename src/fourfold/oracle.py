@@ -322,7 +322,7 @@ def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> Oracle
             field_used = "rational"
     quotient = [t - i for t, i in zip(tensor, ideal)]
 
-    closed = quotient_series(k, N).as_int_list()
+    closed = quotient_series(k, N).coeffs
     series_match = tuple(quotient[n] == closed[n] for n in range(N + 1))
     euler_ok = _euler_flags(k, quotient)
 

@@ -1,10 +1,16 @@
 """End-to-end command-line behavior, driven through main() in process."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourfold.cli import main
+
+SERIES_KINDS = ("tensor", "quotient", "pbw", "free-comm")
 
 
 def run(capsys, *argv):
@@ -90,6 +96,68 @@ def test_series_degree_zero_generator_is_usage_error(capsys):
     )
     assert code == 2
     assert "degree-0" in err
+
+
+@pytest.mark.parametrize("kind", ["tensor", "free-comm"])
+@pytest.mark.parametrize("betti", ["0", "-2"])
+def test_series_rejects_nonpositive_betti(capsys, kind, betti):
+    code, out, err = run(
+        capsys, "series", "--kind", kind, "--betti", betti, "--terms", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: second Betti number must be >= 1, got {betti}\n"
+
+
+@pytest.mark.parametrize("kind", SERIES_KINDS)
+def test_series_terms_zero_and_negative(capsys, kind):
+    code, out, _ = run(
+        capsys, "series", "--kind", kind, "--betti", "3", "--terms", "0",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["coefficients"] == ["1"]
+    code, out, err = run(
+        capsys, "series", "--kind", kind, "--betti", "3", "--terms", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: truncation order must be >= 0\n"
+
+
+dims_specs = st.lists(
+    st.sampled_from(["0:1", "1:1", "1:2", "2:0", "2:2", "3:1", "4:3"]),
+    min_size=1,
+    max_size=3,
+).map(",".join)
+
+
+@given(
+    kind=st.sampled_from(SERIES_KINDS),
+    betti=st.integers(-3, 8),
+    terms=st.integers(-2, 40),
+    dims=st.none() | dims_specs,
+)
+@settings(max_examples=200, deadline=None)
+def test_series_ends_in_result_or_one_line_error(kind, betti, terms, dims):
+    argv = ["series", "--kind", kind, "--betti", str(betti), "--terms", str(terms),
+            "--format", "json"]
+    if dims is not None:
+        argv += ["--dims", dims]
+    out, err = io.StringIO(), io.StringIO()
+    # capsys is function-scoped, which hypothesis rejects
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert code == 0
+        assert err.getvalue() == ""
+        coeffs = json.loads(out.getvalue())["coefficients"]
+        assert len(coeffs) == terms + 1
+        assert all(c.isdigit() for c in coeffs)  # nonnegative integers
 
 
 def test_stable_table_output(capsys):

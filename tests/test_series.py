@@ -34,12 +34,18 @@ def mk(coeffs):
     return TruncatedSeries.from_coefficients(coeffs, len(coeffs) - 1)
 
 
-def test_construction_normalizes_to_fraction():
+def test_construction_keeps_exact_types():
     s = TruncatedSeries.from_coefficients([1, 2, 3], 2)
-    assert all(isinstance(c, Fraction) for c in s.coeffs)
+    assert all(type(c) is int for c in s.coeffs)
     assert s.coefficient(1) == 2
     with pytest.raises(DomainError):
         s.coefficient(5)  # beyond the truncation order is unknowable, not zero
+    with pytest.raises(DomainError):
+        TruncatedSeries.from_coefficients([0.5], 0)
+    # the reference arithmetic divides in Fraction, never in float
+    r = series_reciprocal(TruncatedSeries.from_coefficients([2, 1], 3))
+    assert all(type(c) is Fraction for c in r.coeffs)
+    assert r.coeffs == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8), Fraction(-1, 16))
 
 
 def test_coefficient_list_too_long_rejected():
@@ -136,8 +142,22 @@ def test_constructors_match_fraction_products(dims, N):
         for _ in range(mult):
             product = series_mul(product, factor)
         den = den - TruncatedSeries.monomial(deg, N, mult)
-    assert free_comm_series(dims, N) == product
-    assert tensor_series(dims, N) == series_reciprocal(den)
+    free, tensor = free_comm_series(dims, N), tensor_series(dims, N)
+    assert free == product
+    assert tensor == series_reciprocal(den)
+    assert all(type(c) is int for c in free.coeffs + tensor.coeffs)
+
+
+@pytest.mark.parametrize("constructor", [free_comm_series, tensor_series])
+def test_constructors_reject_bad_generators(constructor):
+    with pytest.raises(DomainError, match="negative degree -1"):
+        constructor({-1: 2}, 3)
+    with pytest.raises(DomainError, match="negative multiplicity -2"):
+        constructor({1: 1, 2: -2}, 3)
+    with pytest.raises(UngradedGenerator):
+        constructor({0: 1}, 3)
+    with pytest.raises(TypeError):
+        constructor([0, 2], 3)  # a bare sequence is not a generator set
 
 
 def test_graded_dims_wrapper_round_trip():
