@@ -126,13 +126,13 @@ def cmd_series(kind: str, betti: int, terms: int, dims_spec: str = "") -> Comman
 
 
 def _parse_dims(spec: str) -> dict:
-    """--dims '1:2,2:2' -> {1: 2, 2: 2}"""
+    """--dims '1:2,2:2' -> {1: 2, 2: 2}; a repeated degree adds up."""
     out = {}
     for part in spec.split(","):
         deg, sep, mult = part.partition(":")
         if not sep or not deg.strip().isdigit() or not mult.strip().isdigit():
             raise DomainError(f"bad --dims entry {part!r}; expected degree:multiplicity")
-        out[int(deg)] = int(mult)
+        out[int(deg)] = out.get(int(deg), 0) + int(mult)
     return out
 
 

@@ -15,8 +15,19 @@ degree-n word basis by concatenation; the quotient dimension is then
 
 No rewriting or normal forms anywhere: dimensions come from exact ranks only.
 
-Rank policy: eliminate over two distinct Mersenne prime fields; if they ever
-disagree, redo the degree over exact rationals.  A prime-field rank can only
+Columns are the lex positions of the degree-n words, computed from word
+counts alone: a letter c met with degree `rem` still to spell is preceded by
+min(c, k) * W(rem - 1) + max(0, c - k) * W(rem - 2) words, where W counts the
+words of a degree.  So the rows are streamed without building any degree-n
+word or a word-to-column index.
+
+Rank policy: eliminate once over Z/(P1 * P2) for two distinct Mersenne
+primes.  By the Chinese remainder theorem that ring is GF(P1) x GF(P2), so
+while every leading coefficient is a unit both fields take exactly the same
+pivot steps and have the same rank.  If a leading coefficient is not a unit
+(it vanishes in one field only), that pass gives up and the degree is
+eliminated over each prime field apart; if those two ranks disagree, the
+degree is redone over exact rationals.  A prime-field rank can only
 undershoot the rational rank, so two independent primes agreeing is a strong
 certificate and the rational path settles any residual doubt.
 """
@@ -100,24 +111,21 @@ def canonical_relation(k: int) -> RelationElement:
     return RelationElement(tuple(terms))
 
 
-@lru_cache(maxsize=None)
-def _words(k: int, n: int) -> tuple:
+def _words(k: int, n: int) -> list:
     """All letter-code tuples of total degree n, in lexicographic order."""
-    if n == 0:
-        return ((),)
-    out = []
-    for c in range(2 * k):
-        d = 1 if c < k else 2
-        if d <= n:
-            for rest in _words(k, n - d):
-                out.append((c,) + rest)
-    return tuple(out)
+    # A word is its first letter followed by a shorter word, so lex order is
+    # the first letter, then the rest in lex order.
+    by_degree = {-1: [], 0: [()]}
+    for m in range(1, n + 1):
+        by_degree[m] = [
+            (c,) + rest for c in range(2 * k) for rest in by_degree[m - 1 - (c >= k)]
+        ]
+    return by_degree[n]
 
 
 @lru_cache(maxsize=None)
 def _word_count(k: int, n: int) -> int:
     # c_n = k c_{n-1} + k c_{n-2}: append x (degree 1) or y (degree 2).
-    # Used only as a cheap size guard before materializing word lists.
     if n < 0:
         return 0
     if n == 0:
@@ -138,44 +146,61 @@ def enumerate_words(k: int, n: int) -> list:
     return [Word(t, k) for t in _words(k, n)]
 
 
+def _word_offset(k: int, letters, rem: int) -> int:
+    """Lex position, among the degree-rem words, of the first one that starts
+    with `letters` (of `letters` itself when its degree is rem)."""
+    pos = 0
+    for c in letters:
+        # skip the words that start with a smaller x (degree 1) or y (degree 2)
+        pos += min(c, k) * _word_count(k, rem - 1) + max(0, c - k) * _word_count(k, rem - 2)
+        rem -= 1 if c < k else 2
+    return pos
+
+
 def _relation_rows(k: int, n: int):
-    """Rows of the degree-n ideal slice as {column: +-1} dicts.
+    """Yield the rows of the degree-n ideal slice as {column: +-1} dicts.
 
     Columns index the degree-n words in lex order.  Deterministic row order:
     left degree ascending, then u lex, then v lex.
     """
-    col = {w: i for i, w in enumerate(_words(k, n))}
     rel = [(c, w.letters) for c, w in canonical_relation(k).terms]
-    rows = []
     for a in range(n - 2):
         b = n - 3 - a
+        # the column of u * w * v is offset(u) + offset(w) + (position of v)
+        mids = [(_word_offset(k, w, b + 3), c) for c, w in rel]
+        width = _word_count(k, b)
         for u in _words(k, a):
-            for v in _words(k, b):
-                rows.append({col[u + w + v]: c for c, w in rel})
-    return rows
+            pu = _word_offset(k, u, n)
+            for pos in range(pu, pu + width):
+                yield {pos + m: c for m, c in mids}
 
 
-def _sparse_rank_mod(rows, p: int) -> int:
-    """Rank over GF(p) by incremental elimination, pivoting on the max column.
+def _sparse_rank_mod(rows, m: int) -> Optional[int]:
+    """Rank over Z/m by incremental elimination, pivoting on the max column.
 
     Max-column pivoting follows the leading-monomial direction of the graded
-    lex order, which keeps fill-in low for these relation matrices.
+    lex order, which keeps fill-in low for these relation matrices.  Returns
+    None when a leading coefficient is not a unit mod m, which cannot happen
+    for a prime m.
     """
     pivots = {}
     rank = 0
     for row in rows:
-        row = {c: v % p for c, v in row.items() if v % p}
+        row = {c: v % m for c, v in row.items() if v % m}
         while row:
             c = max(row)
             coef = row[c]
             piv = pivots.get(c)
             if piv is None:
-                inv = pow(coef, -1, p)
-                pivots[c] = {cc: (vv * inv) % p for cc, vv in row.items()}
+                try:
+                    inv = pow(coef, -1, m)
+                except ValueError:  # not a unit
+                    return None
+                pivots[c] = {cc: (vv * inv) % m for cc, vv in row.items()}
                 rank += 1
                 break
             for cc, vv in piv.items():
-                nv = (row.get(cc, 0) - coef * vv) % p
+                nv = (row.get(cc, 0) - coef * vv) % m
                 if nv:
                     row[cc] = nv
                 else:
@@ -216,13 +241,21 @@ def _ideal_rank(k: int, n: int, budget: int) -> tuple:
             f"degree {n} at k={k} needs a {cols}-column matrix; "
             f"budget is {budget} columns"
         )
-    rows = _relation_rows(k, n)
-    r1 = _sparse_rank_mod(rows, _P1)
-    r2 = _sparse_rank_mod(rows, _P2)
+    return _rank_by_policy(lambda: _relation_rows(k, n))
+
+
+def _rank_by_policy(make_rows) -> tuple:
+    """(rank, field description) of the rows that `make_rows()` yields anew
+    for each elimination pass, under the module's rank policy."""
+    rank = _sparse_rank_mod(make_rows(), _P1 * _P2)
+    if rank is not None:
+        return rank, f"prime {_P1}"
+    r1 = _sparse_rank_mod(make_rows(), _P1)
+    r2 = _sparse_rank_mod(make_rows(), _P2)
     if r1 == r2:
         return r1, f"prime {_P1}"
     # A modular rank can only be too small; the rational rank is the answer.
-    return _sparse_rank_exact(rows), "rational"
+    return _sparse_rank_exact(make_rows()), "rational"
 
 
 def ideal_degree_dim(k: int, n: int, budget: Optional[int] = None) -> int:
@@ -315,7 +348,7 @@ def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> Oracle
                 f"degree {n} at k={k} needs a {cols}-column matrix; "
                 f"budget is {budget} columns"
             )
-        tensor.append(len(_words(k, n)))
+        tensor.append(cols)
         rank, field = _ideal_rank(k, n, budget)
         ideal.append(rank)
         if field == "rational":

@@ -82,6 +82,18 @@ def test_series_free_comm_with_dims(capsys):
     assert json.loads(out)["coefficients"] == ["1", "0", "2", "0", "3"]
 
 
+def test_series_repeated_dims_degree_adds_up(capsys):
+    code, out, _ = run(
+        capsys, "series", "--kind", "free-comm", "--betti", "1",
+        "--dims", "1:1,1:2", "--terms", "6",
+    )
+    assert code == 0
+    assert (code, out) == run(
+        capsys, "series", "--kind", "free-comm", "--betti", "1",
+        "--dims", "1:3", "--terms", "6",
+    )[:2]
+
+
 def test_series_bad_dims_is_usage_error(capsys):
     code, _, err = run(
         capsys, "series", "--kind", "free-comm", "--betti", "1", "--dims", "nope"
@@ -323,6 +335,33 @@ def test_verify_rejects_nonpositive_betti(capsys):
     assert code == 2
     assert "second Betti number must be >= 1" in err
     assert "alphabet" not in err
+
+
+@given(
+    betti=st.integers(-2, 5),
+    max_degree=st.integers(-2, 9),
+    budget=st.sampled_from([None, -1, 0, 1, 40, 5000]),
+    fmt=st.sampled_from(["table", "json", "csv"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_verify_ends_in_result_or_one_line_error(betti, max_degree, budget, fmt):
+    argv = ["verify", "--betti", str(betti), "--max-degree", str(max_degree),
+            "--format", fmt]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    out, err = io.StringIO(), io.StringIO()
+    # capsys is function-scoped, which hypothesis rejects; an uncaught
+    # exception would escape main() and fail the test
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert err.getvalue() == ""
+        assert out.getvalue()
 
 
 def test_unknown_subcommand_is_usage_error():

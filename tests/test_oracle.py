@@ -17,6 +17,15 @@ from fourfold import (
     quotient_series,
     tensor_series,
 )
+from fourfold.oracle import (
+    _P1,
+    _P2,
+    _rank_by_policy,
+    _relation_rows,
+    _sparse_rank_exact,
+    _sparse_rank_mod,
+    _word_count,
+)
 
 
 def test_word_degree_and_rendering():
@@ -35,6 +44,7 @@ def test_word_rejects_foreign_letters():
 def test_word_count_matches_recurrence():
     for k in (1, 2, 3, 4):
         counts = [len(enumerate_words(k, n)) for n in range(8)]
+        assert counts == [_word_count(k, n) for n in range(8)]
         assert counts[0] == 1
         assert counts[1] == k
         for n in range(2, 8):
@@ -64,6 +74,40 @@ def test_canonical_relation_shape():
     rendered = {(c, str(w)) for c, w in r.terms}
     assert (1, "x1*y1") in rendered
     assert (-1, "y1*x1") in rendered
+
+
+def test_relation_rows_match_enumerated_columns():
+    # rows built from the words themselves: column = position in enumeration
+    for k in range(1, 5):
+        rel = [(c, w.letters) for c, w in canonical_relation(k).terms]
+        for n in range(3, 8):
+            col = {w.letters: i for i, w in enumerate(enumerate_words(k, n))}
+            expected = [
+                {col[u.letters + w + v.letters]: c for c, w in rel}
+                for a in range(n - 2)
+                for u in enumerate_words(k, a)
+                for v in enumerate_words(k, n - 3 - a)
+            ]
+            assert list(_relation_rows(k, n)) == expected, (k, n)
+
+
+# The second row reduces to {0: -_P1}: zero over GF(_P1), a unit over
+# GF(_P2), and so no unit in Z/(_P1 * _P2).
+ROWS_VANISHING_MOD_P1 = [{0: 1, 1: 1}, {0: 1, 1: 1 + _P1}]
+
+
+def test_composite_rank_gives_up_on_a_non_unit():
+    assert _sparse_rank_mod(ROWS_VANISHING_MOD_P1, _P1 * _P2) is None
+
+
+def test_rank_policy_escalates_when_the_primes_disagree():
+    rows = ROWS_VANISHING_MOD_P1
+    assert _sparse_rank_mod(rows, _P1) == 1
+    assert _sparse_rank_mod(rows, _P2) == 2
+    assert _sparse_rank_exact(rows) == 2
+    assert _rank_by_policy(lambda: iter(rows)) == (2, "rational")
+    # the same rows without the non-unit stay on the single composite pass
+    assert _rank_by_policy(lambda: iter(rows[:1])) == (1, f"prime {_P1}")
 
 
 def test_ideal_dims_low_degrees():
