@@ -21,15 +21,16 @@ min(c, k) * W(rem - 1) + max(0, c - k) * W(rem - 2) words, where W counts the
 words of a degree.  So the rows are streamed without building any degree-n
 word or a word-to-column index.
 
-Rank policy: eliminate once over Z/(P1 * P2) for two distinct Mersenne
-primes.  By the Chinese remainder theorem that ring is GF(P1) x GF(P2), so
-while every leading coefficient is a unit both fields take exactly the same
-pivot steps and have the same rank.  If a leading coefficient is not a unit
-(it vanishes in one field only), that pass gives up and the degree is
-eliminated over each prime field apart; if those two ranks disagree, the
-degree is redone over exact rationals.  A prime-field rank can only
-undershoot the rational rank, so two independent primes agreeing is a strong
-certificate and the rational path settles any residual doubt.
+Rank policy: one elimination over the integers, pivoting on the max column.
+While every new pivot row leads with +1 or -1, each reduction subtracts an
+integer multiple of a pivot row, so the entries stay integers.  Then every
+input row is an integer combination of the pivot rows and each pivot row one
+of the input rows, and pivot rows that lead with +-1 in distinct columns stay
+independent modulo every prime: the rank is exactly the rank over the
+rationals and over every prime field at once.  A pivot row that leads with
+any other value is kept with the Fraction inverse of its lead; the rows it
+reduces carry Fractions from then on, the rank is still the exact rational
+rank, and the degree is reported as "rational" instead of "integer".
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ from .series import GradedDims, quotient_series
 #: Largest admissible matrix width (= number of words in one degree).
 #: 50,000 columns lets k = 3 reach degree 8 (35,316 columns) and refuses 9.
 DEFAULT_COLUMN_BUDGET = 50_000
-
-_P1 = 2**61 - 1
-_P2 = 2**89 - 1
-
 
 @dataclass(frozen=True, order=True)
 class Word:
@@ -128,9 +125,21 @@ def _word_count(k: int, n: int) -> int:
     # c_n = k c_{n-1} + k c_{n-2}: append x (degree 1) or y (degree 2).
     if n < 0:
         return 0
-    if n == 0:
-        return 1
-    return k * (_word_count(k, n - 1) + _word_count(k, n - 2))
+    prev, count = 0, 1
+    for _ in range(n):
+        prev, count = count, k * (count + prev)
+    return count
+
+
+def _columns(k: int, n: int, budget: int) -> int:
+    """Number of degree-n words; ResourceLimit when it exceeds the budget."""
+    cols = _word_count(k, n)
+    if cols > budget:
+        raise ResourceLimit(
+            f"degree {n} at k={k} needs a {cols}-column matrix; "
+            f"budget is {budget} columns"
+        )
+    return cols
 
 
 def enumerate_words(k: int, n: int) -> list:
@@ -175,87 +184,38 @@ def _relation_rows(k: int, n: int):
                 yield {pos + m: c for m, c in mids}
 
 
-def _sparse_rank_mod(rows, m: int) -> Optional[int]:
-    """Rank over Z/m by incremental elimination, pivoting on the max column.
+def _sparse_rank_exact(rows) -> tuple:
+    """(rank over the rationals, whether every pivot led with +-1).
 
-    Max-column pivoting follows the leading-monomial direction of the graded
-    lex order, which keeps fill-in low for these relation matrices.  Returns
-    None when a leading coefficient is not a unit mod m, which cannot happen
-    for a prime m.
+    Rows are {column: nonzero int} dicts.  The function takes them over: it
+    reduces each row in place and keeps it as a pivot row, so a caller must
+    pass rows it does not use again.  Max-column pivoting follows the
+    leading-monomial direction of the graded lex order, which keeps fill-in
+    low for these relation matrices.
     """
-    pivots = {}
-    rank = 0
+    pivots = {}  # column -> (pivot row, 1 / its leading coefficient)
+    integral = True
     for row in rows:
-        row = {c: v % m for c, v in row.items() if v % m}
         while row:
             c = max(row)
             coef = row[c]
             piv = pivots.get(c)
             if piv is None:
-                try:
-                    inv = pow(coef, -1, m)
-                except ValueError:  # not a unit
-                    return None
-                pivots[c] = {cc: (vv * inv) % m for cc, vv in row.items()}
-                rank += 1
+                if coef == 1 or coef == -1:
+                    pivots[c] = (row, coef)
+                else:
+                    pivots[c] = (row, 1 / Fraction(coef))
+                    integral = False
                 break
-            for cc, vv in piv.items():
-                nv = (row.get(cc, 0) - coef * vv) % m
+            prow, inv = piv
+            mult = coef * inv
+            for cc, vv in prow.items():
+                nv = row.get(cc, 0) - mult * vv
                 if nv:
                     row[cc] = nv
                 else:
-                    row.pop(cc, None)
-    return rank
-
-
-def _sparse_rank_exact(rows) -> int:
-    """Rank over the rationals; same elimination with Fraction arithmetic."""
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = {c: Fraction(v) for c, v in row.items() if v}
-        while row:
-            c = max(row)
-            coef = row[c]
-            piv = pivots.get(c)
-            if piv is None:
-                pivots[c] = {cc: vv / coef for cc, vv in row.items()}
-                rank += 1
-                break
-            for cc, vv in piv.items():
-                nv = row.get(cc, Fraction(0)) - coef * vv
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-    return rank
-
-
-def _ideal_rank(k: int, n: int, budget: int) -> tuple:
-    """(rank of the degree-n ideal slice, field description)."""
-    if n < 3:
-        return 0, f"prime {_P1}"
-    cols = _word_count(k, n)
-    if cols > budget:
-        raise ResourceLimit(
-            f"degree {n} at k={k} needs a {cols}-column matrix; "
-            f"budget is {budget} columns"
-        )
-    return _rank_by_policy(lambda: _relation_rows(k, n))
-
-
-def _rank_by_policy(make_rows) -> tuple:
-    """(rank, field description) of the rows that `make_rows()` yields anew
-    for each elimination pass, under the module's rank policy."""
-    rank = _sparse_rank_mod(make_rows(), _P1 * _P2)
-    if rank is not None:
-        return rank, f"prime {_P1}"
-    r1 = _sparse_rank_mod(make_rows(), _P1)
-    r2 = _sparse_rank_mod(make_rows(), _P2)
-    if r1 == r2:
-        return r1, f"prime {_P1}"
-    # A modular rank can only be too small; the rational rank is the answer.
-    return _sparse_rank_exact(make_rows()), "rational"
+                    del row[cc]
+    return len(pivots), integral
 
 
 def ideal_degree_dim(k: int, n: int, budget: Optional[int] = None) -> int:
@@ -270,8 +230,9 @@ def ideal_degree_dim(k: int, n: int, budget: Optional[int] = None) -> int:
         raise DomainError(f"alphabet parameter must be >= 1, got {k}")
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
-    rank, _ = _ideal_rank(k, n, DEFAULT_COLUMN_BUDGET if budget is None else budget)
-    return rank
+    if n >= 3:  # below the relation's degree there is no matrix to build
+        _columns(k, n, DEFAULT_COLUMN_BUDGET if budget is None else budget)
+    return _sparse_rank_exact(_relation_rows(k, n))[0]
 
 
 @dataclass(frozen=True)
@@ -338,21 +299,10 @@ def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> Oracle
         raise DomainError(f"max degree must be >= 0, got {N}")
     budget = DEFAULT_COLUMN_BUDGET if budget is None else budget
 
-    tensor = []
-    ideal = []
-    field_used = f"prime {_P1}"
-    for n in range(N + 1):
-        cols = _word_count(k, n)
-        if cols > budget:
-            raise ResourceLimit(
-                f"degree {n} at k={k} needs a {cols}-column matrix; "
-                f"budget is {budget} columns"
-            )
-        tensor.append(cols)
-        rank, field = _ideal_rank(k, n, budget)
-        ideal.append(rank)
-        if field == "rational":
-            field_used = "rational"
+    # every degree's width first, so an over-budget run does no elimination
+    tensor = [_columns(k, n, budget) for n in range(N + 1)]
+    ranks = [_sparse_rank_exact(_relation_rows(k, n)) for n in range(N + 1)]
+    ideal = [rank for rank, _ in ranks]
     quotient = [t - i for t, i in zip(tensor, ideal)]
 
     closed = quotient_series(k, N).coeffs
@@ -367,7 +317,7 @@ def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> Oracle
         quotient_dims=GradedDims(tuple(quotient)),
         series_match=series_match,
         euler_ok=euler_ok,
-        field_used=field_used,
+        field_used="integer" if all(ok for _, ok in ranks) else "rational",
     )
 
 

@@ -223,10 +223,13 @@ def pbw_identity_check(betti: int, N: int) -> PbwCheck:
     """
     if betti < 1:
         raise DomainError(f"second Betti number must be >= 1, got {betti}")
+    if N < 0:
+        raise DomainError(f"max degree must be >= 0, got {N}")
     if betti == 1:
         return PbwCheck(status=PBW_NOT_APPLICABLE)
     k = betti
-    table = homotopy_ranks(k, N)
+    # both identities hold trivially at order 0; the table needs degree 1
+    table = homotopy_ranks(k, max(N, 1))
 
     lhs1 = pbw_series(table, N).coeffs
     rhs1 = _poly_reciprocal([1, -k, 1], N)

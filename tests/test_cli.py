@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourfold.cli import main
+from fourfold.oracle import DEFAULT_COLUMN_BUDGET, _word_count
 
 SERIES_KINDS = ("tensor", "quotient", "pbw", "free-comm")
 
@@ -259,6 +260,15 @@ def test_verify_passes_at_small_degree(capsys):
     assert "koszul leading monomial: y2*x2 (ok)" in out
 
 
+@pytest.mark.parametrize("betti", [1, 2, 3, 4])
+def test_verify_at_degree_zero_passes(capsys, betti):
+    # both PBW identities hold trivially at order 0
+    code, out, err = run(capsys, "verify", "--betti", str(betti), "--max-degree", "0")
+    assert code == 0
+    assert out.endswith("PASS\n")
+    assert err == ""
+
+
 def test_verify_json_check_map(capsys):
     code, out, _ = run(
         capsys, "verify", "--betti", "3", "--max-degree", "5", "--format", "json"
@@ -362,6 +372,12 @@ def test_verify_ends_in_result_or_one_line_error(betti, max_degree, budget, fmt)
     else:
         assert err.getvalue() == ""
         assert out.getvalue()
+    cap = DEFAULT_COLUMN_BUDGET if budget is None else budget
+    if betti >= 1 and max_degree >= 0 and cap >= _word_count(betti, max_degree):
+        # valid input within the budget: every check passes
+        assert code == 0
+        if fmt == "table":
+            assert out.getvalue().endswith("PASS\n")
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -1,5 +1,7 @@
 """Brute-force graded-algebra oracle: word bases, relation rows, exact ranks."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,13 +19,11 @@ from fourfold import (
     quotient_series,
     tensor_series,
 )
+from fourfold import oracle
 from fourfold.oracle import (
-    _P1,
-    _P2,
-    _rank_by_policy,
+    DEFAULT_COLUMN_BUDGET,
     _relation_rows,
     _sparse_rank_exact,
-    _sparse_rank_mod,
     _word_count,
 )
 
@@ -91,23 +91,76 @@ def test_relation_rows_match_enumerated_columns():
             assert list(_relation_rows(k, n)) == expected, (k, n)
 
 
-# The second row reduces to {0: -_P1}: zero over GF(_P1), a unit over
-# GF(_P2), and so no unit in Z/(_P1 * _P2).
-ROWS_VANISHING_MOD_P1 = [{0: 1, 1: 1}, {0: 1, 1: 1 + _P1}]
+def rank_of(rows):
+    # _sparse_rank_exact takes its rows over, so it gets fresh copies
+    return _sparse_rank_exact([dict(r) for r in rows])
 
 
-def test_composite_rank_gives_up_on_a_non_unit():
-    assert _sparse_rank_mod(ROWS_VANISHING_MOD_P1, _P1 * _P2) is None
+def dense_rank(matrix, p=None):
+    """Rank by dense Gaussian elimination over Q, or over GF(p) if p is given."""
+    norm = (lambda v: v % p) if p else Fraction
+    m = [[norm(v) for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p) if p else 1 / m[rank][col]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] * inv
+                m[r] = [norm(a - f * b) for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
 
 
-def test_rank_policy_escalates_when_the_primes_disagree():
-    rows = ROWS_VANISHING_MOD_P1
-    assert _sparse_rank_mod(rows, _P1) == 1
-    assert _sparse_rank_mod(rows, _P2) == 2
-    assert _sparse_rank_exact(rows) == 2
-    assert _rank_by_policy(lambda: iter(rows)) == (2, "rational")
-    # the same rows without the non-unit stay on the single composite pass
-    assert _rank_by_policy(lambda: iter(rows[:1])) == (1, f"prime {_P1}")
+# The second row reduces to {0: -(2**61 - 1)}: zero over GF(2**61 - 1), where
+# the rank is 1, but a unit over the rationals, where it is 2.
+ROWS_VANISHING_MOD_P1 = [{0: 1, 1: 1}, {0: 1, 1: 2**61}]
+
+
+def test_non_unit_pivot_gives_exact_rank_and_non_integral_flag():
+    # the first pivot leads with 2; the second row reduces to {0: 1 - 3/2}
+    assert rank_of([{0: 1, 1: 2}, {0: 1, 1: 3}]) == (2, False)
+    # a multiple of that pivot row vanishes through the Fraction inverse
+    assert rank_of([{0: 1, 1: 2}, {0: 3, 1: 6}]) == (1, False)
+    assert rank_of(ROWS_VANISHING_MOD_P1) == (2, False)
+
+
+def test_unit_pivots_stay_integral():
+    # leads -1 and then 1; the third row is 3 * first - second and vanishes
+    assert rank_of([{0: 1, 1: -1}, {0: 2, 1: -1}, {0: 1, 1: -2}]) == (2, True)
+    assert rank_of(ROWS_VANISHING_MOD_P1[:1]) == (1, True)
+    assert rank_of([]) == (0, True)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+            max_size=6,
+        )
+    )
+)
+def test_exact_rank_matches_dense_fraction_elimination(matrix):
+    rank, integral = rank_of([{c: v for c, v in enumerate(row) if v} for row in matrix])
+    assert rank == dense_rank(matrix)
+    if integral:
+        # unit pivots: the same rank over every prime field
+        assert all(dense_rank(matrix, p) == rank for p in (2, 3, 5))
+
+
+def test_oracle_stays_integral_within_the_default_budget():
+    for k in range(1, 5):
+        top = 0
+        while _word_count(k, top + 1) <= DEFAULT_COLUMN_BUDGET:
+            top += 1
+        rep = quotient_dims_oracle(k, top)
+        # "integer" only if every degree's elimination kept +-1 pivots
+        assert rep.field_used == "integer", k
+        assert rep.all_ok, k
 
 
 def test_ideal_dims_low_degrees():
@@ -152,7 +205,7 @@ def test_report_internal_consistency_fields():
         assert (
             rep.tensor_dims[n] - rep.ideal_dims[n] == rep.quotient_dims[n]
         )
-    assert rep.field_used.startswith("prime ")
+    assert rep.field_used == "integer"
 
 
 def test_resource_limit_names_the_budget():
@@ -167,6 +220,24 @@ def test_budget_applies_to_full_oracle_run():
     # same degrees fit comfortably when the cap is lifted
     rep = quotient_dims_oracle(4, 5, budget=3000)
     assert rep.all_ok
+
+
+def test_budget_is_checked_before_any_elimination(monkeypatch):
+    def no_rows(k, n):
+        raise AssertionError(f"rows built for degree {n}")
+
+    monkeypatch.setattr(oracle, "_relation_rows", no_rows)
+    with pytest.raises(ResourceLimit) as exc:
+        quotient_dims_oracle(2, 13)
+    assert str(exc.value) == (
+        "degree 12 at k=2 needs a 136384-column matrix; budget is 50000 columns"
+    )
+
+
+def test_deep_degree_is_a_resource_limit_not_a_recursion_error():
+    with pytest.raises(ResourceLimit):
+        ideal_degree_dim(2, 3000)
+    assert _word_count(2, 3000) == 2 * (_word_count(2, 2999) + _word_count(2, 2998))
 
 
 def test_oracle_is_deterministic():
