@@ -150,6 +150,7 @@ def cmd_stable(betti: int, n: int, pi1_order: int, stems_file: str = "") -> Comm
             "betti": betti,
             "n": n,
             "pi1_order": pi1_order,
+            "stems_source": stems.source_note,
             "error": "insufficient-stems-data",
             "missing_index": exc.index,
             "max_index": exc.max_index,
@@ -165,6 +166,7 @@ def cmd_stable(betti: int, n: int, pi1_order: int, stems_file: str = "") -> Comm
         "betti": betti,
         "n": n,
         "pi1_order": pi1_order,
+        "stems_source": stems.source_note,
         "group": group.to_json_dict(),
         "human": str(group),
     }

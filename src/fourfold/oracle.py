@@ -1,36 +1,31 @@
 """Brute-force verification of the loop-homology quotient dimensions.
 
-Words over the alphabet x_1..x_k (degree 1), y_1..y_k (degree 2) are stored
-as tuples of letter codes: x_i -> i-1, y_i -> k+i-1.  The code order realizes
-the letter order x_1 < ... < x_k < y_1 < ... < y_k, and plain tuple comparison
-is the left-lexicographic monomial order (two distinct words of equal degree
-are never prefixes of each other, so lex is total there).
+Words over x_1..x_k (degree 1), y_1..y_k (degree 2) are tuples of letter
+codes x_i -> i-1, y_i -> k+i-1, in lex order for x_1 < ... < x_k < y_1 < ...
+< y_k.  The degree-n slice of the ideal (r), r = sum_i (x_i y_i - y_i x_i), is
+spanned by the rows u * r * v; the quotient dimension is W(n) - rank, W(n) the
+number of degree-n words.  No rewriting or normal forms: exact ranks only.  A
+column is a word's lex position from word counts: a letter c met with degree
+`rem` still to spell skips min(c, k) W(rem-1) + max(0, c-k) W(rem-2) words.
 
-The two-sided ideal is generated by the single degree-3 element
-r = sum_i (x_i y_i - y_i x_i).  Its degree-n slice is spanned by the rows
-u * r * v over all word pairs with deg(u) + deg(v) = n - 3, expanded in the
-degree-n word basis by concatenation; the quotient dimension is then
-
-    (number of degree-n words) - rank(row span).
-
-No rewriting or normal forms anywhere: dimensions come from exact ranks only.
-
-Columns are the lex positions of the degree-n words, computed from word
-counts alone: a letter c met with degree `rem` still to spell is preceded by
-min(c, k) * W(rem - 1) + max(0, c - k) * W(rem - 2) words, where W counts the
-words of a degree.  So the rows are streamed without building any degree-n
-word or a word-to-column index.
+Degree recursion.  The degree-n words that start with a letter c form one
+block of columns: k x-blocks of width W(n-1), then k y-blocks of width
+W(n-2).  A row u * r * v with u = c * u' is c * (u' * r * v), a degree
+n - deg(c) row shifted by the offset of block c.  So the rows with u nonempty
+span the direct sum of the lower-degree row spaces, one per block, with the
+lower degrees' pivot rows, shifted, as an echelon basis (max columns stay
+distinct).  Degree n streams only its W(n-3) rows r * v; a pivot is a new one
+of degree n or is found by walking down the blocks (subtract the block offset,
+go down deg(c)) until a degree below 3.  Nothing is copied, and
+rank_n = k rank_{n-1} + k rank_{n-2} + (new pivots of degree n).
 
 Rank policy: one elimination over the integers, pivoting on the max column.
-While every new pivot row leads with +1 or -1, each reduction subtracts an
-integer multiple of a pivot row, so the entries stay integers.  Then every
-input row is an integer combination of the pivot rows and each pivot row one
-of the input rows, and pivot rows that lead with +-1 in distinct columns stay
-independent modulo every prime: the rank is exactly the rank over the
-rationals and over every prime field at once.  A pivot row that leads with
-any other value is kept with the Fraction inverse of its lead; the rows it
-reduces carry Fractions from then on, the rank is still the exact rational
-rank, and the degree is reported as "rational" instead of "integer".
+While every pivot leads with +-1, by induction on the degree the input rows
+and the pivot rows (own and shifted) are integer combinations of each other,
+and such pivots in distinct columns stay independent modulo every prime: the
+rank is the rank over Q and over every prime field at once.  A pivot with
+another lead keeps its Fraction inverse; the rank stays exact over Q, and that
+degree and all above it report "rational".
 """
 
 from __future__ import annotations
@@ -101,23 +96,9 @@ def canonical_relation(k: int) -> RelationElement:
     """r = sum_i (x_i y_i - y_i x_i): 2k terms, coefficients +-1, degree 3."""
     if k < 1:
         raise DomainError(f"alphabet parameter must be >= 1, got {k}")
-    terms = []
-    for i in range(k):
-        terms.append((1, Word((i, k + i), k)))
-        terms.append((-1, Word((k + i, i), k)))
-    return RelationElement(tuple(terms))
-
-
-def _words(k: int, n: int) -> list:
-    """All letter-code tuples of total degree n, in lexicographic order."""
-    # A word is its first letter followed by a shorter word, so lex order is
-    # the first letter, then the rest in lex order.
-    by_degree = {-1: [], 0: [()]}
-    for m in range(1, n + 1):
-        by_degree[m] = [
-            (c,) + rest for c in range(2 * k) for rest in by_degree[m - 1 - (c >= k)]
-        ]
-    return by_degree[n]
+    return RelationElement(tuple(
+        (s, Word(w, k)) for i in range(k) for s, w in ((1, (i, k + i)), (-1, (k + i, i)))
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +133,13 @@ def enumerate_words(k: int, n: int) -> list:
         raise DomainError(f"alphabet parameter must be >= 1, got {k}")
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
-    return [Word(t, k) for t in _words(k, n)]
+    # lex order is the first letter, then the rest (a shorter word) in lex order
+    by_degree = {-1: [], 0: [()]}
+    for m in range(1, n + 1):
+        by_degree[m] = [
+            (c,) + rest for c in range(2 * k) for rest in by_degree[m - 1 - (c >= k)]
+        ]
+    return [Word(t, k) for t in by_degree[n]]
 
 
 def _word_offset(k: int, letters, rem: int) -> int:
@@ -166,56 +153,81 @@ def _word_offset(k: int, letters, rem: int) -> int:
     return pos
 
 
-def _relation_rows(k: int, n: int):
-    """Yield the rows of the degree-n ideal slice as {column: +-1} dicts.
+def _inherited_pivot(k: int, widths: list, pivots: list, n: int, col: int):
+    """(pivot, shift) for column col of degree n from a lower degree, or None.
+    widths[m] is W(m), pivots[m] degree m's new pivots by column.  Each step
+    adds the first letter's block offset to shift and goes to the rest."""
+    shift = 0
+    while n >= 3:
+        x_width = widths[n - 1]
+        if col < k * x_width:
+            rest, n = col % x_width, n - 1
+        else:
+            rest, n = (col - k * x_width) % widths[n - 2], n - 2
+        shift, col = shift + col - rest, rest
+        piv = pivots[n].get(col)
+        if piv is not None:
+            return piv, shift
+    return None
 
-    Columns index the degree-n words in lex order.  Deterministic row order:
-    left degree ascending, then u lex, then v lex.
+
+def _relation_head_rows(k: int, n: int):
+    """Yield the W(n-3) rows r * v of degree n as {column: +-1} dicts, v in
+    lex order; the other rows u * r * v come from the lower degrees."""
+    mids = [(_word_offset(k, w.letters, n), c) for c, w in canonical_relation(k).terms]
+    for pos in range(_word_count(k, n - 3)):
+        yield {pos + m: c for m, c in mids}
+
+
+def _sparse_rank_exact(rows, inherited=lambda col: None) -> tuple:
+    """(new pivots by column, whether every new pivot led with +-1).
+
+    Rows are {column: nonzero int} dicts, taken over: each is reduced in
+    place and kept as a pivot row (row, 1 / its lead), so a caller passes rows
+    it does not use again.  A column with no new pivot asks `inherited(col)`
+    for a (pivot, shift) kept elsewhere, its columns `shift` to the left.
+    Max-column pivoting follows the leading monomial and keeps fill-in low.
     """
-    rel = [(c, w.letters) for c, w in canonical_relation(k).terms]
-    for a in range(n - 2):
-        b = n - 3 - a
-        # the column of u * w * v is offset(u) + offset(w) + (position of v)
-        mids = [(_word_offset(k, w, b + 3), c) for c, w in rel]
-        width = _word_count(k, b)
-        for u in _words(k, a):
-            pu = _word_offset(k, u, n)
-            for pos in range(pu, pu + width):
-                yield {pos + m: c for m, c in mids}
-
-
-def _sparse_rank_exact(rows) -> tuple:
-    """(rank over the rationals, whether every pivot led with +-1).
-
-    Rows are {column: nonzero int} dicts.  The function takes them over: it
-    reduces each row in place and keeps it as a pivot row, so a caller must
-    pass rows it does not use again.  Max-column pivoting follows the
-    leading-monomial direction of the graded lex order, which keeps fill-in
-    low for these relation matrices.
-    """
-    pivots = {}  # column -> (pivot row, 1 / its leading coefficient)
+    pivots = {}
     integral = True
     for row in rows:
         while row:
             c = max(row)
             coef = row[c]
-            piv = pivots.get(c)
+            piv, shift = pivots.get(c), 0
             if piv is None:
-                if coef == 1 or coef == -1:
-                    pivots[c] = (row, coef)
-                else:
-                    pivots[c] = (row, 1 / Fraction(coef))
-                    integral = False
-                break
+                found = inherited(c)
+                if found is None:
+                    unit = coef == 1 or coef == -1
+                    pivots[c] = (row, coef if unit else 1 / Fraction(coef))
+                    integral = integral and unit
+                    break
+                piv, shift = found
             prow, inv = piv
             mult = coef * inv
             for cc, vv in prow.items():
+                cc += shift
                 nv = row.get(cc, 0) - mult * vv
                 if nv:
                     row[cc] = nv
                 else:
                     del row[cc]
-    return len(pivots), integral
+    return pivots, integral
+
+
+def _ideal_ranks(k: int, N: int) -> list:
+    """[(rank, integral)] of the ideal slices of degrees 0..N; integral stays
+    True while every degree so far kept +-1 pivots."""
+    widths = [_word_count(k, m) for m in range(N + 1)]
+    pivots, out = [], [(0, True), (0, True)]  # out starts at degrees -2, -1
+    for n in range(N + 1):
+        new, ok = _sparse_rank_exact(
+            _relation_head_rows(k, n),
+            lambda col, n=n: _inherited_pivot(k, widths, pivots, n, col),
+        )
+        pivots.append(new)
+        out.append((k * out[-1][0] + k * out[-2][0] + len(new), ok and out[-1][1]))
+    return out[2:]
 
 
 def ideal_degree_dim(k: int, n: int, budget: Optional[int] = None) -> int:
@@ -232,7 +244,7 @@ def ideal_degree_dim(k: int, n: int, budget: Optional[int] = None) -> int:
         raise DomainError(f"degree must be >= 0, got {n}")
     if n >= 3:  # below the relation's degree there is no matrix to build
         _columns(k, n, DEFAULT_COLUMN_BUDGET if budget is None else budget)
-    return _sparse_rank_exact(_relation_rows(k, n))[0]
+    return _ideal_ranks(k, n)[n][0]
 
 
 @dataclass(frozen=True)
@@ -251,9 +263,7 @@ class OracleReport:
     def __post_init__(self):
         for n in range(self.max_degree + 1):
             if self.quotient_dims[n] != self.tensor_dims[n] - self.ideal_dims[n]:
-                raise InternalInconsistency(
-                    f"quotient dim at degree {n} is not tensor - ideal"
-                )
+                raise InternalInconsistency(f"quotient dim at degree {n} is not tensor - ideal")
             if n < 3 and self.ideal_dims[n] != 0:
                 raise InternalInconsistency(f"nonzero ideal dim at degree {n} < 3")
 
@@ -276,15 +286,11 @@ class OracleReport:
 
 def _euler_flags(k: int, qdims) -> tuple:
     """dim A_n - k dim A_{n-1} - k dim A_{n-2} + dim A_{n-3} == [n == 0]."""
-
-    def q(n):
-        return qdims[n] if 0 <= n < len(qdims) else 0
-
-    flags = []
-    for n in range(len(qdims)):
-        lhs = q(n) - k * q(n - 1) - k * q(n - 2) + q(n - 3)
-        flags.append(lhs == (1 if n == 0 else 0))
-    return tuple(flags)
+    q = [0, 0, 0, *qdims]  # q[n + 3] = dim A_n, zero below degree 0
+    return tuple(
+        q[n + 3] - k * q[n + 2] - k * q[n + 1] + q[n] == int(n == 0)
+        for n in range(len(qdims))
+    )
 
 
 def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> OracleReport:
@@ -301,22 +307,19 @@ def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> Oracle
 
     # every degree's width first, so an over-budget run does no elimination
     tensor = [_columns(k, n, budget) for n in range(N + 1)]
-    ranks = [_sparse_rank_exact(_relation_rows(k, n)) for n in range(N + 1)]
+    ranks = _ideal_ranks(k, N)
     ideal = [rank for rank, _ in ranks]
     quotient = [t - i for t, i in zip(tensor, ideal)]
 
     closed = quotient_series(k, N).coeffs
-    series_match = tuple(quotient[n] == closed[n] for n in range(N + 1))
-    euler_ok = _euler_flags(k, quotient)
-
     return OracleReport(
         betti_param=k,
         max_degree=N,
         tensor_dims=GradedDims(tuple(tensor)),
         ideal_dims=GradedDims(tuple(ideal)),
         quotient_dims=GradedDims(tuple(quotient)),
-        series_match=series_match,
-        euler_ok=euler_ok,
+        series_match=tuple(q == c for q, c in zip(quotient, closed)),
+        euler_ok=_euler_flags(k, quotient),
         field_used="integer" if all(ok for _, ok in ranks) else "rational",
     )
 
@@ -336,9 +339,6 @@ def koszul_leading_monomial_check(k: int) -> tuple:
     >>> ok, str(lead)
     (True, 'y3*x3')
     """
-    rel = canonical_relation(k)
-    words = [w for _, w in rel.terms]
+    words = [w for _, w in canonical_relation(k).terms]
     lead = max(words)
-    unique = sum(1 for w in words if w == lead) == 1
-    expected = Word((2 * k - 1, k - 1), k)
-    return (unique and lead == expected), lead
+    return words.count(lead) == 1 and lead == Word((2 * k - 1, k - 1), k), lead

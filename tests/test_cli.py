@@ -187,6 +187,7 @@ def test_stable_json_payload(capsys):
     payload = json.loads(out)
     assert payload["group"] == {"free_rank": 1, "torsion": [2, 8, 8, 3, 3]}
     assert payload["human"] == "(Z/24)^2 + Z/2 + Z"
+    assert payload["stems_source"] == "bundled reference table, stems 0..19"
 
 
 def test_stable_with_pi1_order(capsys):
@@ -216,7 +217,25 @@ def test_stable_honors_stems_file(capsys, tmp_path):
         "--format", "json",
     )
     assert code == 0
-    assert json.loads(out)["human"] == "(Z/24)^2 + Z/2 + Z"
+    payload = json.loads(out)
+    assert payload["human"] == "(Z/24)^2 + Z/2 + Z"
+    assert payload["stems_source"] == str(f)
+
+
+def test_stable_source_is_in_the_payload_only(capsys, tmp_path):
+    # the same group from the bundled table and from a file: table and csv
+    # output stay the same, only the JSON payload names where the stems came from
+    f = tmp_path / "tiny.txt"
+    f.write_text("0: Z\n1: Z/2\n2: Z/2\n3: Z/24\n")
+    base = ["stable", "--betti", "2", "--n", "5"]
+    for fmt in ("table", "csv"):
+        bundled = run(capsys, *base, "--format", fmt)
+        from_file = run(capsys, *base, "--stems-file", str(f), "--format", fmt)
+        assert bundled == from_file, fmt
+        assert "stems" not in bundled[1], fmt
+    code, out, _ = run(capsys, "stable", "--betti", "2", "--n", "30", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["stems_source"] == "bundled reference table, stems 0..19"
 
 
 def test_stable_missing_stems_file(capsys, tmp_path):

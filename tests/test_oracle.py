@@ -22,10 +22,29 @@ from fourfold import (
 from fourfold import oracle
 from fourfold.oracle import (
     DEFAULT_COLUMN_BUDGET,
-    _relation_rows,
+    _ideal_ranks,
+    _inherited_pivot,
+    _relation_head_rows,
     _sparse_rank_exact,
     _word_count,
+    _word_offset,
 )
+
+
+def full_relation_rows(k, n):
+    """Every row u * r * v of degree n as a {column: +-1} dict: the whole
+    matrix, the reference for the degree recursion.  Left degree ascending,
+    then u lex, then v lex."""
+    rel = [(c, w.letters) for c, w in canonical_relation(k).terms]
+    for a in range(n - 2):
+        b = n - 3 - a
+        # the column of u * w * v is offset(u) + offset(w) + (position of v)
+        mids = [(_word_offset(k, w, b + 3), c) for c, w in rel]
+        width = _word_count(k, b)
+        for u in enumerate_words(k, a):
+            pu = _word_offset(k, u.letters, n)
+            for pos in range(pu, pu + width):
+                yield {pos + m: c for m, c in mids}
 
 
 def test_word_degree_and_rendering():
@@ -88,12 +107,56 @@ def test_relation_rows_match_enumerated_columns():
                 for u in enumerate_words(k, a)
                 for v in enumerate_words(k, n - 3 - a)
             ]
-            assert list(_relation_rows(k, n)) == expected, (k, n)
+            assert list(full_relation_rows(k, n)) == expected, (k, n)
+
+
+def test_production_rows_are_the_rows_with_empty_left_factor():
+    for k in range(1, 5):
+        for n in range(0, 9):
+            head = list(_relation_head_rows(k, n))
+            assert len(head) == _word_count(k, n - 3)
+            # the a = 0 rows r * v come first in the full stream
+            assert head == list(full_relation_rows(k, n))[: len(head)], (k, n)
+
+
+def test_block_walk_maps_columns_to_first_letter_and_rest():
+    # every lower column holds a marker pivot, so the walk stops after one step
+    for k in range(1, 4):
+        for n in range(3, 8):
+            widths = [_word_count(k, m) for m in range(n + 1)]
+            pivots = [{j: (m, j) for j in range(widths[m])} for m in range(n + 1)]
+            position = [
+                {w.letters: j for j, w in enumerate(enumerate_words(k, m))}
+                for m in range(n + 1)
+            ]
+            for col, word in enumerate(enumerate_words(k, n)):
+                c, rest = word.letters[0], word.letters[1:]
+                m = n - (1 if c < k else 2)
+                j = position[m][rest]
+                assert _inherited_pivot(k, widths, pivots, n, col) == ((m, j), col - j)
+            # with no pivot below, the walk runs out below degree 3
+            empty = [{} for _ in range(n + 1)]
+            assert all(
+                _inherited_pivot(k, widths, empty, n, col) is None
+                for col in range(widths[n])
+            )
+
+
+def test_degree_recursion_matches_elimination_of_the_full_matrix():
+    for k in range(1, 5):
+        top = 0
+        while _word_count(k, top + 1) <= 20_000:
+            top += 1
+        recursive = _ideal_ranks(k, top)
+        for n in range(top + 1):
+            pivots, integral = _sparse_rank_exact(full_relation_rows(k, n))
+            assert recursive[n] == (len(pivots), integral), (k, n)
 
 
 def rank_of(rows):
     # _sparse_rank_exact takes its rows over, so it gets fresh copies
-    return _sparse_rank_exact([dict(r) for r in rows])
+    pivots, integral = _sparse_rank_exact([dict(r) for r in rows])
+    return len(pivots), integral
 
 
 def dense_rank(matrix, p=None):
@@ -226,7 +289,7 @@ def test_budget_is_checked_before_any_elimination(monkeypatch):
     def no_rows(k, n):
         raise AssertionError(f"rows built for degree {n}")
 
-    monkeypatch.setattr(oracle, "_relation_rows", no_rows)
+    monkeypatch.setattr(oracle, "_relation_head_rows", no_rows)
     with pytest.raises(ResourceLimit) as exc:
         quotient_dims_oracle(2, 13)
     assert str(exc.value) == (
