@@ -5,8 +5,12 @@ table, and a CSV form; `--format` picks which one is printed.  Identical
 flags always produce byte-identical output.
 
 Exit codes: 0 on success or a not-applicable check, 1 when a verification
-fails or required data is missing, 2 for usage errors (argparse's own
-convention, extended to mathematical domain violations).
+fails, required data is missing or stdout closes before the output is
+written, 2 for usage errors (argparse's own convention, extended to
+mathematical domain violations).
+
+Start-up: the module imports what `verify`, `ranks`, `series` and `growth`
+run; `stable` imports its module when it runs.
 """
 
 from __future__ import annotations
@@ -15,9 +19,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from pathlib import Path
 
+from ._record import Record
 from .errors import (
     DomainError,
     FourfoldError,
@@ -36,7 +39,6 @@ from .ranks import (
     pbw_identity_check,
 )
 from .series import free_comm_series, pbw_series, quotient_series, tensor_series
-from .stable import bundled_stems_table, load_stems_table, stable_homotopy_finite_pi1
 
 DEFAULT_RANKS_DEGREE = 20
 DEFAULT_VERIFY_DEGREE = 8
@@ -48,13 +50,19 @@ STATUS_FAIL = "fail"
 STATUS_NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass
-class CommandResult:
-    status: str
-    payload: dict
-    rendered: str
-    csv: str = ""
-    failing_checks: list = field(default_factory=list)
+class CommandResult(Record):
+    """What a command prints: JSON payload, text table, CSV; failing_checks
+    defaults to a new empty list."""
+
+    def __init__(self, status: str, payload: dict, rendered: str, csv: str = "",
+                 failing_checks: list | None = None):
+        self.__dict__.update(
+            status=status,
+            payload=payload,
+            rendered=rendered,
+            csv=csv,
+            failing_checks=[] if failing_checks is None else failing_checks,
+        )
 
     @property
     def exit_code(self) -> int:
@@ -99,25 +107,33 @@ def cmd_ranks(betti: int, max_degree: int) -> CommandResult:
 
 
 def cmd_series(kind: str, betti: int, terms: int, dims_spec: str = "") -> CommandResult:
-    if betti < 1:
+    if dims_spec and kind != "free-comm":
+        raise DomainError(f"--dims applies only to --kind free-comm, not {kind}")
+    if betti < 1 and not dims_spec:  # with --dims, --betti is not used
         raise DomainError(f"second Betti number must be >= 1, got {betti}")
+    payload = {"kind": kind, "betti": betti}
+    source = f"parameter {betti}"
     if kind == "tensor":
         series = tensor_series({1: betti, 2: betti}, terms)
     elif kind == "quotient":
         series = quotient_series(betti, terms)
     elif kind == "pbw":
         series = pbw_series(homotopy_ranks(betti, max(terms, 1)), terms)
-    elif kind == "free-comm":
-        dims = _parse_dims(dims_spec) if dims_spec else {1: betti, 2: betti}
+    elif kind == "free-comm" and dims_spec:
+        # the generators replace --betti, so they are reported in its place
+        dims = dict(sorted(_parse_dims(dims_spec).items()))
         series = free_comm_series(dims, terms)
+        payload = {"kind": kind, "dims": {str(d): m for d, m in dims.items()}}
+        source = "generators " + ",".join(f"{d}:{m}" for d, m in dims.items())
+    elif kind == "free-comm":
+        series = free_comm_series({1: betti, 2: betti}, terms)
     else:
         raise DomainError(f"unknown series kind {kind!r}")
-    payload = {"kind": kind, "betti": betti}
     payload.update(series.to_json_dict())
     rows = list(enumerate(payload["coefficients"]))
     rendered = "\n".join(
         [
-            f"{kind} series at parameter {betti}, truncation order {terms}",
+            f"{kind} series at {source}, truncation order {terms}",
             _align(rows, ("degree", "coefficient")),
         ]
     )
@@ -137,10 +153,18 @@ def _parse_dims(spec: str) -> dict:
 
 
 def cmd_stable(betti: int, n: int, pi1_order: int, stems_file: str = "") -> CommandResult:
+    # only this command needs the stems tables, so only it imports them
+    from .stable import bundled_stems_table, load_stems_table, stable_homotopy_finite_pi1
+
     if stems_file:
-        stems = load_stems_table(
-            Path(stems_file).read_text(), source_note=stems_file
-        )
+        try:
+            with open(stems_file, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{stems_file}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+            ) from None
+        stems = load_stems_table(text, source_note=stems_file)
     else:
         stems = bundled_stems_table()
     try:
@@ -391,6 +415,24 @@ def _resolve_budget(args) -> int | None:
 
 
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`), while argparse or the
+        # result was printing.  Point stdout at devnull so the interpreter's
+        # final flush of what is left cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        try:
+            print("error: output pipe closed before all output was written",
+                  file=sys.stderr)
+        except OSError:  # stderr went with it (`2>&1 | head`)
+            pass
+        return 1
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -420,6 +462,7 @@ def main(argv=None) -> int:
         sys.stdout.write(result.csv if result.csv else result.rendered + "\n")
     else:
         print(result.rendered)
+    sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
     return result.exit_code
 
 

@@ -30,11 +30,10 @@ degree and all above it report "rational".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Optional
 
+from ._record import Record
 from .errors import DomainError, InternalInconsistency, ResourceLimit
 from .series import GradedDims, quotient_series
 
@@ -42,18 +41,23 @@ from .series import GradedDims, quotient_series
 #: 50,000 columns lets k = 3 reach degree 8 (35,316 columns) and refuses 9.
 DEFAULT_COLUMN_BUDGET = 50_000
 
-@dataclass(frozen=True, order=True)
-class Word:
+
+@total_ordering
+class Word(Record):
     """A word in the letters x_1..x_k, y_1..y_k, compared lexicographically."""
 
-    letters: tuple
-    k: int
+    def __init__(self, letters: tuple, k: int):
+        if k < 1:
+            raise DomainError(f"alphabet parameter must be >= 1, got {k}")
+        if any(not 0 <= c < 2 * k for c in letters):
+            raise DomainError(f"letter code outside alphabet of size 2k={2 * k}")
+        self.__dict__.update(letters=letters, k=k)
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise DomainError(f"alphabet parameter must be >= 1, got {self.k}")
-        if any(not 0 <= c < 2 * self.k for c in self.letters):
-            raise DomainError(f"letter code outside alphabet of size 2k={2 * self.k}")
+    def __lt__(self, other):
+        """By (letters, k), between words only."""
+        if other.__class__ is self.__class__:
+            return self._values() < other._values()
+        return NotImplemented
 
     @property
     def degree(self) -> int:
@@ -67,16 +71,14 @@ class Word:
         )
 
 
-@dataclass(frozen=True)
-class RelationElement:
+class RelationElement(Record):
     """A homogeneous signed combination of words."""
 
-    terms: tuple  # ((coeff, Word), ...)
-
-    def __post_init__(self):
-        degs = {w.degree for _, w in self.terms}
+    def __init__(self, terms: tuple):  # ((coeff, Word), ...)
+        degs = {w.degree for _, w in terms}
         if len(degs) > 1:
             raise DomainError(f"inhomogeneous terms, degrees {sorted(degs)}")
+        self.__dict__.update(terms=terms)
 
     @property
     def degree(self) -> int:
@@ -198,9 +200,13 @@ def _sparse_rank_exact(rows, inherited=lambda col: None) -> tuple:
             if piv is None:
                 found = inherited(c)
                 if found is None:
-                    unit = coef == 1 or coef == -1
-                    pivots[c] = (row, coef if unit else 1 / Fraction(coef))
-                    integral = integral and unit
+                    if coef == 1 or coef == -1:
+                        pivots[c] = (row, coef)
+                    else:
+                        from fractions import Fraction
+
+                        pivots[c] = (row, 1 / Fraction(coef))
+                        integral = False
                     break
                 piv, shift = found
             prow, inv = piv
@@ -247,24 +253,34 @@ def ideal_degree_dim(k: int, n: int, budget: Optional[int] = None) -> int:
     return _ideal_ranks(k, n)[n][0]
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     """Per-degree comparison of oracle dimensions against the closed form."""
 
-    betti_param: int
-    max_degree: int
-    tensor_dims: GradedDims
-    ideal_dims: GradedDims
-    quotient_dims: GradedDims
-    series_match: tuple
-    euler_ok: tuple
-    field_used: str
-
-    def __post_init__(self):
-        for n in range(self.max_degree + 1):
-            if self.quotient_dims[n] != self.tensor_dims[n] - self.ideal_dims[n]:
+    def __init__(
+        self,
+        betti_param: int,
+        max_degree: int,
+        tensor_dims: GradedDims,
+        ideal_dims: GradedDims,
+        quotient_dims: GradedDims,
+        series_match: tuple,
+        euler_ok: tuple,
+        field_used: str,
+    ):
+        self.__dict__.update(
+            betti_param=betti_param,
+            max_degree=max_degree,
+            tensor_dims=tensor_dims,
+            ideal_dims=ideal_dims,
+            quotient_dims=quotient_dims,
+            series_match=series_match,
+            euler_ok=euler_ok,
+            field_used=field_used,
+        )
+        for n in range(max_degree + 1):
+            if quotient_dims[n] != tensor_dims[n] - ideal_dims[n]:
                 raise InternalInconsistency(f"quotient dim at degree {n} is not tensor - ideal")
-            if n < 3 and self.ideal_dims[n] != 0:
+            if n < 3 and ideal_dims[n] != 0:
                 raise InternalInconsistency(f"nonzero ideal dim at degree {n} < 3")
 
     @property

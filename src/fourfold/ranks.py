@@ -22,10 +22,9 @@ it is the easiest place to slip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
 from typing import Optional
 
+from ._record import Record
 from .errors import DomainError, InternalInconsistency
 from .series import _poly_reciprocal, pbw_series, quotient_series
 
@@ -76,13 +75,11 @@ def _lucas(k: int, N: int) -> list:
     return lucas
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(Record):
     """Ranks m_1..m_N where m_n = rank of pi_{n+1} tensor Q at b2 = betti."""
 
-    betti: int
-    max_degree: int
-    ranks: tuple
+    def __init__(self, betti: int, max_degree: int, ranks: tuple):
+        self.__dict__.update(betti=betti, max_degree=max_degree, ranks=ranks)
 
     def rank(self, n: int) -> int:
         """m_n for 1 <= n <= max_degree."""
@@ -197,12 +194,12 @@ PBW_FAIL = "fail"
 PBW_NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class PbwCheck:
+class PbwCheck(Record):
     """Outcome of the two product-series identities."""
 
-    status: str  # pass | fail | not-applicable
-    first_failure: Optional[int] = None
+    def __init__(self, status: str, first_failure: Optional[int] = None):
+        # status: pass | fail | not-applicable
+        self.__dict__.update(status=status, first_failure=first_failure)
 
     def __bool__(self):
         return self.status != PBW_FAIL
@@ -248,24 +245,39 @@ def pbw_identity_check(betti: int, N: int) -> PbwCheck:
     return PbwCheck(status=PBW_PASS)
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(Record):
     """Growth classification of the rank sequence at a given Betti number.
 
     growth_base and limit_residual are Decimals carrying `precision` digits;
     they are absent (None) in the elliptic case b2 <= 2.  exponential_growth
     is decided exactly: it holds when b2 >= 3 and every cumulative lower
     bound sum_{i<=2n} m_i >= (b2 - 1)^(2n) / (2n) in the probe window holds.
+    cumulative_bound_ok defaults to a new empty dict.
     """
 
-    betti: int
-    classification: str  # "elliptic" | "hyperbolic"
-    probe_degree: int
-    growth_base: Optional[Decimal]
-    limit_residual: Optional[Decimal]
-    exponential_growth: bool
-    precision: int
-    cumulative_bound_ok: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        betti: int,
+        classification: str,  # "elliptic" | "hyperbolic"
+        probe_degree: int,
+        growth_base: Optional[Decimal],
+        limit_residual: Optional[Decimal],
+        exponential_growth: bool,
+        precision: int,
+        cumulative_bound_ok: Optional[dict] = None,
+    ):
+        if cumulative_bound_ok is None:
+            cumulative_bound_ok = {}
+        self.__dict__.update(
+            betti=betti,
+            classification=classification,
+            probe_degree=probe_degree,
+            growth_base=growth_base,
+            limit_residual=limit_residual,
+            exponential_growth=exponential_growth,
+            precision=precision,
+            cumulative_bound_ok=cumulative_bound_ok,
+        )
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -287,6 +299,8 @@ class GrowthReport:
 
 def growth_base(betti: int, precision: int = GROWTH_PRECISION) -> Decimal:
     """beta = (k + sqrt(k^2 - 4))/2 at the given decimal precision, k >= 3."""
+    from decimal import Decimal, localcontext
+
     if betti < 3:
         raise DomainError(f"growth base exists only for b2 >= 3, got {betti}")
     with localcontext() as ctx:
@@ -316,6 +330,8 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
             precision=GROWTH_PRECISION,
             cumulative_bound_ok={},
         )
+
+    from decimal import Decimal, localcontext
 
     table = homotopy_ranks(betti, N)
     beta = growth_base(betti)

@@ -5,7 +5,9 @@ exact coefficients: int or fractions.Fraction, stored as given.  No floats,
 no rounding.  The named constructors compute int coefficients by integer
 recurrences and hand them to the caller unchanged; the general arithmetic
 (series_mul, series_reciprocal, series_log) works over Fraction and is the
-reference the tests compare the recurrences against.
+reference the tests compare the recurrences against.  `fractions` is
+imported only where a Fraction is made or checked, so the integer
+constructors never load it.
 
 Binary operations truncate to the minimum of the two orders.  Operations never
 extend a truncation order.
@@ -13,10 +15,9 @@ extend a truncation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+from ._record import Record
 from .errors import (
     DomainError,
     InternalInconsistency,
@@ -25,11 +26,10 @@ from .errors import (
     UngradedGenerator,
 )
 
-RationalLike = Union[int, Fraction]
+RationalLike = Union[int, "Fraction"]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """A power series known exactly up to (and including) t^truncation_order.
 
     >>> s = TruncatedSeries.from_coefficients([1, 2, 3], 2)
@@ -39,21 +39,21 @@ class TruncatedSeries:
     True
     """
 
-    coeffs: tuple
-    truncation_order: int
-
-    def __post_init__(self):
-        if self.truncation_order < 0:
+    def __init__(self, coeffs: tuple, truncation_order: int):
+        if truncation_order < 0:
             raise DomainError("truncation order must be >= 0")
-        coeffs = tuple(self.coeffs)
-        if len(coeffs) != self.truncation_order + 1:
+        coeffs = tuple(coeffs)
+        if len(coeffs) != truncation_order + 1:
             raise DomainError(
-                f"need {self.truncation_order + 1} coefficients, got {len(coeffs)}"
+                f"need {truncation_order + 1} coefficients, got {len(coeffs)}"
             )
         for c in coeffs:
-            if not isinstance(c, (int, Fraction)):
-                raise DomainError(f"coefficient {c!r} is neither int nor Fraction")
-        object.__setattr__(self, "coeffs", coeffs)
+            if not isinstance(c, int):
+                from fractions import Fraction
+
+                if not isinstance(c, Fraction):
+                    raise DomainError(f"coefficient {c!r} is neither int nor Fraction")
+        self.__dict__.update(coeffs=coeffs, truncation_order=truncation_order)
 
     # -- constructors ------------------------------------------------------
 
@@ -140,22 +140,21 @@ class TruncatedSeries:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "TruncatedSeries":
+        from fractions import Fraction
+
         order = int(doc["truncation_order"])
         coeffs = [Fraction(s) for s in doc["coefficients"]]
         return cls(tuple(coeffs), order)
 
 
-@dataclass(frozen=True)
-class GradedDims:
+class GradedDims(Record):
     """Degreewise dimensions of a graded vector space, indexed 0..N."""
 
-    dims: tuple
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+    def __init__(self, dims: tuple):
+        dims = tuple(int(d) for d in dims)
         if any(d < 0 for d in dims):
             raise DomainError(f"negative dimension in {dims}")
-        object.__setattr__(self, "dims", dims)
+        self.__dict__.update(dims=dims)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, int], max_degree: int) -> "GradedDims":
@@ -243,6 +242,8 @@ def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     >>> series_reciprocal(one_minus_t).coeffs == (1, 1, 1, 1, 1)
     True
     """
+    from fractions import Fraction
+
     n = a.truncation_order
     a0 = a.coeffs[0]
     if a0 == 0:
@@ -262,6 +263,8 @@ def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
 
 def series_log(a: TruncatedSeries) -> TruncatedSeries:
     """log(a) = -sum_{m>=1} (1-a)^m / m, for series with constant term 1."""
+    from fractions import Fraction
+
     n = a.truncation_order
     if a.coeffs[0] != 1:
         raise LogDomain(f"constant term must be 1, got {a.coeffs[0]}")

@@ -17,13 +17,12 @@ data loaded from a table, never computed here.
 
 from __future__ import annotations
 
-import json
+import os
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import Mapping, Sequence, Tuple, Union
 
+from ._record import Record
 from .errors import (
     DomainError,
     InsufficientStemsData,
@@ -57,8 +56,7 @@ def _prime_power_key(q: int) -> tuple:
     return p, e
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Record):
     """free_rank copies of Z plus cyclic groups of prime-power order.
 
     The torsion tuple is canonicalized on construction, so equality of
@@ -70,14 +68,11 @@ class FinAbGroup:
     '(Z/24)^2 + Z/2 + Z'
     """
 
-    free_rank: int = 0
-    torsion: tuple = ()
-
-    def __post_init__(self):
-        if self.free_rank < 0:
-            raise DomainError(f"negative free rank {self.free_rank}")
-        canon = tuple(sorted((int(q) for q in self.torsion), key=_prime_power_key))
-        object.__setattr__(self, "torsion", canon)
+    def __init__(self, free_rank: int = 0, torsion: tuple = ()):
+        if free_rank < 0:
+            raise DomainError(f"negative free rank {free_rank}")
+        canon = tuple(sorted((int(q) for q in torsion), key=_prime_power_key))
+        self.__dict__.update(free_rank=free_rank, torsion=canon)
 
     @classmethod
     def trivial(cls) -> "FinAbGroup":
@@ -158,24 +153,22 @@ class FinAbGroup:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
-@dataclass(frozen=True)
-class MarkerSum:
+class MarkerSum(Record):
     """Formal direct sum of opaque marker groups, e.g. G1^3 + G0^2.
 
     Used by symbolic stems tables to test the assembly bookkeeping without
     committing to any actual group values.
     """
 
-    terms: tuple = ()  # ((name, multiplicity), ...), name-sorted, mults > 0
-
-    def __post_init__(self):
+    def __init__(self, terms: tuple = ()):
+        # ((name, multiplicity), ...), name-sorted, mults > 0
         merged = {}
-        for name, mult in self.terms:
+        for name, mult in terms:
             if mult < 0:
                 raise DomainError(f"negative multiplicity for {name}")
             if mult:
                 merged[name] = merged.get(name, 0) + mult
-        object.__setattr__(self, "terms", tuple(sorted(merged.items())))
+        self.__dict__.update(terms=tuple(sorted(merged.items())))
 
     def is_trivial(self) -> bool:
         return not self.terms
@@ -210,19 +203,19 @@ def direct_sum_power(g: GroupLike, e: int) -> GroupLike:
     return g.power(e)
 
 
-@dataclass(frozen=True)
-class StemsTable:
+class StemsTable(Record):
     """Sphere stems pi_n^s for n = 0..max_index; lower indices are trivial."""
 
-    entries: dict
-    max_index: int
-    source_note: str = ""
-
-    def __post_init__(self):
-        for n in range(self.max_index + 1):
-            if n not in self.entries:
+    def __init__(self, entries: dict, max_index: int, source_note: str = ""):
+        self.__dict__.update(
+            entries=entries,
+            max_index=max_index,
+            source_note=source_note,
+        )
+        for n in range(max_index + 1):
+            if n not in entries:
                 raise ValidationError(f"stems table is missing index {n}")
-        first = self.entries[0]
+        first = entries[0]
         if isinstance(first, FinAbGroup) and first != FinAbGroup(1, ()):
             raise ValidationError(f"stem 0 must be Z, got {first}")
 
@@ -282,6 +275,8 @@ def load_stems_table(source: str, source_note: str = "") -> StemsTable:
     raw = {}
     note = source_note
     if source.lstrip().startswith("{"):
+        import json
+
         try:
             doc = json.loads(source)
         except json.JSONDecodeError as exc:
@@ -321,9 +316,9 @@ def load_stems_table(source: str, source_note: str = "") -> StemsTable:
 @lru_cache(maxsize=None)
 def bundled_stems_table() -> StemsTable:
     """The packaged reference table of stems 0..19."""
-    text = (
-        resources.files("fourfold").joinpath("data/stable_stems.txt").read_text()
-    )
+    path = os.path.join(os.path.dirname(__file__), "data", "stable_stems.txt")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     return load_stems_table(text, source_note="bundled reference table, stems 0..19")
 
 

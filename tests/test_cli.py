@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +97,34 @@ def test_series_repeated_dims_degree_adds_up(capsys):
         capsys, "series", "--kind", "free-comm", "--betti", "1",
         "--dims", "1:3", "--terms", "6",
     )[:2]
+
+
+def test_series_free_comm_reports_dims_in_place_of_betti(capsys):
+    argv = ["series", "--kind", "free-comm", "--betti", "1", "--dims", "2:1,1:1,1:1",
+            "--terms", "2"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dims"] == {"1": 2, "2": 1} and "betti" not in payload
+    assert list(payload) == ["kind", "dims", "truncation_order", "coefficients"]
+    code, out, _ = run(capsys, *argv)
+    assert out.splitlines()[0] == "free-comm series at generators 1:2,2:1, truncation order 2"
+    # --betti is not used, so it is not checked either
+    assert run(capsys, *argv[:4], "0", *argv[5:]) == run(capsys, *argv)
+    # without --dims the parameter is still b2
+    code, out, _ = run(capsys, "series", "--kind", "free-comm", "--betti", "2",
+                       "--terms", "2", "--format", "json")
+    assert json.loads(out)["betti"] == 2 and "dims" not in json.loads(out)
+
+
+@pytest.mark.parametrize("kind", ["tensor", "quotient", "pbw"])
+def test_series_dims_with_another_kind_is_usage_error(capsys, kind):
+    code, out, err = run(
+        capsys, "series", "--kind", kind, "--betti", "2", "--dims", "1:3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --dims applies only to --kind free-comm, not {kind}\n"
 
 
 def test_series_bad_dims_is_usage_error(capsys):
@@ -246,6 +278,53 @@ def test_stable_missing_stems_file(capsys, tmp_path):
     )
     assert code == 2
     assert "absent.txt" in err
+
+
+def test_stable_stems_file_not_utf8_is_usage_error(capsys, tmp_path):
+    f = tmp_path / "binary.txt"
+    f.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(
+        capsys, "stable", "--betti", "2", "--n", "5", "--stems-file", str(f)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {f}: not UTF-8 text (byte 0: invalid start byte)\n"
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _cli(*argv, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "fourfold.cli", *argv],
+                            env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+def _assert_closed_pipe_ends_cleanly(proc):
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err
+    assert err == "error: output pipe closed before all output was written\n"
+
+
+def test_reader_closing_before_any_output():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader at all: the first write fails
+    proc = _cli("series", "--kind", "tensor", "--betti", "2", "--terms", "3",
+                "--format", "json", stdout=write_end)
+    os.close(write_end)
+    _assert_closed_pipe_ends_cleanly(proc)
+
+
+def test_reader_closing_in_the_middle_of_the_output():
+    # about 0.4 MB of JSON, far more than a pipe buffers, so the writer is
+    # still writing when the reader goes away after its first bytes
+    proc = _cli("series", "--kind", "tensor", "--betti", "2", "--terms", "1200",
+                "--format", "json", stdout=subprocess.PIPE)
+    assert proc.stdout.read(64).startswith(b"{")
+    proc.stdout.close()
+    _assert_closed_pipe_ends_cleanly(proc)
 
 
 def test_growth_hyperbolic(capsys):
