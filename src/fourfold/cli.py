@@ -5,9 +5,9 @@ table, and a CSV form; `--format` picks which one is printed.  Identical
 flags always produce byte-identical output.
 
 Exit codes: 0 on success or a not-applicable check, 1 when a verification
-fails, required data is missing or stdout closes before the output is
-written, 2 for usage errors (argparse's own convention, extended to
-mathematical domain violations).
+fails, a size limit is hit, required data is missing or stdout closes before
+the output is written, 2 for usage errors (argparse's own convention,
+extended to mathematical domain violations).
 
 Start-up: the module imports what `verify`, `ranks`, `series` and `growth`
 run; `stable` imports its module when it runs.
@@ -436,16 +436,7 @@ def _main(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "ranks":
-            result = cmd_ranks(args.betti, args.max_degree)
-        elif args.command == "series":
-            result = cmd_series(args.kind, args.betti, args.terms, args.dims)
-        elif args.command == "stable":
-            result = cmd_stable(args.betti, args.n, args.pi1_order, args.stems_file)
-        elif args.command == "growth":
-            result = cmd_growth(args.betti, args.probe)
-        else:
-            result = cmd_verify(args.betti, args.max_degree, _resolve_budget(args))
+        text, code = _output(args)
     except (DomainError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -456,14 +447,43 @@ def _main(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.format == "json":
-        print(json.dumps(result.payload, indent=2))
-    elif args.format == "csv":
-        sys.stdout.write(result.csv if result.csv else result.rendered + "\n")
-    else:
-        print(result.rendered)
+    # print writes the final newline on its own: a long write into a pipe
+    # whose reader has gone can come back short with no error, and this
+    # second write then meets the closed pipe
+    print(text)
     sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
-    return result.exit_code
+    return code
+
+
+def _output(args) -> tuple:
+    """(text to print, less its final newline; exit code) of the parsed
+    command.  A value past Python's limit on int to str conversion is a
+    ResourceLimit."""
+    try:
+        if args.command == "ranks":
+            result = cmd_ranks(args.betti, args.max_degree)
+        elif args.command == "series":
+            result = cmd_series(args.kind, args.betti, args.terms, args.dims)
+        elif args.command == "stable":
+            result = cmd_stable(args.betti, args.n, args.pi1_order, args.stems_file)
+        elif args.command == "growth":
+            result = cmd_growth(args.betti, args.probe)
+        else:
+            result = cmd_verify(args.betti, args.max_degree, _resolve_budget(args))
+        if args.format == "json":
+            text = json.dumps(result.payload, indent=2)
+        elif args.format == "csv" and result.csv:
+            text = result.csv[:-1]  # every CSV form ends in a newline
+        else:
+            text = result.rendered
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ResourceLimit(
+            f"a value has more than {sys.get_int_max_str_digits()} digits, "
+            "Python's limit for converting an int to text"
+        ) from None
+    return text, result.exit_code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,27 @@ lower degrees' pivot rows, shifted, as an echelon basis (max columns stay
 distinct).  Degree n streams only its W(n-3) rows r * v; a pivot is a new one
 of degree n or is found by walking down the blocks (subtract the block offset,
 go down deg(c)) until a degree below 3.  Nothing is copied, and
-rank_n = k rank_{n-1} + k rank_{n-2} + (new pivots of degree n).
+rank_n = k rank_{n-1} + k rank_{n-2} + (new pivots of degree n).  Which
+columns hold a pivot is a flag per column: k copies of degree n-1's flags,
+then k of degree n-2's, then the new pivots; a walk starts only at a column
+known to hold one.
+
+Right multiplication.  Appending a letter c is linear and injective; it maps
+a row u * r * w to the row u * r * w c, and keeps the lex order of two words
+of one degree, since neither is a prefix of the other.  If r * v reduced to
+zero in its degree, it is a combination of the rows r * v'' with v'' < v and
+of the rows with u nonempty, so r * v c is the same combination of the rows
+r * v'' c, with v'' c < v c, and of rows with u nonempty: it is dependent
+before its turn.  The elimination would reduce it to zero and change no pivot,
+so it is skipped and never built.  Each degree keeps one flag per row r * v,
+set for the rows skipped or reduced to zero; degree n reads its skips off
+the flags of degrees n-1 and n-2 through a table from each word v to v[:-1].
+
+Pivots are lead-relative: (column - lead column, value) for the entries left
+of the lead, and 1 / lead.  A lower degree's pivot then applies in a block as
+it is, at the column it leads.  A row r * v that meets no pivot before its
+lead becomes a pivot unreduced, stored as the degree's one shared template;
+only a reduced row keeps its own tuple.
 
 Rank policy: one elimination over the integers, pivoting on the max column.
 While every pivot leads with +-1, by induction on the degree the input rows
@@ -25,7 +45,10 @@ and the pivot rows (own and shifted) are integer combinations of each other,
 and such pivots in distinct columns stay independent modulo every prime: the
 rank is the rank over Q and over every prime field at once.  A pivot with
 another lead keeps its Fraction inverse; the rank stays exact over Q, and that
-degree and all above it report "rational".
+degree and all above it report "rational".  Skipping by right multiplication
+keeps this: with +-1 pivots the multipliers that reduced r * v to zero are
+integers, so r * v c is an integer combination of rows too; and a rational
+degree already makes every degree above it rational.
 """
 
 from __future__ import annotations
@@ -173,46 +196,110 @@ def _inherited_pivot(k: int, widths: list, pivots: list, n: int, col: int):
     return None
 
 
-def _relation_head_rows(k: int, n: int):
+def _prefix_tables(k: int):
+    """Yield, for word degrees d = 1, 2, ..., a list that maps the position
+    of each degree-d word v to where v[:-1] sits in the degree d-1 words
+    followed by the degree d-2 words: its position when v ends in an x,
+    W(d-1) + its position when v ends in a y.  Degree d is built from d-1
+    and d-2 by first-letter blocks: for v = a * w, v[:-1] is a * w[:-1]."""
+    older = [0] * k  # x_a -> the empty word, at 0
+    # x_a x_b -> x_a, at a; y_b -> the empty word, at W(1) + 0
+    old = [a for a in range(k) for _ in range(k)] + [k] * k
+    yield older
+    yield old
+    d = 3
+    while True:
+        table = []
+        for a in range(2 * k):
+            e = d - 1 if a < k else d - 2  # degree of w
+            # w's entry p < W(e-1) puts w[:-1] at p (w ends in an x), else at
+            # p - W(e-1); a * w[:-1] is then a's block offset further on
+            split = _word_count(k, e - 1)
+            to_x = _word_offset(k, (a,), d - 1)
+            to_y = _word_count(k, d - 1) - split + _word_offset(k, (a,), d - 2)
+            below = old if a < k else older
+            table += [p + to_x if p < split else p + to_y for p in below]
+        yield table
+        older, old = old, table
+        d += 1
+
+
+def _head_offsets(k: int, n: int) -> list:
+    """[(column of w * v minus the position of v, coefficient)] over r's
+    words w: row r * v of degree n sits at these offsets from v's position."""
+    terms = canonical_relation(k).terms
+    return [(_word_offset(k, w.letters, n), c) for c, w in terms]
+
+
+def _head_template(k: int, n: int) -> tuple:
+    """Every row r * v of degree n as a pivot: ((column - lead column, value)
+    for the entries left of the lead, 1 / lead).  The lead y_k x_k * v
+    is -1, its own inverse."""
+    mids = _head_offsets(k, n)
+    top, lead = max(mids)
+    return tuple((m - top, c) for m, c in mids if m != top), lead
+
+
+def _relation_head_rows(k: int, n: int, dependent: Optional[bytearray] = None):
     """Yield the W(n-3) rows r * v of degree n as {column: +-1} dicts, v in
-    lex order; the other rows u * r * v come from the lower degrees."""
-    mids = [(_word_offset(k, w.letters, n), c) for c, w in canonical_relation(k).terms]
-    for pos in range(_word_count(k, n - 3)):
-        yield {pos + m: c for m, c in mids}
+    lex order; the other rows u * r * v come from the lower degrees.  Rows
+    flagged in `dependent` are skipped; a yielded row that the consumer
+    reduced to empty by the next request gets its flag set."""
+    mids = _head_offsets(k, n)
+    if dependent is None:
+        dependent = bytearray(_word_count(k, n - 3))
+    pos = dependent.find(0)
+    while pos >= 0:
+        row = {pos + m: c for m, c in mids}
+        yield row
+        if not row:
+            dependent[pos] = 1
+        pos = dependent.find(0, pos + 1)
 
 
-def _sparse_rank_exact(rows, inherited=lambda col: None) -> tuple:
+def _sparse_rank_exact(rows, inherited=lambda col: None, template=None) -> tuple:
     """(new pivots by column, whether every new pivot led with +-1).
 
-    Rows are {column: nonzero int} dicts, taken over: each is reduced in
-    place and kept as a pivot row (row, 1 / its lead), so a caller passes rows
-    it does not use again.  A column with no new pivot asks `inherited(col)`
-    for a (pivot, shift) kept elsewhere, its columns `shift` to the left.
-    Max-column pivoting follows the leading monomial and keeps fill-in low.
+    A pivot is ((column - lead column, value) for the entries left of its
+    lead, 1 / lead).  Rows are {column: nonzero int} dicts, reduced in place,
+    so a row that proves dependent ends empty and a caller passes rows it
+    does not use again.  A row that meets no pivot before its own is stored
+    as `template` when one is given: the caller's rows then all have that
+    shape and a +-1 lead.  A column with no new pivot asks `inherited(col)`
+    for a (pivot, shift) kept elsewhere; being lead-relative, the pivot
+    applies at col as it is.  Max-column pivoting follows the leading
+    monomial and keeps fill-in low.
     """
     pivots = {}
     integral = True
     for row in rows:
+        fresh = template
         while row:
             c = max(row)
             coef = row[c]
-            piv, shift = pivots.get(c), 0
+            piv = pivots.get(c)
             if piv is None:
                 found = inherited(c)
                 if found is None:
-                    if coef == 1 or coef == -1:
-                        pivots[c] = (row, coef)
-                    else:
-                        from fractions import Fraction
+                    if fresh is None:
+                        if coef == 1 or coef == -1:
+                            inv = coef
+                        else:
+                            from fractions import Fraction
 
-                        pivots[c] = (row, 1 / Fraction(coef))
-                        integral = False
+                            inv = 1 / Fraction(coef)
+                            integral = False
+                        rel = tuple((cc - c, vv) for cc, vv in row.items() if cc != c)
+                        fresh = rel, inv
+                    pivots[c] = fresh
                     break
-                piv, shift = found
-            prow, inv = piv
+                piv = found[0]
+            fresh = None
+            rel, inv = piv
             mult = coef * inv
-            for cc, vv in prow.items():
-                cc += shift
+            del row[c]  # coef - mult * lead is 0
+            for d, vv in rel:
+                cc = c + d
                 nv = row.get(cc, 0) - mult * vv
                 if nv:
                     row[cc] = nv
@@ -226,12 +313,31 @@ def _ideal_ranks(k: int, N: int) -> list:
     True while every degree so far kept +-1 pivots."""
     widths = [_word_count(k, m) for m in range(N + 1)]
     pivots, out = [], [(0, True), (0, True)]  # out starts at degrees -2, -1
+    held = [b"", b""]  # degrees n-2, n-1: 1 at each column holding a pivot
+    dependent = [b"", b""]  # degrees n-2, n-1: 1 at each dependent row r * v
+    prefixes = _prefix_tables(k)
     for n in range(N + 1):
+        if n < 3:
+            has, dep = bytearray(widths[n]), bytearray()
+        else:
+            # column blocks by first letter: k of degree n-1, then k of n-2
+            has = held[1] * k
+            has += held[0] * k
+            # r * v' dependent makes r * v' c dependent (right multiplication)
+            dep = bytearray(1) if n == 3 else bytearray(
+                map((dependent[1] + dependent[0]).__getitem__, next(prefixes))
+            )
         new, ok = _sparse_rank_exact(
-            _relation_head_rows(k, n),
-            lambda col, n=n: _inherited_pivot(k, widths, pivots, n, col),
+            _relation_head_rows(k, n, dep),
+            lambda col, n=n, has=has: (
+                _inherited_pivot(k, widths, pivots, n, col) if has[col] else None
+            ),
+            _head_template(k, n),
         )
+        for c in new:
+            has[c] = 1
         pivots.append(new)
+        held, dependent = [held[1], has], [dependent[1], dep]
         out.append((k * out[-1][0] + k * out[-2][0] + len(new), ok and out[-1][1]))
     return out[2:]
 

@@ -327,6 +327,16 @@ def test_reader_closing_in_the_middle_of_the_output():
     _assert_closed_pipe_ends_cleanly(proc)
 
 
+def test_reader_closing_in_the_middle_of_csv_output():
+    # one long write of about 0.3 MB: the pipe takes part of it and the
+    # write comes back short, with no error, once the reader has gone
+    proc = _cli("series", "--kind", "tensor", "--betti", "2", "--terms", "1200",
+                "--format", "csv", stdout=subprocess.PIPE)
+    assert proc.stdout.read(64).startswith(b"degree,coefficient")
+    proc.stdout.close()
+    _assert_closed_pipe_ends_cleanly(proc)
+
+
 def test_growth_hyperbolic(capsys):
     code, out, _ = run(capsys, "growth", "--betti", "3", "--probe", "40")
     assert code == 0
@@ -476,6 +486,43 @@ def test_verify_ends_in_result_or_one_line_error(betti, max_degree, budget, fmt)
         assert code == 0
         if fmt == "table":
             assert out.getvalue().endswith("PASS\n")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ranks", "--betti", "3", "--max-degree", "1700"),
+        ("series", "--kind", "quotient", "--betti", "12", "--terms", "700"),
+    ],
+)
+def test_value_past_the_int_digit_limit_is_a_resource_limit(capsys, argv, fmt):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int to str conversion")
+    # the lowest limit Python accepts; both commands print values of 700+ digits
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, *argv, "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: a value has more than 640 digits, "
+        "Python's limit for converting an int to text\n"
+    )
+
+
+def test_verify_deep_at_betti_one(capsys):
+    # degree 30 has 1,346,269 columns; right multiplication certifies nearly
+    # every row r * v dependent before it is built
+    code, out, err = run(
+        capsys, "verify", "--betti", "1", "--max-degree", "30", "--budget", "1400000"
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS"
+    assert err == ""
 
 
 def test_unknown_subcommand_is_usage_error():

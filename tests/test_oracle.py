@@ -24,6 +24,7 @@ from fourfold.oracle import (
     DEFAULT_COLUMN_BUDGET,
     _ideal_ranks,
     _inherited_pivot,
+    _prefix_tables,
     _relation_head_rows,
     _sparse_rank_exact,
     _word_count,
@@ -153,6 +154,62 @@ def test_degree_recursion_matches_elimination_of_the_full_matrix():
             assert recursive[n] == (len(pivots), integral), (k, n)
 
 
+def test_prefix_tables_locate_each_word_without_its_last_letter():
+    for k in range(1, 5):
+        tables = _prefix_tables(k)
+        for d in range(1, 8):
+            # degree d-1 words, then degree d-2 words
+            below = [
+                w.letters for m in (d - 1, d - 2) if m >= 0 for w in enumerate_words(k, m)
+            ]
+            prefixes = [below[p] for p in next(tables)]
+            assert prefixes == [w.letters[:-1] for w in enumerate_words(k, d)], (k, d)
+
+
+def test_rows_skipped_by_right_multiplication_reduce_to_zero(monkeypatch):
+    # each degree's skip flags as the recursion hands them to the row source,
+    # and the inherited-pivot lookup and new pivots of its elimination
+    seen = []
+    rows_of, kernel = oracle._relation_head_rows, oracle._sparse_rank_exact
+
+    def recording_rows(k, n, dependent):
+        seen.append({"skipped": bytes(dependent)})
+        return rows_of(k, n, dependent)
+
+    def recording_kernel(rows, inherited, template):
+        pivots, integral = kernel(rows, inherited, template)
+        seen[-1].update(inherited=inherited, pivots=pivots)
+        return pivots, integral
+
+    monkeypatch.setattr(oracle, "_relation_head_rows", recording_rows)
+    monkeypatch.setattr(oracle, "_sparse_rank_exact", recording_kernel)
+    for k in range(1, 5):
+        top = 0
+        while _word_count(k, top + 1) <= 20_000:
+            top += 1
+        seen.clear()
+        _ideal_ranks(k, top)
+        assert len(seen) == top + 1
+        skips = 0
+        for n, degree in enumerate(seen):
+            # every row r * v fed as it is, no skip flags and no template
+            nonzero = []
+
+            def every_row():
+                for row in rows_of(k, n):
+                    yield row
+                    nonzero.append(bool(row))  # reduced by now
+
+            pivots, _ = kernel(every_row(), degree["inherited"])
+            assert pivots == degree["pivots"], (k, n)
+            skipped = [pos for pos, flag in enumerate(degree["skipped"]) if flag]
+            assert len(nonzero) == _word_count(k, n - 3)
+            assert not any(nonzero[pos] for pos in skipped), (k, n)
+            skips += len(skipped)
+        # rows are first skipped in degree 7, past 20,000 columns at k = 4
+        assert skips > 0 or k == 4, k
+
+
 def rank_of(rows):
     # _sparse_rank_exact takes its rows over, so it gets fresh copies
     pivots, integral = _sparse_rank_exact([dict(r) for r in rows])
@@ -216,7 +273,7 @@ def test_exact_rank_matches_dense_fraction_elimination(matrix):
 
 
 def test_oracle_stays_integral_within_the_default_budget():
-    for k in range(1, 5):
+    for k in range(1, 7):
         top = 0
         while _word_count(k, top + 1) <= DEFAULT_COLUMN_BUDGET:
             top += 1
