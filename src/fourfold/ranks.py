@@ -11,8 +11,10 @@ L_n = k L_{n-1} - L_{n-2}, this is the necklace formula
 
     m_n(k) = (1/n) sum_{d|n} (-1)^(n + n/d) mu(d) L_{n/d}
 
-in pure integers.  The division by n must be exact and the result
-nonnegative; anything else is a bug and raises.
+in pure integers.  The sign is (-1)^n (-1)^j with j = n/d, so n m_n is
+(-1)^n h_n for h the Moebius inversion of g_j = (-1)^j L_j = L_j(-k), which
+one in-place sieve of O(N log N) big-integer subtractions computes.  Division
+by n must be exact and the result nonnegative; else it is a bug and raises.
 
 Public parameter convention: every function here takes b2 itself.  The
 closed-form polynomials for low degrees are internally evaluated at b2 - 1;
@@ -53,18 +55,6 @@ def moebius(d: int) -> int:
     if d > 1:
         result = -result
     return result
-
-
-def _divisors(n: int) -> list:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def _lucas(k: int, N: int) -> list:
@@ -124,10 +114,15 @@ def homotopy_ranks(betti: int, N: int) -> RankTable:
         ranks = tuple(_ELLIPTIC_B2_1[n - 1] if n <= 4 else 0 for n in range(1, N + 1))
         return RankTable(betti=1, max_degree=N, ranks=ranks)
 
-    lucas = _lucas(k, N)
+    # h becomes the Moebius inversion of g_j = L_j(-k); h_j is final at step j
+    h = _lucas(-k, N)
+    for j in range(1, N // 2 + 1):
+        hj = h[j]
+        for i in range(2 * j, N + 1, j):
+            h[i] -= hj
     ranks = []
     for n in range(1, N + 1):
-        acc = sum((-1) ** (n + n // d) * moebius(d) * lucas[n // d] for d in _divisors(n))
+        acc = -h[n] if n % 2 else h[n]  # n m_n = (-1)^n h_n
         m_n, rem = divmod(acc, n)
         if rem or m_n < 0:
             raise InternalInconsistency(
@@ -403,12 +398,13 @@ def cumulative_bound_check(betti: int, n_max: int, _table: Optional[RankTable] =
     table = _table
     if table is None or table.max_degree < 2 * n_max:
         table = homotopy_ranks(betti, 2 * n_max)
-    k = betti - 1
+    ranks = table.ranks
+    step = (betti - 1) ** 2
     out = {}
     partial = 0
-    for i in range(1, 2 * n_max + 1):
-        partial += table.rank(i)
-        if i % 2 == 0:
-            n = i // 2
-            out[n] = 2 * n * partial >= k ** (2 * n)
+    power = 1  # (b2 - 1)^(2n)
+    for n in range(1, n_max + 1):
+        partial += ranks[2 * n - 2] + ranks[2 * n - 1]
+        power *= step
+        out[n] = 2 * n * partial >= power
     return out

@@ -288,11 +288,15 @@ def _poly_reciprocal(poly: Sequence[int], N: int) -> list:
 
     r_0 = 1 and r_n = -sum_{i=1..min(n, deg poly)} poly[i] r_{n-i}.
     """
-    terms = [(i, c) for i, c in enumerate(poly) if i and c]
-    out = [1] + [0] * N
-    for n in range(1, N + 1):
-        out[n] = -sum(c * out[n - i] for i, c in terms if i <= n)
-    return out
+    terms = [(-i, -c) for i, c in enumerate(poly) if i and c]
+    d = -terms[-1][0] if terms else 0  # r_n sits at out[d + n], r_{<0} = 0
+    out = [0] * d + [1] + [0] * N
+    for n in range(d + 1, d + N + 1):
+        acc = 0
+        for i, c in terms:
+            acc += c * out[n + i]
+        out[n] = acc
+    return out[d:]
 
 
 def free_comm_series(dims: DimsLike, N: int) -> TruncatedSeries:

@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourfold import (
@@ -22,7 +22,7 @@ from fourfold import (
     rank_polynomial_eval,
     series_log,
 )
-from fourfold.ranks import _lucas
+from fourfold.ranks import RankTable, _lucas
 
 
 # mu on 1..20, from any number theory table
@@ -84,6 +84,43 @@ def test_ranks_match_log_series_inversion():
             for n in range(1, n_max + 1)
         )
         assert homotopy_ranks(k, n_max).ranks == expected, k
+
+
+def _necklace_reference(k, N):
+    """m_1..m_N as one divisor sum per degree, (1/n) sum_{d|n} (-1)^(n+n/d) mu(d) L_{n/d}."""
+    lucas = _lucas(k, N)
+    out = []
+    for n in range(1, N + 1):
+        acc = sum(
+            (-1) ** (n + n // d) * moebius(d) * lucas[n // d]
+            for d in range(1, n + 1)
+            if n % d == 0
+        )
+        assert acc % n == 0
+        out.append(acc // n)
+    return tuple(out)
+
+
+@given(st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=400))
+@example(2, 1)
+@example(3, 1)
+@example(3, 2)
+@example(40, 399)
+@example(40, 400)
+@settings(max_examples=100, deadline=None)
+def test_sieve_matches_divisor_sum_reference(k, N):
+    assert homotopy_ranks(k, N).ranks == _necklace_reference(k, N)
+
+
+@given(st.integers(min_value=3, max_value=40), st.integers(min_value=1, max_value=300))
+@example(3, 300)
+@settings(max_examples=100, deadline=None)
+def test_growth_lemma_2n_m_n_at_least_lucas(k, N):
+    """The growth lemma: 2n m_n >= L_n for k >= 3, so m_n > beta^n / (2n)."""
+    ranks = homotopy_ranks(k, N).ranks
+    lucas = _lucas(k, N)
+    for n in range(1, N + 1):
+        assert 2 * n * ranks[n - 1] >= lucas[n], (k, n)
 
 
 def test_homotopy_ranks_hyperbolic_table():
@@ -206,6 +243,39 @@ def test_cumulative_bound_range():
         result = cumulative_bound_check(betti, 15)
         assert set(result) == set(range(1, 16))
         assert all(result.values()), betti
+
+
+def _cumulative_bound_reference(table, k, n_max):
+    sums = [0]
+    for i in range(1, 2 * n_max + 1):
+        sums.append(sums[-1] + table.rank(i))
+    return {n: 2 * n * sums[2 * n] >= (k - 1) ** (2 * n) for n in range(1, n_max + 1)}
+
+
+@given(
+    st.integers(min_value=3, max_value=12),
+    st.integers(min_value=1, max_value=150),
+    st.integers(min_value=0, max_value=2**150 - 1),
+)
+@example(3, 1, 0)
+@example(12, 150, 2**150 - 1)
+@settings(max_examples=40, deadline=None)
+def test_cumulative_bound_matches_direct_reference(k, n_max, misses):
+    table = homotopy_ranks(k, 2 * n_max)
+    assert cumulative_bound_check(k, n_max) == _cumulative_bound_reference(table, k, n_max)
+    # the true ranks clear every bound by far, so also try a table whose
+    # partial sums sit one below (bit n - 1 of misses set) or exactly on
+    # ceil((k - 1)^(2n) / (2n))
+    ranks, total = [], 0
+    for n in range(1, n_max + 1):
+        target = ((k - 1) ** (2 * n) + 2 * n - 1) // (2 * n) - (misses >> (n - 1) & 1)
+        step = target - total
+        ranks += [step // 3, step - step // 3]
+        total = target
+    edge = RankTable(betti=k, max_degree=2 * n_max, ranks=tuple(ranks))
+    expected = {n: not misses >> (n - 1) & 1 for n in range(1, n_max + 1)}
+    assert _cumulative_bound_reference(edge, k, n_max) == expected
+    assert cumulative_bound_check(k, n_max, _table=edge) == expected
 
 
 def test_cumulative_bound_is_exact_rational():

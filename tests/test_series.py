@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourfold import (
@@ -22,6 +22,7 @@ from fourfold import (
     series_reciprocal,
     tensor_series,
 )
+from fourfold.series import _poly_reciprocal
 
 coeff_lists = st.lists(
     st.fractions(min_value=-50, max_value=50, max_denominator=8),
@@ -146,6 +147,24 @@ def test_constructors_match_fraction_products(dims, N):
     assert free == product
     assert tensor == series_reciprocal(den)
     assert all(type(c) is int for c in free.coeffs + tensor.coeffs)
+
+
+@given(
+    st.lists(st.one_of(st.just(0), st.integers(-6, 6)), max_size=50),
+    st.integers(min_value=0, max_value=40),
+)
+@example([], 0)
+@example([-2, 0, 0, 0], 6)  # trailing zeros
+@example([0, 0, -1, 0, 3], 25)  # interior zeros
+@example([-1, 0, 0, 0, 0, 7], 2)  # degree above N
+@settings(max_examples=80, deadline=None)
+def test_poly_reciprocal_matches_fraction_reference(tail, N):
+    """The padded integer recurrence agrees with series_reciprocal on 1 + tail."""
+    poly = [1] + tail
+    got = _poly_reciprocal(poly, N)
+    ref = series_reciprocal(TruncatedSeries.from_coefficients(poly[: N + 1], N))
+    assert got == list(ref.coeffs)
+    assert all(type(c) is int for c in got)
 
 
 @pytest.mark.parametrize("constructor", [free_comm_series, tensor_series])
