@@ -22,9 +22,7 @@ __all__ = [
     "GrowthReport",
     "InsufficientStemsData",
     "InternalInconsistency",
-    "LogDomain",
     "MarkerSum",
-    "NonInvertibleSeries",
     "OracleReport",
     "PBW_FAIL",
     "PBW_NOT_APPLICABLE",
@@ -32,19 +30,14 @@ __all__ = [
     "ParseError",
     "PbwCheck",
     "RankTable",
-    "RelationElement",
     "ResourceLimit",
     "StemsTable",
     "TruncatedSeries",
     "UngradedGenerator",
     "ValidationError",
-    "Word",
     "bundled_stems_table",
-    "canonical_relation",
     "cumulative_bound_check",
-    "direct_sum_power",
     "divisibility_report",
-    "enumerate_words",
     "euler_identity_check",
     "free_comm_series",
     "growth_base",
@@ -54,16 +47,11 @@ __all__ = [
     "integral_low_homotopy",
     "koszul_leading_monomial_check",
     "load_stems_table",
-    "moebius",
     "pbw_identity_check",
     "pbw_series",
     "quotient_dims_oracle",
     "quotient_series",
     "rank_polynomial_eval",
-    "series_add",
-    "series_log",
-    "series_mul",
-    "series_reciprocal",
     "stable_homotopy_finite_pi1",
     "stable_homotopy_simply_connected",
     "tensor_series",
@@ -75,8 +63,6 @@ _EXPORTS = {
         "FourfoldError",
         "InsufficientStemsData",
         "InternalInconsistency",
-        "LogDomain",
-        "NonInvertibleSeries",
         "ParseError",
         "ResourceLimit",
         "UngradedGenerator",
@@ -84,10 +70,6 @@ _EXPORTS = {
     ),
     "oracle": (
         "OracleReport",
-        "RelationElement",
-        "Word",
-        "canonical_relation",
-        "enumerate_words",
         "euler_identity_check",
         "ideal_degree_dim",
         "koszul_leading_monomial_check",
@@ -105,7 +87,6 @@ _EXPORTS = {
         "growth_base",
         "growth_report",
         "homotopy_ranks",
-        "moebius",
         "pbw_identity_check",
         "rank_polynomial_eval",
     ),
@@ -115,10 +96,6 @@ _EXPORTS = {
         "free_comm_series",
         "pbw_series",
         "quotient_series",
-        "series_add",
-        "series_log",
-        "series_mul",
-        "series_reciprocal",
         "tensor_series",
     ),
     "stable": (
@@ -126,7 +103,6 @@ _EXPORTS = {
         "MarkerSum",
         "StemsTable",
         "bundled_stems_table",
-        "direct_sum_power",
         "integral_low_homotopy",
         "load_stems_table",
         "stable_homotopy_finite_pi1",

@@ -266,7 +266,7 @@ def cmd_verify(betti: int, max_degree: int, budget=None) -> CommandResult:
 
     koszul_ok, lead = koszul_leading_monomial_check(betti)
     checks["koszul-leading-monomial"] = koszul_ok
-    payload["koszul"] = {"ok": koszul_ok, "leading_monomial": str(lead)}
+    payload["koszul"] = {"ok": koszul_ok, "leading_monomial": lead}
 
     pbw = pbw_identity_check(betti, max_degree)
     payload["pbw"] = {"status": pbw.status, "first_failure": pbw.first_failure}

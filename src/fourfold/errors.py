@@ -9,14 +9,6 @@ class DomainError(FourfoldError):
     """Input outside the mathematical domain of the requested operation."""
 
 
-class NonInvertibleSeries(FourfoldError):
-    """Reciprocal requested for a series with zero constant term."""
-
-
-class LogDomain(FourfoldError):
-    """Logarithm requested for a series whose constant term is not 1."""
-
-
 class UngradedGenerator(DomainError):
     """Generator multiplicities include a degree-0 generator."""
 

@@ -53,7 +53,7 @@ degree already makes every degree above it rational.
 
 from __future__ import annotations
 
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from typing import Optional
 
 from ._record import Record
@@ -65,65 +65,11 @@ from .series import GradedDims, quotient_series
 DEFAULT_COLUMN_BUDGET = 50_000
 
 
-@total_ordering
-class Word(Record):
-    """A word in the letters x_1..x_k, y_1..y_k, compared lexicographically."""
-
-    def __init__(self, letters: tuple, k: int):
-        if k < 1:
-            raise DomainError(f"alphabet parameter must be >= 1, got {k}")
-        if any(not 0 <= c < 2 * k for c in letters):
-            raise DomainError(f"letter code outside alphabet of size 2k={2 * k}")
-        self.__dict__.update(letters=letters, k=k)
-
-    def __lt__(self, other):
-        """By (letters, k), between words only."""
-        if other.__class__ is self.__class__:
-            return self._values() < other._values()
-        return NotImplemented
-
-    @property
-    def degree(self) -> int:
-        return sum(1 if c < self.k else 2 for c in self.letters)
-
-    def __str__(self):
-        if not self.letters:
-            return "1"
-        return "*".join(
-            f"x{c + 1}" if c < self.k else f"y{c - self.k + 1}" for c in self.letters
-        )
-
-
-class RelationElement(Record):
-    """A homogeneous signed combination of words."""
-
-    def __init__(self, terms: tuple):  # ((coeff, Word), ...)
-        degs = {w.degree for _, w in terms}
-        if len(degs) > 1:
-            raise DomainError(f"inhomogeneous terms, degrees {sorted(degs)}")
-        self.__dict__.update(terms=terms)
-
-    @property
-    def degree(self) -> int:
-        return self.terms[0][1].degree if self.terms else 0
-
-    def __str__(self):
-        parts = []
-        for c, w in self.terms:
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            parts.append(f"{sign} {'' if mag == 1 else str(mag) + '*'}{w}")
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else s
-
-
-def canonical_relation(k: int) -> RelationElement:
-    """r = sum_i (x_i y_i - y_i x_i): 2k terms, coefficients +-1, degree 3."""
-    if k < 1:
-        raise DomainError(f"alphabet parameter must be >= 1, got {k}")
-    return RelationElement(tuple(
-        (s, Word(w, k)) for i in range(k) for s, w in ((1, (i, k + i)), (-1, (k + i, i)))
-    ))
+def _relation_terms(k: int) -> tuple:
+    """r = sum_i (x_i y_i - y_i x_i) as ((+-1, letter codes), ...): 2k terms."""
+    return tuple(
+        (s, w) for i in range(k) for s, w in ((1, (i, k + i)), (-1, (k + i, i)))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -146,25 +92,6 @@ def _columns(k: int, n: int, budget: int) -> int:
             f"budget is {budget} columns"
         )
     return cols
-
-
-def enumerate_words(k: int, n: int) -> list:
-    """All degree-n words in monomial order.
-
-    >>> [str(w) for w in enumerate_words(1, 2)]
-    ['x1*x1', 'y1']
-    """
-    if k < 1:
-        raise DomainError(f"alphabet parameter must be >= 1, got {k}")
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
-    # lex order is the first letter, then the rest (a shorter word) in lex order
-    by_degree = {-1: [], 0: [()]}
-    for m in range(1, n + 1):
-        by_degree[m] = [
-            (c,) + rest for c in range(2 * k) for rest in by_degree[m - 1 - (c >= k)]
-        ]
-    return [Word(t, k) for t in by_degree[n]]
 
 
 def _word_offset(k: int, letters, rem: int) -> int:
@@ -227,8 +154,7 @@ def _prefix_tables(k: int):
 def _head_offsets(k: int, n: int) -> list:
     """[(column of w * v minus the position of v, coefficient)] over r's
     words w: row r * v of degree n sits at these offsets from v's position."""
-    terms = canonical_relation(k).terms
-    return [(_word_offset(k, w.letters, n), c) for c, w in terms]
+    return [(_word_offset(k, w, n), c) for c, w in _relation_terms(k)]
 
 
 def _head_template(k: int, n: int) -> tuple:
@@ -452,15 +378,17 @@ def euler_identity_check(report: OracleReport) -> tuple:
 
 
 def koszul_leading_monomial_check(k: int) -> tuple:
-    """(unique-leading-monomial flag, the leading Word) for the relation r.
+    """(unique-leading-monomial flag, the leading word as text) for the relation r.
 
     The expected leading word under x_1 < ... < x_k < y_1 < ... < y_k is
     y_k x_k, and it must be the unique maximum among r's words.
 
-    >>> ok, lead = koszul_leading_monomial_check(3)
-    >>> ok, str(lead)
+    >>> koszul_leading_monomial_check(3)
     (True, 'y3*x3')
     """
-    words = [w for _, w in canonical_relation(k).terms]
+    if k < 1:
+        raise DomainError(f"alphabet parameter must be >= 1, got {k}")
+    words = [w for _, w in _relation_terms(k)]
     lead = max(words)
-    return words.count(lead) == 1 and lead == Word((2 * k - 1, k - 1), k), lead
+    text = "*".join(f"x{c + 1}" if c < k else f"y{c - k + 1}" for c in lead)
+    return words.count(lead) == 1 and lead == (2 * k - 1, k - 1), text

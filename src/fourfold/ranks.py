@@ -35,28 +35,6 @@ from .series import _poly_reciprocal, pbw_series, quotient_series
 GROWTH_PRECISION = 60
 
 
-def moebius(d: int) -> int:
-    """Moebius function: 0 on non-squarefree d, else (-1)^(number of primes).
-
-    >>> [moebius(d) for d in range(1, 13)]
-    [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
-    """
-    if d < 1:
-        raise DomainError(f"moebius undefined for {d}")
-    result = 1
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            d //= p
-            if d % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if d > 1:
-        result = -result
-    return result
-
-
 def _lucas(k: int, N: int) -> list:
     """L_0..L_N with L_0 = 2, L_1 = k, L_n = k L_{n-1} - L_{n-2}."""
     lucas = [2, k]

@@ -1,16 +1,11 @@
 """Exact truncated formal power series and the generating-series constructors.
 
 Everything here is a polynomial in t truncated at an explicit order N, with
-exact coefficients: int or fractions.Fraction, stored as given.  No floats,
-no rounding.  The named constructors compute int coefficients by integer
-recurrences and hand them to the caller unchanged; the general arithmetic
-(series_mul, series_reciprocal, series_log) works over Fraction and is the
-reference the tests compare the recurrences against.  `fractions` is
-imported only where a Fraction is made or checked, so the integer
-constructors never load it.
-
-Binary operations truncate to the minimum of the two orders.  Operations never
-extend a truncation order.
+int coefficients: a TruncatedSeries accepts nothing else, so neither a float
+nor a Fraction gets in.  Each named constructor computes its coefficients by
+one integer recurrence.  The general series arithmetic over Fraction (product,
+reciprocal, logarithm) is not part of the package: it lives with the tests in
+tests/refimpl.py, as the reference they compare these recurrences against.
 """
 
 from __future__ import annotations
@@ -18,15 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._record import Record
-from .errors import (
-    DomainError,
-    InternalInconsistency,
-    LogDomain,
-    NonInvertibleSeries,
-    UngradedGenerator,
-)
-
-RationalLike = Union[int, "Fraction"]
+from .errors import DomainError, InternalInconsistency, UngradedGenerator
 
 
 class TruncatedSeries(Record):
@@ -35,8 +22,8 @@ class TruncatedSeries(Record):
     >>> s = TruncatedSeries.from_coefficients([1, 2, 3], 2)
     >>> s.coefficient(1)
     2
-    >>> s + s == TruncatedSeries.from_coefficients([2, 4, 6], 2)
-    True
+    >>> str(s)
+    '1 + 2*t + 3*t^2 + O(t^3)'
     """
 
     def __init__(self, coeffs: tuple, truncation_order: int):
@@ -49,68 +36,22 @@ class TruncatedSeries(Record):
             )
         for c in coeffs:
             if not isinstance(c, int):
-                from fractions import Fraction
-
-                if not isinstance(c, Fraction):
-                    raise DomainError(f"coefficient {c!r} is neither int nor Fraction")
+                raise DomainError(f"coefficient {c!r} is not an int")
         self.__dict__.update(coeffs=coeffs, truncation_order=truncation_order)
 
-    # -- constructors ------------------------------------------------------
-
     @classmethod
-    def from_coefficients(cls, coeffs: Iterable[RationalLike], order: int) -> "TruncatedSeries":
+    def from_coefficients(cls, coeffs: Iterable[int], order: int) -> "TruncatedSeries":
         """Series from the low-degree coefficients; missing ones are zero."""
         cs = list(coeffs)
         return cls(cs + [0] * (order + 1 - len(cs)), order)
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coefficients([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coefficients([1], order)
-
-    @classmethod
-    def monomial(cls, degree: int, order: int, coeff: RationalLike = 1) -> "TruncatedSeries":
-        """coeff * t^degree, truncated at order (zero if degree > order)."""
-        cs = [0] * (order + 1)
-        if 0 <= degree <= order:
-            cs[degree] = coeff
-        return cls(tuple(cs), order)
-
-    # -- accessors ---------------------------------------------------------
-
-    def coefficient(self, i: int) -> RationalLike:
+    def coefficient(self, i: int) -> int:
         if not 0 <= i <= self.truncation_order:
             raise DomainError(f"coefficient index {i} outside 0..{self.truncation_order}")
         return self.coeffs[i]
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        """Drop coefficients above the given (smaller or equal) order."""
-        if order > self.truncation_order:
-            raise DomainError("cannot extend a truncation order")
-        return TruncatedSeries(self.coeffs[: order + 1], order)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
     def as_int_list(self) -> list:
-        """Coefficients as plain ints; error if any denominator is not 1."""
-        if not self.is_integral():
-            raise InternalInconsistency(f"series is not integral: {self.coeffs}")
-        return [int(c) for c in self.coeffs]
-
-    # -- operator sugar (delegates to the module-level functions) ----------
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_add(self, other)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_add(self, series_scale(other, -1))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_mul(self, other)
+        return list(self.coeffs)
 
     def __str__(self):
         parts = []
@@ -126,25 +67,12 @@ class TruncatedSeries(Record):
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(t^{self.truncation_order + 1})"
 
-    # -- serialization -----------------------------------------------------
-
     def to_json_dict(self) -> dict:
-        """{"truncation_order": N, "coefficients": [...]} with string coefficients.
-
-        Integral coefficients render as plain decimal strings, others as "p/q".
-        """
+        """{"truncation_order": N, "coefficients": [...]}, coefficients as decimal strings."""
         return {
             "truncation_order": self.truncation_order,
             "coefficients": [str(c) for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "TruncatedSeries":
-        from fractions import Fraction
-
-        order = int(doc["truncation_order"])
-        coeffs = [Fraction(s) for s in doc["coefficients"]]
-        return cls(tuple(coeffs), order)
 
 
 class GradedDims(Record):
@@ -171,9 +99,6 @@ class GradedDims(Record):
         if 0 <= i < len(self.dims):
             return self.dims[i]
         return 0
-
-    def max_degree(self) -> int:
-        return len(self.dims) - 1
 
     def __getitem__(self, i: int) -> int:
         return self.degree_dim(i)
@@ -203,81 +128,6 @@ def _dims_by_degree(dims: DimsLike) -> dict:
         if mult < 0:
             raise DomainError(f"negative multiplicity {mult} in degree {deg}")
     return by_deg
-
-
-# -- arithmetic -------------------------------------------------------------
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise sum, truncated at the smaller order."""
-    n = min(a.truncation_order, b.truncation_order)
-    return TruncatedSeries(
-        tuple(a.coeffs[i] + b.coeffs[i] for i in range(n + 1)), n
-    )
-
-
-def series_scale(a: TruncatedSeries, c: RationalLike) -> TruncatedSeries:
-    return TruncatedSeries(tuple(x * c for x in a.coeffs), a.truncation_order)
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the smaller order."""
-    n = min(a.truncation_order, b.truncation_order)
-    out = [0] * (n + 1)
-    for i in range(n + 1):
-        ai = a.coeffs[i]
-        if ai == 0:
-            continue
-        for j in range(n + 1 - i):
-            bj = b.coeffs[j]
-            if bj != 0:
-                out[i + j] += ai * bj
-    return TruncatedSeries(tuple(out), n)
-
-
-def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
-    """The series r with a*r = 1 up to the truncation order.
-
-    >>> one_minus_t = TruncatedSeries.from_coefficients([1, -1], 4)
-    >>> series_reciprocal(one_minus_t).coeffs == (1, 1, 1, 1, 1)
-    True
-    """
-    from fractions import Fraction
-
-    n = a.truncation_order
-    a0 = a.coeffs[0]
-    if a0 == 0:
-        raise NonInvertibleSeries("constant term is zero")
-    inv0 = Fraction(1) / a0
-    out = [Fraction(0)] * (n + 1)
-    out[0] = inv0
-    # r_m = -(1/a_0) * sum_{i=1..m} a_i r_{m-i}
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, m + 1):
-            if a.coeffs[i] != 0:
-                acc += a.coeffs[i] * out[m - i]
-        out[m] = -inv0 * acc
-    return TruncatedSeries(tuple(out), n)
-
-
-def series_log(a: TruncatedSeries) -> TruncatedSeries:
-    """log(a) = -sum_{m>=1} (1-a)^m / m, for series with constant term 1."""
-    from fractions import Fraction
-
-    n = a.truncation_order
-    if a.coeffs[0] != 1:
-        raise LogDomain(f"constant term must be 1, got {a.coeffs[0]}")
-    # u = 1 - a has valuation >= 1, so u^m contributes nothing past m = n
-    u = TruncatedSeries(
-        tuple(-c if i else Fraction(0) for i, c in enumerate(a.coeffs)), n
-    )
-    out = TruncatedSeries.zero(n)
-    power = TruncatedSeries.one(n)
-    for m in range(1, n + 1):
-        power = series_mul(power, u)
-        out = series_add(out, series_scale(power, Fraction(-1, m)))
-    return out
 
 
 # -- generating-series constructors ----------------------------------------

@@ -194,15 +194,6 @@ class MarkerSum(Record):
 GroupLike = Union[FinAbGroup, MarkerSum]
 
 
-def direct_sum_power(g: GroupLike, e: int) -> GroupLike:
-    """g (+) ... (+) g, e times (e = 0 gives the trivial group).
-
-    >>> str(direct_sum_power(FinAbGroup(1), 3))
-    'Z^3'
-    """
-    return g.power(e)
-
-
 class StemsTable(Record):
     """Sphere stems pi_n^s for n = 0..max_index; lower indices are trivial."""
 
@@ -336,12 +327,7 @@ def stable_homotopy_simply_connected(betti: int, n: int, stems: StemsTable) -> G
     >>> str(stable_homotopy_simply_connected(2, 5, bundled_stems_table()))
     '(Z/24)^2 + Z/2 + Z'
     """
-    if betti < 1:
-        raise DomainError(f"second Betti number must be >= 1, got {betti}")
-    if n < 0:
-        raise DomainError(f"stable index must be >= 0, got {n}")
-    k = betti
-    return _assemble(stems, [(n - 2, k), (n - 3, k - 1), (n - 5, 1)])
+    return stable_homotopy_finite_pi1(betti, n, 1, stems)
 
 
 def stable_homotopy_finite_pi1(

@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 from fourfold import (
     DomainError,
     ResourceLimit,
-    Word,
-    canonical_relation,
-    enumerate_words,
     euler_identity_check,
     ideal_degree_dim,
     koszul_leading_monomial_check,
@@ -30,40 +27,39 @@ from fourfold.oracle import (
     _word_count,
     _word_offset,
 )
+from refimpl import enumerate_words, relation_terms, word_text
 
 
 def full_relation_rows(k, n):
     """Every row u * r * v of degree n as a {column: +-1} dict: the whole
     matrix, the reference for the degree recursion.  Left degree ascending,
     then u lex, then v lex."""
-    rel = [(c, w.letters) for c, w in canonical_relation(k).terms]
+    rel = relation_terms(k)
     for a in range(n - 2):
         b = n - 3 - a
         # the column of u * w * v is offset(u) + offset(w) + (position of v)
         mids = [(_word_offset(k, w, b + 3), c) for c, w in rel]
         width = _word_count(k, b)
         for u in enumerate_words(k, a):
-            pu = _word_offset(k, u.letters, n)
+            pu = _word_offset(k, u, n)
             for pos in range(pu, pu + width):
                 yield {pos + m: c for m, c in mids}
 
 
-def test_word_degree_and_rendering():
+def degree(k, word):
     # letters 0..k-1 are the degree-1 x's, k..2k-1 the degree-2 y's
-    w = Word((0, 3, 1), k=2)
-    assert w.degree == 1 + 2 + 1
-    assert str(w) == "x1*y2*x2"
-    assert str(Word((), 2)) == "1"
+    return sum(1 if c < k else 2 for c in word)
 
 
-def test_word_rejects_foreign_letters():
-    with pytest.raises(DomainError):
-        Word((4,), k=2)
+def test_word_degree_and_rendering():
+    assert degree(2, (0, 3, 1)) == 1 + 2 + 1
+    assert word_text(2, (0, 3, 1)) == "x1*y2*x2"
+    assert word_text(2, ()) == "1"
 
 
 def test_word_count_matches_recurrence():
     for k in (1, 2, 3, 4):
-        counts = [len(enumerate_words(k, n)) for n in range(8)]
+        counts = [len(list(enumerate_words(k, n))) for n in range(8)]
         assert counts == [_word_count(k, n) for n in range(8)]
         assert counts[0] == 1
         assert counts[1] == k
@@ -75,35 +71,37 @@ def test_word_count_matches_tensor_series():
     for k in (1, 2, 3):
         s = tensor_series({1: k, 2: k}, 7)
         for n in range(8):
-            assert len(enumerate_words(k, n)) == s.coefficient(n)
+            assert len(list(enumerate_words(k, n))) == s.coefficient(n)
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=6))
 def test_enumeration_is_sorted_and_duplicate_free(k, n):
-    ws = enumerate_words(k, n)
+    ws = list(enumerate_words(k, n))
     assert ws == sorted(ws)
     assert len(set(ws)) == len(ws)
-    assert all(w.degree == n for w in ws)
+    assert all(degree(k, w) == n for w in ws)
 
 
 def test_canonical_relation_shape():
-    r = canonical_relation(3)
-    assert len(r.terms) == 6
-    assert sorted(c for c, _ in r.terms) == [-1, -1, -1, 1, 1, 1]
-    assert {w.degree for _, w in r.terms} == {3}
-    rendered = {(c, str(w)) for c, w in r.terms}
+    terms = oracle._relation_terms(3)
+    assert len(terms) == 6
+    assert sorted(c for c, _ in terms) == [-1, -1, -1, 1, 1, 1]
+    assert {degree(3, w) for _, w in terms} == {3}
+    rendered = {(c, word_text(3, w)) for c, w in terms}
     assert (1, "x1*y1") in rendered
     assert (-1, "y1*x1") in rendered
+    for k in range(1, 9):
+        assert sorted(oracle._relation_terms(k)) == sorted(relation_terms(k)), k
 
 
 def test_relation_rows_match_enumerated_columns():
     # rows built from the words themselves: column = position in enumeration
     for k in range(1, 5):
-        rel = [(c, w.letters) for c, w in canonical_relation(k).terms]
+        rel = relation_terms(k)
         for n in range(3, 8):
-            col = {w.letters: i for i, w in enumerate(enumerate_words(k, n))}
+            col = {w: i for i, w in enumerate(enumerate_words(k, n))}
             expected = [
-                {col[u.letters + w + v.letters]: c for c, w in rel}
+                {col[u + w + v]: c for c, w in rel}
                 for a in range(n - 2)
                 for u in enumerate_words(k, a)
                 for v in enumerate_words(k, n - 3 - a)
@@ -127,11 +125,11 @@ def test_block_walk_maps_columns_to_first_letter_and_rest():
             widths = [_word_count(k, m) for m in range(n + 1)]
             pivots = [{j: (m, j) for j in range(widths[m])} for m in range(n + 1)]
             position = [
-                {w.letters: j for j, w in enumerate(enumerate_words(k, m))}
+                {w: j for j, w in enumerate(enumerate_words(k, m))}
                 for m in range(n + 1)
             ]
             for col, word in enumerate(enumerate_words(k, n)):
-                c, rest = word.letters[0], word.letters[1:]
+                c, rest = word[0], word[1:]
                 m = n - (1 if c < k else 2)
                 j = position[m][rest]
                 assert _inherited_pivot(k, widths, pivots, n, col) == ((m, j), col - j)
@@ -159,11 +157,9 @@ def test_prefix_tables_locate_each_word_without_its_last_letter():
         tables = _prefix_tables(k)
         for d in range(1, 8):
             # degree d-1 words, then degree d-2 words
-            below = [
-                w.letters for m in (d - 1, d - 2) if m >= 0 for w in enumerate_words(k, m)
-            ]
+            below = [w for m in (d - 1, d - 2) for w in enumerate_words(k, m)]
             prefixes = [below[p] for p in next(tables)]
-            assert prefixes == [w.letters[:-1] for w in enumerate_words(k, d)], (k, d)
+            assert prefixes == [w[:-1] for w in enumerate_words(k, d)], (k, d)
 
 
 def test_rows_skipped_by_right_multiplication_reduce_to_zero(monkeypatch):
@@ -377,15 +373,14 @@ def test_ideal_dim_agrees_with_series_difference(k, n):
 
 def test_koszul_leading_monomial_for_small_alphabets():
     for k in range(1, 6):
-        ok, lead = koszul_leading_monomial_check(k)
-        assert ok, k
-        assert str(lead) == f"y{k}*x{k}"
+        assert koszul_leading_monomial_check(k) == (True, f"y{k}*x{k}")
 
 
 def test_koszul_leading_monomial_is_maximal_term():
-    k = 3
-    r = canonical_relation(k)
-    top = max(w for _, w in r.terms)
-    assert str(top) == "y3*x3"
-    # unique: strictly above every other term
-    assert sum(1 for _, w in r.terms if w == top) == 1
+    for k in range(1, 9):
+        words = [w for _, w in relation_terms(k)]
+        top = max(words)
+        assert words.count(top) == 1  # unique: strictly above every other term
+        assert koszul_leading_monomial_check(k) == (True, word_text(k, top)), k
+    with pytest.raises(DomainError, match="alphabet parameter must be >= 1, got 0"):
+        koszul_leading_monomial_check(0)

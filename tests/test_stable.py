@@ -175,7 +175,7 @@ def test_assembly_matches_hand_computation():
 
 
 def test_assembly_rejects_bad_betti():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="rank of pi_2 must be >= 1, got 0"):
         stable_homotopy_simply_connected(0, 5, bundled_stems_table())
 
 
@@ -189,8 +189,13 @@ def test_assembly_raises_when_stems_run_out():
 
 def test_finite_fundamental_group_adds_one_block():
     stems = bundled_stems_table()
+    for table in (stems, StemsTable.symbolic_table(19)):
+        for k in range(1, 13):
+            for n in range(22):
+                assert stable_homotopy_simply_connected(k, n, table) == (
+                    stable_homotopy_finite_pi1(k, n, 1, table)
+                ), (k, n)
     plain = stable_homotopy_finite_pi1(2, 6, 1, stems)
-    assert plain == stable_homotopy_simply_connected(2, 6, stems)
 
     with_pi1 = stable_homotopy_finite_pi1(2, 6, 5, stems)
     # four extra copies of the (n-1)-stem
