@@ -37,7 +37,6 @@ __all__ = [
     "ValidationError",
     "bundled_stems_table",
     "cumulative_bound_check",
-    "divisibility_report",
     "euler_identity_check",
     "free_comm_series",
     "growth_base",
@@ -51,6 +50,7 @@ __all__ = [
     "pbw_series",
     "quotient_dims_oracle",
     "quotient_series",
+    "rank_polynomial_checks",
     "rank_polynomial_eval",
     "stable_homotopy_finite_pi1",
     "stable_homotopy_simply_connected",
@@ -83,11 +83,11 @@ _EXPORTS = {
         "PbwCheck",
         "RankTable",
         "cumulative_bound_check",
-        "divisibility_report",
         "growth_base",
         "growth_report",
         "homotopy_ranks",
         "pbw_identity_check",
+        "rank_polynomial_checks",
         "rank_polynomial_eval",
     ),
     "series": (

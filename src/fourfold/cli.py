@@ -33,10 +33,10 @@ from .oracle import koszul_leading_monomial_check, quotient_dims_oracle
 from .ranks import (
     PBW_FAIL,
     PBW_NOT_APPLICABLE,
-    divisibility_report,
     growth_report,
     homotopy_ranks,
     pbw_identity_check,
+    rank_polynomial_checks,
 )
 from .series import free_comm_series, pbw_series, quotient_series, tensor_series
 
@@ -51,18 +51,10 @@ STATUS_NOT_APPLICABLE = "not-applicable"
 
 
 class CommandResult(Record):
-    """What a command prints: JSON payload, text table, CSV; failing_checks
-    defaults to a new empty list."""
+    """What a command prints: JSON payload, text table, CSV."""
 
-    def __init__(self, status: str, payload: dict, rendered: str, csv: str = "",
-                 failing_checks: list | None = None):
-        self.__dict__.update(
-            status=status,
-            payload=payload,
-            rendered=rendered,
-            csv=csv,
-            failing_checks=[] if failing_checks is None else failing_checks,
-        )
+    def __init__(self, status: str, payload: dict, rendered: str, csv: str = ""):
+        self.__dict__.update(status=status, payload=payload, rendered=rendered, csv=csv)
 
     @property
     def exit_code(self) -> int:
@@ -183,9 +175,7 @@ def cmd_stable(betti: int, n: int, pi1_order: int, stems_file: str = "") -> Comm
             f"FAIL: stem {exc.index} is required but the table ends at "
             f"{exc.max_index}"
         )
-        return CommandResult(
-            STATUS_FAIL, payload, rendered, failing_checks=["stems-coverage"]
-        )
+        return CommandResult(STATUS_FAIL, payload, rendered)
     payload = {
         "betti": betti,
         "n": n,
@@ -231,11 +221,9 @@ def cmd_growth(betti: int, probe: int) -> CommandResult:
     rendered = "\n".join(lines)
     csv = _csv_lines("n,cumulative_bound_ok", bound_rows)
     bounds_ok = all(report.cumulative_bound_ok.values())
-    status = STATUS_OK if bounds_ok else STATUS_FAIL
-    failing = [] if bounds_ok else ["cumulative-bound"]
     if not bounds_ok:
-        payload["failing_checks"] = failing
-    return CommandResult(status, payload, rendered, csv, failing_checks=failing)
+        payload["failing_checks"] = ["cumulative-bound"]
+    return CommandResult(STATUS_OK if bounds_ok else STATUS_FAIL, payload, rendered, csv)
 
 
 def cmd_verify(betti: int, max_degree: int, budget=None) -> CommandResult:
@@ -253,12 +241,7 @@ def cmd_verify(betti: int, max_degree: int, budget=None) -> CommandResult:
         payload["failing_checks"] = ["oracle-resource-limit"]
         lines.append(f"resource limit: {exc}")
         lines.append("FAIL")
-        return CommandResult(
-            STATUS_FAIL,
-            payload,
-            "\n".join(lines),
-            failing_checks=["oracle-resource-limit"],
-        )
+        return CommandResult(STATUS_FAIL, payload, "\n".join(lines))
 
     checks["oracle-series-match"] = all(report.series_match)
     checks["euler-identity"] = all(report.euler_ok)
@@ -273,9 +256,9 @@ def cmd_verify(betti: int, max_degree: int, budget=None) -> CommandResult:
     if pbw.status != PBW_NOT_APPLICABLE:
         checks["pbw-identity"] = pbw.status != PBW_FAIL
 
-    if betti >= 2:
-        remark = divisibility_report(betti, max(max_degree, 8))
-        payload["divisibility_remark"] = {"gating": False, "claims": remark}
+    divisible, closed = rank_polynomial_checks(max(max_degree, 8))
+    checks["divisibility-polynomial"] = divisible
+    checks["closed-forms"] = closed
 
     rows = [
         (
@@ -294,13 +277,10 @@ def cmd_verify(betti: int, max_degree: int, budget=None) -> CommandResult:
     lines.append(f"field used: {report.field_used}")
     lines.append(f"koszul leading monomial: {lead} ({'ok' if koszul_ok else 'FAIL'})")
     lines.append(f"pbw identities: {pbw.status}")
-    if "divisibility_remark" in payload:
-        for claim in payload["divisibility_remark"]["claims"]:
-            verdict = "holds" if claim["holds"] else "fails (informational)"
-            lines.append(
-                f"divisibility by {claim['divisor']} from pi_"
-                f"{claim['applies_from_pi']}: {verdict}"
-            )
+    lines.append(
+        f"rank polynomials: divisibility {'ok' if divisible else 'FAIL'}, "
+        f"closed forms {'ok' if closed else 'FAIL'}"
+    )
 
     ok = all(checks.values())
     failing = sorted(name for name, passed in checks.items() if not passed)
@@ -323,13 +303,7 @@ def cmd_verify(betti: int, max_degree: int, budget=None) -> CommandResult:
             for n in range(max_degree + 1)
         ],
     )
-    return CommandResult(
-        STATUS_OK if ok else STATUS_FAIL,
-        payload,
-        "\n".join(lines),
-        csv,
-        failing_checks=failing,
-    )
+    return CommandResult(STATUS_OK if ok else STATUS_FAIL, payload, "\n".join(lines), csv)
 
 
 # -- argument plumbing ------------------------------------------------------

@@ -13,8 +13,17 @@ L_n = k L_{n-1} - L_{n-2}, this is the necklace formula
 
 in pure integers.  The sign is (-1)^n (-1)^j with j = n/d, so n m_n is
 (-1)^n h_n for h the Moebius inversion of g_j = (-1)^j L_j = L_j(-k), which
-one in-place sieve of O(N log N) big-integer subtractions computes.  Division
-by n must be exact and the result nonnegative; else it is a bug and raises.
+one in-place sieve (_necklace, any integer k) of O(N log N) big-integer
+subtractions computes.  Division by n must be exact, and the ranks at b2 >= 2
+nonnegative; else it is a bug and raises.  The rank checks are exact:
+
+- pbw_identity_check compares power sums, the coefficients c_n of
+  t d/dt log of a series with constant term 1.  As n a_n = sum_{j=1..n}
+  c_j a_{n-j}, two series and their power sums first differ at the same n.
+- m_j has degree j in k (L_j is monic), so (c - a) divides it in Q[c],
+  c = b2 - 1, exactly when it vanishes at b2 = a + 1.
+- Polynomials of degree j that agree at j + 1 points are equal: agreement at
+  b2 = 0..j proves a closed form of degree j.
 
 Public parameter convention: every function here takes b2 itself.  The
 closed-form polynomials for low degrees are internally evaluated at b2 - 1;
@@ -28,7 +37,7 @@ from typing import Optional
 
 from ._record import Record
 from .errors import DomainError, InternalInconsistency
-from .series import _poly_reciprocal, pbw_series, quotient_series
+from .series import _power_sums
 
 #: Working precision (decimal digits) for the growth base beta.  The residual
 #: check probes n = 60 against a 1e-6 tolerance; 50+ digits leaves headroom.
@@ -92,6 +101,27 @@ def homotopy_ranks(betti: int, N: int) -> RankTable:
         ranks = tuple(_ELLIPTIC_B2_1[n - 1] if n <= 4 else 0 for n in range(1, N + 1))
         return RankTable(betti=1, max_degree=N, ranks=ranks)
 
+    ranks = _necklace(k, N)
+    for n, m_n in enumerate(ranks, start=1):
+        if m_n < 0:
+            raise InternalInconsistency(f"m_{n}({k}) = {m_n} < 0; sign convention violated")
+    # anchors forced independently of the inversion: m_1 by Hurewicz,
+    # m_2 by the degree-3 closed form
+    if ranks[0] != k:
+        raise InternalInconsistency(f"m_1({k}) = {ranks[0]}, expected {k}")
+    if N >= 2 and ranks[1] != _closed_form(2, k - 1):
+        raise InternalInconsistency(
+            f"m_2({k}) = {ranks[1]}, expected {_closed_form(2, k - 1)}"
+        )
+    return RankTable(betti=betti, max_degree=N, ranks=tuple(ranks))
+
+
+def _necklace(k: int, N: int) -> list:
+    """[m_1, ..., m_N]: the necklace polynomials at any integer k, signed.
+
+    >>> _necklace(0, 6)
+    [0, -1, 0, 1, 0, 0]
+    """
     # h becomes the Moebius inversion of g_j = L_j(-k); h_j is final at step j
     h = _lucas(-k, N)
     for j in range(1, N // 2 + 1):
@@ -102,21 +132,10 @@ def homotopy_ranks(betti: int, N: int) -> RankTable:
     for n in range(1, N + 1):
         acc = -h[n] if n % 2 else h[n]  # n m_n = (-1)^n h_n
         m_n, rem = divmod(acc, n)
-        if rem or m_n < 0:
-            raise InternalInconsistency(
-                f"m_{n}({k}) = {acc}/{n} is not a nonnegative integer; "
-                "sign convention violated"
-            )
+        if rem:
+            raise InternalInconsistency(f"m_{n}({k}) = {acc}/{n} is not an integer")
         ranks.append(m_n)
-    # anchors forced independently of the inversion: m_1 by Hurewicz,
-    # m_2 by the degree-3 closed form
-    if ranks[0] != k:
-        raise InternalInconsistency(f"m_1({k}) = {ranks[0]}, expected {k}")
-    if N >= 2 and ranks[1] != (k - 1) * (k + 2) // 2:
-        raise InternalInconsistency(
-            f"m_2({k}) = {ranks[1]}, expected {(k - 1) * (k + 2) // 2}"
-        )
-    return RankTable(betti=betti, max_degree=N, ranks=tuple(ranks))
+    return ranks
 
 
 def _closed_form(j: int, c: int) -> int:
@@ -149,8 +168,8 @@ def _closed_form(j: int, c: int) -> int:
 def rank_polynomial_eval(degree: int, betti: int) -> int:
     """Closed-form rank m_degree for b2 = betti, degrees 2..6 only.
 
-    Must agree with homotopy_ranks(betti, N).rank(degree); the acceptance
-    suite asserts this.
+    Equals homotopy_ranks(betti, N).rank(degree) at every b2, as the
+    closed-forms check of rank_polynomial_checks proves.
 
     >>> rank_polynomial_eval(6, 3)
     55
@@ -178,6 +197,20 @@ class PbwCheck(Record):
         return self.status != PBW_FAIL
 
 
+def _newton_sums(poly: list, N: int) -> list:
+    """[0, p_1..p_N]: power sums of 1/poly (poly[0] = 1) by Newton's identities,
+    p_n = -n a_n - sum_{i=1..n-1} a_i p_{n-i} with a_i = poly[i], 0 past its end.
+
+    >>> _newton_sums([1, -3, 1], 4)
+    [0, 3, 7, 18, 47]
+    """
+    a = poly + [0] * N
+    p = [0] * (N + 1)
+    for n in range(1, N + 1):
+        p[n] = -n * a[n] - sum(a[i] * p[n - i] for i in range(1, min(n, len(poly))))
+    return p
+
+
 def pbw_identity_check(betti: int, N: int) -> PbwCheck:
     """Check both product-series identities for the computed rank table.
 
@@ -186,7 +219,8 @@ def pbw_identity_check(betti: int, N: int) -> PbwCheck:
 
     Identity 2: replacing m_1 by k - 1 (the l-table of the associated
     connected sum of k - 1 summands) gives the quotient algebra series
-    at parameter k - 1.
+    at parameter k - 1.  Each is checked on power sums, the ranks' against
+    the polynomial's; first_failure is the first order where the series differ.
 
     Not applicable at b2 = 1: identity 1's right side 1/(1 - t + t^2) has
     negative coefficients there, and identity 2's parameter would be 0.
@@ -201,20 +235,12 @@ def pbw_identity_check(betti: int, N: int) -> PbwCheck:
     # both identities hold trivially at order 0; the table needs degree 1
     table = homotopy_ranks(k, max(N, 1))
 
-    lhs1 = pbw_series(table, N).coeffs
-    rhs1 = _poly_reciprocal([1, -k, 1], N)
-    for n in range(N + 1):
-        if lhs1[n] != rhs1[n]:
-            return PbwCheck(status=PBW_FAIL, first_failure=n)
-
-    l_dims = {1: k - 1}
-    l_dims.update({n: table.rank(n) for n in range(2, N + 1) if table.rank(n)})
-    lhs2 = pbw_series(l_dims, N).coeffs
-    rhs2 = quotient_series(k - 1, N).coeffs
-    for n in range(N + 1):
-        if lhs2[n] != rhs2[n]:
-            return PbwCheck(status=PBW_FAIL, first_failure=n)
-
+    m = dict(enumerate(table.ranks, start=1))
+    for dims, poly in ((m, [1, -k, 1]), ({**m, 1: k - 1}, [1, 1 - k, 1 - k, 1])):
+        lhs, rhs = _power_sums(dims, N), _newton_sums(poly, N)
+        if lhs != rhs:
+            first = next(n for n in range(1, N + 1) if lhs[n] != rhs[n])
+            return PbwCheck(status=PBW_FAIL, first_failure=first)
     return PbwCheck(status=PBW_PASS)
 
 
@@ -325,39 +351,25 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
     )
 
 
-def divisibility_report(betti: int, n_max: int = 12) -> list:
-    """Empirically evaluate three claimed divisibility patterns. Informational.
+def rank_polynomial_checks(N: int) -> tuple:
+    """(divisibility ok, closed forms ok), both exact (see the module docstring).
 
-    With c = b2 - 1 the claims say, in pi-indexing: (c-1) | rank pi_n for
-    n > 3, c | rank pi_n for n > 4, and (c+1) | rank pi_n for n > 5.  As
-    statements about polynomial factors in c they hold; as integer
-    divisibilities they can fail (rank pi_7 = 55 at b2 = 3 is divisible by
-    neither 2 nor 3), so callers must treat this report as non-gating.
+    With c = b2 - 1, (c-1), c and (c+1) divide rank pi_n in Q[c] for n > 3,
+    n > 4 and n > 5: zeros at b2 = 2, 1 and 0, checked for n <= N + 1.  Each
+    closed form of degree j = 2..6 is compared at b2 = 0..j.
 
-    Returns one dict per claim with any counterexamples up to pi_{n_max + 1}.
+    >>> rank_polynomial_checks(8)
+    (True, True)
     """
-    if betti < 2:
-        raise DomainError(f"divisibility report needs b2 >= 2, got {betti}")
-    c = betti - 1
-    table = homotopy_ranks(betti, n_max)
-    claims = [(c - 1, 3), (c, 4), (c + 1, 5)]  # (divisor, first affected m-index)
-    out = []
-    for divisor, j_floor in claims:
-        failures = []
-        for j in range(j_floor, n_max + 1):  # m-index j = pi-index - 1
-            m = table.rank(j)
-            divides = (m == 0) if divisor == 0 else (m % divisor == 0)
-            if not divides:
-                failures.append({"pi_degree": j + 1, "rank": m})
-        out.append(
-            {
-                "divisor": divisor,
-                "applies_from_pi": j_floor + 1,
-                "holds": not failures,
-                "counterexamples": failures,
-            }
-        )
-    return out
+    divisible = all(
+        not any(_necklace(b2, N)[first - 1:]) for b2, first in ((2, 3), (1, 4), (0, 5))
+    )
+    closed = all(
+        _closed_form(j, b2 - 1) == _necklace(b2, j)[-1]
+        for j in range(2, 7)
+        for b2 in range(j + 1)
+    )
+    return divisible, closed
 
 
 def cumulative_bound_check(betti: int, n_max: int, _table: Optional[RankTable] = None) -> dict:

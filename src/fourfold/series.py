@@ -149,6 +149,26 @@ def _poly_reciprocal(poly: Sequence[int], N: int) -> list:
     return out[d:]
 
 
+def _power_sums(by_deg: Mapping[int, int], N: int) -> list:
+    """Power sums c_0..c_N (t d/dt log) of free_comm_series(by_deg, N).
+
+    As prod_j (1 - t^j)^(-e_j), using (1 + t^i) = (1 - t^(2i)) / (1 - t^i),
+    c_j = sum_{d|j} d e_d.
+    """
+    e = [0] * (N + 1)
+    for deg, mult in by_deg.items():
+        if deg <= N:
+            e[deg] += mult
+            if deg % 2 == 1 and 2 * deg <= N:
+                e[2 * deg] -= mult
+    c = [0] * (N + 1)
+    for d in range(1, N + 1):
+        if e[d]:
+            for j in range(d, N + 1, d):
+                c[j] += d * e[d]
+    return c
+
+
 def free_comm_series(dims: DimsLike, N: int) -> TruncatedSeries:
     """Hilbert series of the free graded-commutative algebra on given generators.
 
@@ -164,20 +184,8 @@ def free_comm_series(dims: DimsLike, N: int) -> TruncatedSeries:
     >>> free_comm_series({1: 1}, 3).as_int_list()
     [1, 1, 0, 0]
     """
-    by_deg = _dims_by_degree(dims)
-    # As prod_j (1 - t^j)^(-e_j), using (1 + t^i) = (1 - t^(2i)) / (1 - t^i);
-    # then n a_n = sum_{j=1..n} c_j a_{n-j} with c_j = sum_{d|j} d e_d.
-    e = [0] * (N + 1)
-    for deg, mult in by_deg.items():
-        if deg <= N:
-            e[deg] += mult
-            if deg % 2 == 1 and 2 * deg <= N:
-                e[2 * deg] -= mult
-    c = [0] * (N + 1)
-    for d in range(1, N + 1):
-        if e[d]:
-            for j in range(d, N + 1, d):
-                c[j] += d * e[d]
+    c = _power_sums(_dims_by_degree(dims), N)
+    # n a_n = sum_{j=1..n} c_j a_{n-j}
     a = [1] + [0] * N
     for n in range(1, N + 1):
         a[n], rem = divmod(sum(c[j] * a[n - j] for j in range(1, n + 1)), n)

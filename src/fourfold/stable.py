@@ -26,13 +26,19 @@ from ._record import Record
 from .errors import (
     DomainError,
     InsufficientStemsData,
-    InternalInconsistency,
     ParseError,
+    ResourceLimit,
     ValidationError,
 )
 
+#: Largest order _factor accepts, so trial division stops by 31623; the
+#: bundled table's largest order is 504.
+_MAX_ORDER = 10**9
+
 
 def _factor(n: int) -> dict:
+    if n > _MAX_ORDER:
+        raise ResourceLimit(f"cyclic order {n} is above 10**9, the largest factored")
     out = {}
     p = 2
     while p * p <= n:
@@ -270,7 +276,7 @@ def load_stems_table(source: str, source_note: str = "") -> StemsTable:
 
         try:
             doc = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"bad JSON stems document: {exc}") from exc
         if "entries" in doc:
             note = note or str(doc.get("source_note", ""))
@@ -355,13 +361,10 @@ def integral_low_homotopy(betti: int) -> Tuple[FinAbGroup, FinAbGroup]:
     >>> tuple(str(g) for g in integral_low_homotopy(3))
     ('Z^5', '(Z/2)^4 + Z^5')
     """
+    from .ranks import rank_polynomial_eval  # not loaded with the stems table
+
     if betti < 3:
         raise DomainError(f"integral low homotopy needs b2 >= 3, got {betti}")
-    c = betti - 1
-    r3 = c * (c + 3)
-    r4 = (c - 1) * (c + 1) * (c + 3)
-    if r3 % 2 or r4 % 3:
-        raise InternalInconsistency("closed-form rank is not integral")
-    pi3 = FinAbGroup(r3 // 2, ())
-    pi4 = FinAbGroup(r4 // 3, (2,) * (2 * c))
+    pi3 = FinAbGroup(rank_polynomial_eval(2, betti), ())
+    pi4 = FinAbGroup(rank_polynomial_eval(3, betti), (2,) * (2 * (betti - 1)))
     return pi3, pi4

@@ -2,9 +2,10 @@
 
 Plain functions over lists and tuples, written for clarity rather than speed
 and sharing no code with `fourfold`: series arithmetic over Fraction, the
-Moebius function, and the words and relation of the oracle's algebra.  A
-series is the list of its coefficients 0..N; a word is a tuple of letter
-codes, x_i -> i - 1 (degree 1) and y_i -> k + i - 1 (degree 2).
+PBW product series, the Moebius function, and the words and relation of the
+oracle's algebra.  A series is the list of its coefficients 0..N; a word is
+a tuple of letter codes, x_i -> i - 1 (degree 1) and y_i -> k + i - 1
+(degree 2).
 """
 
 from fractions import Fraction
@@ -35,6 +36,28 @@ def series_log(a):
     for m in range(1, len(a)):
         power = series_mul(power, u)
         out = [c - Fraction(p, m) for c, p in zip(out, power)]
+    return out
+
+
+def pbw_product(dims, n):
+    """prod_{d odd} (1 + t^d)^m_d * prod_{d even} (1 - t^d)^(-m_d), coefficients 0..n.
+
+    The Euler transform of {d: m_d} with exterior factors in odd degrees,
+    multiplied out factor by factor.  Each factor is the binomial series
+    (1 + s t^d)^e = sum_i C(e, i) s^i t^(id), valid for negative e too, so a
+    table with negative entries has a product series as well.
+    """
+    out = [1] + [0] * n
+    for d, m in dims.items():
+        if not m or d > n:
+            continue
+        sign, e = (1, m) if d % 2 else (-1, -m)
+        factor = [0] * (n + 1)
+        binomial = 1  # C(e, i)
+        for i in range(n // d + 1):
+            factor[i * d] = binomial * sign**i
+            binomial = binomial * (e - i) // (i + 1)
+        out = series_mul(out, factor)
     return out
 
 

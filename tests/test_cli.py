@@ -291,6 +291,32 @@ def test_stable_stems_file_not_utf8_is_usage_error(capsys, tmp_path):
     assert err == f"error: {f}: not UTF-8 text (byte 0: invalid start byte)\n"
 
 
+def test_stable_deeply_nested_json_stems_file_is_usage_error(capsys, tmp_path):
+    f = tmp_path / "deep.json"
+    f.write_text('{"0": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    code, out, err = run(
+        capsys, "stable", "--betti", "2", "--n", "5", "--stems-file", str(f)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad JSON stems document: maximum recursion depth")
+    assert err.count("\n") == 1
+
+
+def test_stable_order_too_large_to_factor_is_a_limit(capsys, tmp_path):
+    f = tmp_path / "big.txt"
+    f.write_text("0: Z\n1: Z/99999999999999999999999999989\n")
+    code, out, err = run(
+        capsys, "stable", "--betti", "2", "--n", "5", "--stems-file", str(f)
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: cyclic order 99999999999999999999999999989 is above 10**9, "
+        "the largest factored\n"
+    )
+
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -388,8 +414,42 @@ def test_verify_json_check_map(capsys):
         "euler-identity": True,
         "koszul-leading-monomial": True,
         "pbw-identity": True,
+        "divisibility-polynomial": True,
+        "closed-forms": True,
     }
-    assert payload["divisibility_remark"]["gating"] is False
+    assert "failing_checks" not in payload
+
+
+@pytest.mark.parametrize("betti", [1, 2, 3])
+def test_verify_reports_the_rank_polynomial_checks(capsys, betti):
+    code, out, _ = run(capsys, "verify", "--betti", str(betti), "--max-degree", "4")
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "rank polynomials: divisibility ok, closed forms ok", "PASS"
+    ]
+    assert "informational" not in out
+
+
+def test_verify_fails_on_a_changed_closed_form(capsys, monkeypatch):
+    import fourfold.ranks
+
+    closed_form = fourfold.ranks._closed_form
+    # the c^1 coefficient of the degree-5 closed form, moved by 1
+    monkeypatch.setattr(
+        fourfold.ranks, "_closed_form", lambda j, c: closed_form(j, c) + (j == 5) * c
+    )
+    code, out, _ = run(
+        capsys, "verify", "--betti", "3", "--max-degree", "4", "--format", "json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["failing_checks"] == ["closed-forms"]
+    assert payload["checks"]["divisibility-polynomial"] is True
+    code, out, _ = run(capsys, "verify", "--betti", "3", "--max-degree", "4")
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "rank polynomials: divisibility ok, closed forms FAIL", "FAIL"
+    ]
 
 
 def test_verify_csv(capsys):

@@ -1,5 +1,6 @@
 """Rank tables, closed forms, growth classification, and the arithmetic helpers."""
 
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,15 +13,15 @@ from fourfold import (
     PBW_PASS,
     DomainError,
     cumulative_bound_check,
-    divisibility_report,
     growth_base,
     growth_report,
     homotopy_ranks,
     pbw_identity_check,
+    rank_polynomial_checks,
     rank_polynomial_eval,
 )
-from fourfold.ranks import RankTable, _lucas
-from refimpl import moebius, series_log
+from fourfold.ranks import RankTable, _closed_form, _lucas, _necklace
+from refimpl import moebius, pbw_product, series_log, series_reciprocal
 
 
 # mu on 1..20, from any number theory table
@@ -108,6 +109,39 @@ def test_sieve_matches_divisor_sum_reference(k, N):
     assert homotopy_ranks(k, N).ranks == _necklace_reference(k, N)
 
 
+@pytest.mark.parametrize("b2", [2, 1, 0, -1])
+def test_signed_sieve_matches_divisor_sum_reference_below_three(b2):
+    assert tuple(_necklace(b2, 200)) == _necklace_reference(b2, 200)
+
+
+def test_signed_sieve_zeros_below_three():
+    # (c - 1), c and (c + 1) divide m_j for j >= 3, 4 and 5, with c = b2 - 1
+    assert _necklace(2, 9) == [2, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert _necklace(1, 9) == [1, 0, -1, 0, 0, 0, 0, 0, 0]
+    assert _necklace(0, 9) == [0, -1, 0, 1, 0, 0, 0, 0, 0]
+
+
+def test_rank_polynomial_checks_pass():
+    assert rank_polynomial_checks(60) == (True, True)
+    assert rank_polynomial_checks(0) == (True, True)
+
+
+def test_rank_polynomial_checks_fail_on_a_changed_polynomial(monkeypatch):
+    necklace = _necklace
+
+    def nonzero_past_degree_six(k, N):
+        ranks = necklace(k, N)
+        ranks[-1] += N > 6
+        return ranks
+
+    monkeypatch.setattr("fourfold.ranks._necklace", nonzero_past_degree_six)
+    assert rank_polynomial_checks(8) == (False, True)
+    monkeypatch.undo()
+    # one coefficient of the degree-5 closed form, c^1, moved by 1
+    monkeypatch.setattr("fourfold.ranks._closed_form", lambda j, c: _closed_form(j, c) + (j == 5) * c)
+    assert rank_polynomial_checks(8) == (True, False)
+
+
 @given(st.integers(min_value=3, max_value=40), st.integers(min_value=1, max_value=300))
 @example(3, 300)
 @settings(max_examples=100, deadline=None)
@@ -181,6 +215,38 @@ def test_pbw_identities_pass_for_hyperbolic_range():
         for n in (1, 2, 12):
             chk = pbw_identity_check(k, n)
             assert chk.status == PBW_PASS, (k, n, chk)
+
+
+def _pbw_reference(k, ranks, N):
+    """(status, first_failure) of both identities, from the product series."""
+    m = dict(enumerate(ranks, start=1))
+    for dims, poly in ((m, [1, -k, 1]), ({**m, 1: k - 1}, [1, 1 - k, 1 - k, 1])):
+        lhs = pbw_product(dims, N)
+        rhs = series_reciprocal((poly + [0] * N)[: N + 1])
+        for n in range(N + 1):
+            if lhs[n] != rhs[n]:
+                return "fail", n
+    return "pass", None
+
+
+def test_pbw_check_matches_product_series_on_mutated_tables(monkeypatch):
+    rng = random.Random(4)
+    statuses = []
+    for _ in range(400):
+        k, N = rng.randint(2, 9), rng.randint(1, 40)
+        ranks = list(homotopy_ranks(k, N).ranks)
+        ranks[rng.randrange(N)] += rng.choice((-2, -1, 1, 2))
+        table = RankTable(k, N, tuple(ranks))
+        monkeypatch.setattr("fourfold.ranks.homotopy_ranks", lambda betti, n: table)
+        chk = pbw_identity_check(k, N)
+        assert (chk.status, chk.first_failure) == _pbw_reference(k, ranks, N), (k, ranks)
+        statuses.append(chk.status)
+    assert statuses.count("fail") > 350
+
+
+def test_pbw_check_matches_product_series_on_true_tables():
+    for k in range(2, 8):
+        assert _pbw_reference(k, homotopy_ranks(k, 30).ranks, 30) == ("pass", None)
 
 
 def test_pbw_not_applicable_at_betti_one():
@@ -281,25 +347,6 @@ def test_cumulative_bound_is_exact_rational():
     rhs = Fraction((betti - 1) ** 2, 2)
     assert lhs >= rhs
     assert cumulative_bound_check(betti, 1) == {1: True}
-
-
-def test_divisibility_report_structure():
-    rows = divisibility_report(3, 12)
-    assert [r["divisor"] for r in rows] == [1, 2, 3]
-    assert [r["applies_from_pi"] for r in rows] == [4, 5, 6]
-    by_div = {r["divisor"]: r for r in rows}
-    assert by_div[1]["holds"]
-    # rank pi_7 = 55 is odd and not a multiple of 3
-    assert not by_div[2]["holds"]
-    assert {"pi_degree": 7, "rank": 55} in by_div[2]["counterexamples"]
-    assert not by_div[3]["holds"]
-
-
-def test_divisibility_report_degenerate_divisor_zero():
-    rows = divisibility_report(2, 10)
-    zero_claim = next(r for r in rows if r["divisor"] == 0)
-    # all affected ranks vanish at b2 = 2, and only 0 is divisible by 0
-    assert zero_claim["holds"]
 
 
 def test_rank_table_serialization():

@@ -12,9 +12,11 @@ from fourfold import (
     InsufficientStemsData,
     MarkerSum,
     ParseError,
+    ResourceLimit,
     StemsTable,
     ValidationError,
     bundled_stems_table,
+    homotopy_ranks,
     integral_low_homotopy,
     load_stems_table,
     stable_homotopy_finite_pi1,
@@ -38,6 +40,16 @@ def test_from_orders_zero_means_a_free_summand():
 def test_from_orders_drops_trivial_factors():
     assert FinAbGroup.from_orders(0, [1, 1]) == FinAbGroup.trivial()
     assert FinAbGroup.trivial().is_trivial()
+
+
+def test_orders_above_a_billion_are_not_factored():
+    assert FinAbGroup.from_orders(0, [10**9]).torsion == (2**9, 5**9)
+    message = "cyclic order 99999999999999999999999999989 is above 10**9, the largest factored"
+    with pytest.raises(ResourceLimit) as exc:
+        FinAbGroup.from_orders(0, [99999999999999999999999999989])
+    assert str(exc.value) == message
+    with pytest.raises(ResourceLimit):
+        FinAbGroup(0, (2**31,))
 
 
 def test_torsion_entries_must_be_prime_powers():
@@ -133,6 +145,11 @@ def test_json_format_parsing():
     assert t.lookup(2).is_trivial()
 
 
+def test_deeply_nested_json_is_a_parse_error():
+    with pytest.raises(ParseError, match="^bad JSON stems document: maximum recursion"):
+        load_stems_table('{"0": ' + "[" * 200_000 + "]" * 200_000 + "}")
+
+
 def test_parse_rejects_gaps():
     with pytest.raises(ValidationError):
         load_stems_table("0: Z\n2: Z/2\n")
@@ -215,3 +232,8 @@ def test_integral_low_degrees():
     assert str(pi4) == "(Z/2)^4 + Z^5"
     with pytest.raises(DomainError):
         integral_low_homotopy(2)
+    for betti in range(3, 13):
+        pi3, pi4 = integral_low_homotopy(betti)
+        ranks = homotopy_ranks(betti, 3)
+        assert (pi3.free_rank, pi4.free_rank) == (ranks.rank(2), ranks.rank(3))
+        assert pi4.torsion == (2,) * (2 * betti - 2)

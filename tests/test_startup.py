@@ -107,11 +107,12 @@ PUBLIC_API = [
     "PBW_FAIL", "PBW_NOT_APPLICABLE", "PBW_PASS", "ParseError", "PbwCheck",
     "RankTable", "ResourceLimit", "StemsTable", "TruncatedSeries",
     "UngradedGenerator", "ValidationError", "bundled_stems_table",
-    "cumulative_bound_check", "divisibility_report", "euler_identity_check",
+    "cumulative_bound_check", "euler_identity_check",
     "free_comm_series", "growth_base", "growth_report", "homotopy_ranks",
     "ideal_degree_dim", "integral_low_homotopy", "koszul_leading_monomial_check",
     "load_stems_table", "pbw_identity_check", "pbw_series", "quotient_dims_oracle",
-    "quotient_series", "rank_polynomial_eval", "stable_homotopy_finite_pi1",
+    "quotient_series", "rank_polynomial_checks", "rank_polynomial_eval",
+    "stable_homotopy_finite_pi1",
     "stable_homotopy_simply_connected", "tensor_series",
 ]
 
@@ -179,8 +180,7 @@ RECORDS = [
     (FinAbGroup, dict(free_rank=1, torsion=(8, 3))),
     (MarkerSum, dict(terms=(("G0", 1), ("G1", 2)))),
     (StemsTable, dict(entries=STEMS, max_index=1, source_note="two stems")),
-    (CommandResult, dict(status="ok", payload={"a": 1}, rendered="r", csv="c",
-                         failing_checks=["x"])),
+    (CommandResult, dict(status="ok", payload={"a": 1}, rendered="r", csv="c")),
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
 
@@ -251,10 +251,9 @@ def test_record_defaults():
     growth = [GrowthReport(2, "elliptic", 5, None, None, False, 60) for _ in range(2)]
     assert growth[0].cumulative_bound_ok == {}
     assert growth[0].cumulative_bound_ok is not growth[1].cumulative_bound_ok
-    results = [CommandResult("ok", {}, "r") for _ in range(2)]
-    assert results[0].csv == "" and results[0].failing_checks == []
-    assert results[0].failing_checks is not results[1].failing_checks
-    assert results[0].exit_code == 0 and CommandResult("fail", {}, "r").exit_code == 1
+    result = CommandResult("ok", {}, "r")
+    assert result.csv == ""
+    assert result.exit_code == 0 and CommandResult("fail", {}, "r").exit_code == 1
 
 
 @pytest.mark.parametrize(
