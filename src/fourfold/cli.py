@@ -266,13 +266,17 @@ def cmd_verify(betti: int, max_degree: int, budget=None) -> CommandResult:
             report.tensor_dims[n],
             report.ideal_dims[n],
             report.quotient_dims[n],
-            "ok" if report.series_match[n] else "MISMATCH",
-            "ok" if report.euler_ok[n] else "MISMATCH",
+            report.series_match[n],
+            report.euler_ok[n],
         )
         for n in range(max_degree + 1)
     ]
+    flag = {True: "ok", False: "MISMATCH"}
     lines.append(
-        _align(rows, ("degree", "tensor", "ideal", "quotient", "series", "euler"))
+        _align(
+            [(*dims, flag[series], flag[euler]) for *dims, series, euler in rows],
+            ("degree", "tensor", "ideal", "quotient", "series", "euler"),
+        )
     )
     lines.append(f"field used: {report.field_used}")
     lines.append(f"koszul leading monomial: {lead} ({'ok' if koszul_ok else 'FAIL'})")
@@ -290,18 +294,7 @@ def cmd_verify(betti: int, max_degree: int, budget=None) -> CommandResult:
     lines.append("PASS" if ok else "FAIL")
 
     csv = _csv_lines(
-        "degree,tensor_dim,ideal_dim,quotient_dim,series_match,euler_ok",
-        [
-            (
-                n,
-                report.tensor_dims[n],
-                report.ideal_dims[n],
-                report.quotient_dims[n],
-                report.series_match[n],
-                report.euler_ok[n],
-            )
-            for n in range(max_degree + 1)
-        ],
+        "degree,tensor_dim,ideal_dim,quotient_dim,series_match,euler_ok", rows
     )
     return CommandResult(STATUS_OK if ok else STATUS_FAIL, payload, "\n".join(lines), csv)
 

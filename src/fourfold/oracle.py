@@ -33,11 +33,15 @@ so it is skipped and never built.  Each degree keeps one flag per row r * v,
 set for the rows skipped or reduced to zero; degree n reads its skips off
 the flags of degrees n-1 and n-2 through a table from each word v to v[:-1].
 
-Pivots are lead-relative: (column - lead column, value) for the entries left
-of the lead, and 1 / lead.  A lower degree's pivot then applies in a block as
-it is, at the column it leads.  A row r * v that meets no pivot before its
-lead becomes a pivot unreduced, stored as the degree's one shared template;
-only a reduced row keeps its own tuple.
+Lead-column placement.  Pivots are lead-relative: (column - lead column,
+value) for the entries left of the lead, and 1 / lead, so a lower degree's
+pivot applies in a block as it is.  Every row r * v has the same entries
+relative to its lead, the -1 at y_k x_k * v, and the rows come in
+increasing lead column, each left of the next one's lead.  The elimination's
+first step on r * v looks up its lead column alone: if no lower degree's
+pivot holds it, the row is a pivot as it stands and is stored as the
+degree's one template without being built.  Only the other rows are built
+and reduced: of the rows not skipped, about 2 % at k = 3 and 5 % at k = 2.
 
 Rank policy: one elimination over the integers, pivoting on the max column.
 While every pivot leads with +-1, by induction on the degree the input rows
@@ -106,20 +110,19 @@ def _word_offset(k: int, letters, rem: int) -> int:
 
 
 def _inherited_pivot(k: int, widths: list, pivots: list, n: int, col: int):
-    """(pivot, shift) for column col of degree n from a lower degree, or None.
+    """The lower degree's pivot that holds column col of degree n, or None.
     widths[m] is W(m), pivots[m] degree m's new pivots by column.  Each step
-    adds the first letter's block offset to shift and goes to the rest."""
-    shift = 0
+    drops the first letter: the column within its block, one or two degrees
+    down."""
     while n >= 3:
         x_width = widths[n - 1]
         if col < k * x_width:
-            rest, n = col % x_width, n - 1
+            col, n = col % x_width, n - 1
         else:
-            rest, n = (col - k * x_width) % widths[n - 2], n - 2
-        shift, col = shift + col - rest, rest
+            col, n = (col - k * x_width) % widths[n - 2], n - 2
         piv = pivots[n].get(col)
         if piv is not None:
-            return piv, shift
+            return piv
     return None
 
 
@@ -151,87 +154,77 @@ def _prefix_tables(k: int):
         d += 1
 
 
-def _head_offsets(k: int, n: int) -> list:
-    """[(column of w * v minus the position of v, coefficient)] over r's
-    words w: row r * v of degree n sits at these offsets from v's position."""
-    return [(_word_offset(k, w, n), c) for c, w in _relation_terms(k)]
-
-
-def _head_template(k: int, n: int) -> tuple:
-    """Every row r * v of degree n as a pivot: ((column - lead column, value)
-    for the entries left of the lead, 1 / lead).  The lead y_k x_k * v
-    is -1, its own inverse."""
-    mids = _head_offsets(k, n)
-    top, lead = max(mids)
-    return tuple((m - top, c) for m, c in mids if m != top), lead
-
-
-def _relation_head_rows(k: int, n: int, dependent: Optional[bytearray] = None):
-    """Yield the W(n-3) rows r * v of degree n as {column: +-1} dicts, v in
-    lex order; the other rows u * r * v come from the lower degrees.  Rows
-    flagged in `dependent` are skipped; a yielded row that the consumer
-    reduced to empty by the next request gets its flag set."""
-    mids = _head_offsets(k, n)
-    if dependent is None:
-        dependent = bytearray(_word_count(k, n - 3))
-    pos = dependent.find(0)
-    while pos >= 0:
-        row = {pos + m: c for m, c in mids}
-        yield row
-        if not row:
-            dependent[pos] = 1
-        pos = dependent.find(0, pos + 1)
-
-
-def _sparse_rank_exact(rows, inherited=lambda col: None, template=None) -> tuple:
-    """(new pivots by column, whether every new pivot led with +-1).
+def _reduce_row(row: dict, pivot_at) -> Optional[tuple]:
+    """Reduce row, a {column: nonzero int} dict, in place from its max column
+    down by pivot_at(col), the pivot that holds col or None.  None when the
+    row vanishes, else (its lead column, the row as a pivot).
 
     A pivot is ((column - lead column, value) for the entries left of its
-    lead, 1 / lead).  Rows are {column: nonzero int} dicts, reduced in place,
-    so a row that proves dependent ends empty and a caller passes rows it
-    does not use again.  A row that meets no pivot before its own is stored
-    as `template` when one is given: the caller's rows then all have that
-    shape and a +-1 lead.  A column with no new pivot asks `inherited(col)`
-    for a (pivot, shift) kept elsewhere; being lead-relative, the pivot
-    applies at col as it is.  Max-column pivoting follows the leading
-    monomial and keeps fill-in low.
+    lead, 1 / lead), so it applies at whatever column it leads.  The inverse
+    of a +-1 lead is that int; any other lead keeps its Fraction inverse.
     """
-    pivots = {}
-    integral = True
-    for row in rows:
-        fresh = template
-        while row:
-            c = max(row)
-            coef = row[c]
-            piv = pivots.get(c)
-            if piv is None:
-                found = inherited(c)
-                if found is None:
-                    if fresh is None:
-                        if coef == 1 or coef == -1:
-                            inv = coef
-                        else:
-                            from fractions import Fraction
+    while row:
+        c = max(row)
+        piv = pivot_at(c)
+        if piv is None:
+            coef = row.pop(c)
+            if coef == 1 or coef == -1:
+                inv = coef
+            else:
+                from fractions import Fraction
 
-                            inv = 1 / Fraction(coef)
-                            integral = False
-                        rel = tuple((cc - c, vv) for cc, vv in row.items() if cc != c)
-                        fresh = rel, inv
-                    pivots[c] = fresh
-                    break
-                piv = found[0]
-            fresh = None
-            rel, inv = piv
-            mult = coef * inv
-            del row[c]  # coef - mult * lead is 0
-            for d, vv in rel:
-                cc = c + d
-                nv = row.get(cc, 0) - mult * vv
-                if nv:
-                    row[cc] = nv
-                else:
-                    del row[cc]
-    return pivots, integral
+                inv = 1 / Fraction(coef)
+            return c, (tuple((cc - c, vv) for cc, vv in row.items()), inv)
+        rel, inv = piv
+        mult = row.pop(c) * inv  # coef - mult * lead is 0
+        for d, vv in rel:
+            cc = c + d
+            nv = row.get(cc, 0) - mult * vv
+            if nv:
+                row[cc] = nv
+            else:
+                del row[cc]
+    return None
+
+
+def _degree_pivots(k: int, n: int, widths: list, pivots: list, has, dep) -> tuple:
+    """(new pivots of degree n by column, whether each leads with +-1).
+
+    The rows r * v go in lex order of v, skipping those flagged in dep and
+    flagging those that reduce to zero.  has[col] says whether a lower
+    degree's pivot holds col (widths and pivots as for _inherited_pivot).
+    The lead of r * v is its -1 at y_k x_k * v, column pos + top for v at
+    pos, and every earlier row lies left of it; so if no lower pivot holds
+    that column, r * v is a pivot as it stands, stored unbuilt as the
+    degree's one template.  Only the other rows are built and reduced.
+    """
+    mids = [(_word_offset(k, w, n), c) for c, w in _relation_terms(k)]
+    top, lead = max(mids)  # lead -1 is its own inverse
+    template = tuple((m - top, c) for m, c in mids if m != top), lead
+    new = {}
+
+    def pivot_at(col):
+        piv = new.get(col)
+        if piv is None and has[col]:
+            piv = _inherited_pivot(k, widths, pivots, n, col)
+        return piv
+
+    integral = True
+    pos = dep.find(0)
+    while pos >= 0:
+        col = pos + top
+        if not has[col]:
+            new[col] = template
+        else:
+            found = _reduce_row({pos + m: c for m, c in mids}, pivot_at)
+            if found is None:
+                dep[pos] = 1
+            else:
+                col, piv = found
+                new[col] = piv
+                integral = integral and piv[1] in (1, -1)  # else a Fraction
+        pos = dep.find(0, pos + 1)
+    return new, integral
 
 
 def _ideal_ranks(k: int, N: int) -> list:
@@ -253,13 +246,7 @@ def _ideal_ranks(k: int, N: int) -> list:
             dep = bytearray(1) if n == 3 else bytearray(
                 map((dependent[1] + dependent[0]).__getitem__, next(prefixes))
             )
-        new, ok = _sparse_rank_exact(
-            _relation_head_rows(k, n, dep),
-            lambda col, n=n, has=has: (
-                _inherited_pivot(k, widths, pivots, n, col) if has[col] else None
-            ),
-            _head_template(k, n),
-        )
+        new, ok = _degree_pivots(k, n, widths, pivots, has, dep)
         for c in new:
             has[c] = 1
         pivots.append(new)

@@ -51,8 +51,11 @@ def _factor(n: int) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
 def _prime_power_key(q: int) -> tuple:
-    """(p, e) for a prime power q = p^e > 1; DomainError otherwise."""
+    """(p, e) for a prime power q = p^e > 1; DomainError otherwise.  Cached:
+    a group lists each cyclic summand, and large b2 repeats a few orders
+    millions of times."""
     if q < 2:
         raise DomainError(f"torsion order {q} is not a prime power > 1")
     f = _factor(q)

@@ -5,10 +5,14 @@ and sharing no code with `fourfold`: series arithmetic over Fraction, the
 PBW product series, the Moebius function, and the words and relation of the
 oracle's algebra.  A series is the list of its coefficients 0..N; a word is
 a tuple of letter codes, x_i -> i - 1 (degree 1) and y_i -> k + i - 1
-(degree 2).
+(degree 2).  The one exception is `eliminate`, the whole-matrix loop over the
+oracle's own one-row reducer: the oracle's shortcuts are pinned to the
+elimination they stand for, and the reducer itself to dense elimination.
 """
 
 from fractions import Fraction
+
+from fourfold.oracle import _reduce_row
 
 
 def series_mul(a, b):
@@ -104,3 +108,25 @@ def relation_terms(k):
 def word_text(k, word):
     """'x1*y2*x2' for (0, 3, 1) at k = 2; '1' for the empty word."""
     return "*".join(f"x{c + 1}" if c < k else f"y{c - k + 1}" for c in word) or "1"
+
+
+def eliminate(rows, below=lambda col: None):
+    """Every row in turn reduced by the oracle's reducer against the pivots
+    of the rows before it, or below(col) where none of those holds col.
+
+    Returns (pivots by column, whether each leads with +-1, the fate of each
+    row): "unreduced" for a row that became a pivot with no reduction step,
+    "reduced" for one that became a pivot after one, "zero" for one that
+    vanished.  The rows are reduced in place.
+    """
+    pivots, fates = {}, []
+    for row in rows:
+        lead = max(row, default=None)
+        found = _reduce_row(row, lambda col: pivots.get(col) or below(col))
+        if found is None:
+            fates.append("zero")
+        else:
+            pivots[found[0]] = found[1]
+            fates.append("unreduced" if found[0] == lead else "reduced")
+    integral = all(inv in (1, -1) for _, inv in pivots.values())
+    return pivots, integral, fates

@@ -1,6 +1,7 @@
 """Brute-force graded-algebra oracle: word bases, relation rows, exact ranks."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +23,10 @@ from fourfold.oracle import (
     _ideal_ranks,
     _inherited_pivot,
     _prefix_tables,
-    _relation_head_rows,
-    _sparse_rank_exact,
     _word_count,
     _word_offset,
 )
-from refimpl import enumerate_words, relation_terms, word_text
+from refimpl import eliminate, enumerate_words, relation_terms, word_text
 
 
 def full_relation_rows(k, n):
@@ -44,6 +43,58 @@ def full_relation_rows(k, n):
             pu = _word_offset(k, u, n)
             for pos in range(pu, pu + width):
                 yield {pos + m: c for m, c in mids}
+
+
+def head_rows(k, n):
+    """The W(n-3) rows r * v of degree n, v in lex order: the a = 0 rows,
+    first in the full stream."""
+    return list(islice(full_relation_rows(k, n), _word_count(k, n - 3)))
+
+
+def top_degree(k, columns):
+    """The highest degree with at most `columns` words."""
+    top = 0
+    while _word_count(k, top + 1) <= columns:
+        top += 1
+    return top
+
+
+def record_degrees(monkeypatch, k, N):
+    """Run _ideal_ranks(k, N) and record, per degree, what its elimination
+    starts from and what it makes: the skip flags, a lookup of the lower
+    degrees' pivots by column, the new pivots, and the rows it builds."""
+    degrees = []
+    step, reduce_row = oracle._degree_pivots, oracle._reduce_row
+
+    def recording_step(k, n, widths, pivots, has, dep):
+        held = bytes(has)
+        degrees.append({
+            "skipped": bytes(dep),
+            "below": lambda col: (
+                _inherited_pivot(k, widths, pivots, n, col) if held[col] else None
+            ),
+            "built": [],
+        })
+        new, integral = step(k, n, widths, pivots, has, dep)
+        degrees[-1]["new"] = new
+        return new, integral
+
+    def recording_reduce(row, pivot_at):
+        degrees[-1]["built"].append(dict(row))
+        return reduce_row(row, pivot_at)
+
+    monkeypatch.setattr(oracle, "_degree_pivots", recording_step)
+    monkeypatch.setattr(oracle, "_reduce_row", recording_reduce)
+    _ideal_ranks(k, N)
+    monkeypatch.undo()
+    assert len(degrees) == N + 1
+    return degrees
+
+
+def by_column(pivots):
+    """Pivots with each {column - lead column: value} as a dict: the same
+    whichever order a row listed r's terms in."""
+    return {col: (dict(rel), inv) for col, (rel, inv) in pivots.items()}
 
 
 def degree(k, word):
@@ -109,13 +160,23 @@ def test_relation_rows_match_enumerated_columns():
             assert list(full_relation_rows(k, n)) == expected, (k, n)
 
 
-def test_production_rows_are_the_rows_with_empty_left_factor():
+def test_production_rows_are_the_rows_with_empty_left_factor(monkeypatch):
+    # each row the loop builds, and each pivot it places unbuilt, is the row
+    # r * v at its lead column, as the full stream spells it
     for k in range(1, 5):
-        for n in range(0, 9):
-            head = list(_relation_head_rows(k, n))
-            assert len(head) == _word_count(k, n - 3)
-            # the a = 0 rows r * v come first in the full stream
-            assert head == list(full_relation_rows(k, n))[: len(head)], (k, n)
+        for n, degree in enumerate(record_degrees(monkeypatch, k, 8)):
+            by_lead = {max(row): row for row in head_rows(k, n)}
+            assert len(by_lead) == _word_count(k, n - 3)
+            built = [max(row) for row in degree["built"]]
+            assert [by_lead[lead] for lead in built] == degree["built"], (k, n)
+            new = by_column(degree["new"])
+            for pos, (lead, row) in enumerate(by_lead.items()):
+                if degree["skipped"][pos] or lead in built:
+                    continue
+                # the row as a pivot: its lead -1 is its own inverse
+                assert row[lead] == -1
+                as_pivot = {c - lead: v for c, v in row.items() if c != lead}, -1
+                assert new[lead] == as_pivot, (k, n, pos)
 
 
 def test_block_walk_maps_columns_to_first_letter_and_rest():
@@ -132,7 +193,7 @@ def test_block_walk_maps_columns_to_first_letter_and_rest():
                 c, rest = word[0], word[1:]
                 m = n - (1 if c < k else 2)
                 j = position[m][rest]
-                assert _inherited_pivot(k, widths, pivots, n, col) == ((m, j), col - j)
+                assert _inherited_pivot(k, widths, pivots, n, col) == (m, j)
             # with no pivot below, the walk runs out below degree 3
             empty = [{} for _ in range(n + 1)]
             assert all(
@@ -143,12 +204,10 @@ def test_block_walk_maps_columns_to_first_letter_and_rest():
 
 def test_degree_recursion_matches_elimination_of_the_full_matrix():
     for k in range(1, 5):
-        top = 0
-        while _word_count(k, top + 1) <= 20_000:
-            top += 1
+        top = top_degree(k, 20_000)
         recursive = _ideal_ranks(k, top)
         for n in range(top + 1):
-            pivots, integral = _sparse_rank_exact(full_relation_rows(k, n))
+            pivots, integral, _ = eliminate(full_relation_rows(k, n))
             assert recursive[n] == (len(pivots), integral), (k, n)
 
 
@@ -163,52 +222,43 @@ def test_prefix_tables_locate_each_word_without_its_last_letter():
 
 
 def test_rows_skipped_by_right_multiplication_reduce_to_zero(monkeypatch):
-    # each degree's skip flags as the recursion hands them to the row source,
-    # and the inherited-pivot lookup and new pivots of its elimination
-    seen = []
-    rows_of, kernel = oracle._relation_head_rows, oracle._sparse_rank_exact
-
-    def recording_rows(k, n, dependent):
-        seen.append({"skipped": bytes(dependent)})
-        return rows_of(k, n, dependent)
-
-    def recording_kernel(rows, inherited, template):
-        pivots, integral = kernel(rows, inherited, template)
-        seen[-1].update(inherited=inherited, pivots=pivots)
-        return pivots, integral
-
-    monkeypatch.setattr(oracle, "_relation_head_rows", recording_rows)
-    monkeypatch.setattr(oracle, "_sparse_rank_exact", recording_kernel)
     for k in range(1, 5):
-        top = 0
-        while _word_count(k, top + 1) <= 20_000:
-            top += 1
-        seen.clear()
-        _ideal_ranks(k, top)
-        assert len(seen) == top + 1
         skips = 0
-        for n, degree in enumerate(seen):
-            # every row r * v fed as it is, no skip flags and no template
-            nonzero = []
-
-            def every_row():
-                for row in rows_of(k, n):
-                    yield row
-                    nonzero.append(bool(row))  # reduced by now
-
-            pivots, _ = kernel(every_row(), degree["inherited"])
-            assert pivots == degree["pivots"], (k, n)
+        for n, degree in enumerate(record_degrees(monkeypatch, k, top_degree(k, 20_000))):
+            # every row r * v reduced in turn: none skipped, none placed unbuilt
+            pivots, _, fates = eliminate(head_rows(k, n), degree["below"])
+            assert by_column(pivots) == by_column(degree["new"]), (k, n)
             skipped = [pos for pos, flag in enumerate(degree["skipped"]) if flag]
-            assert len(nonzero) == _word_count(k, n - 3)
-            assert not any(nonzero[pos] for pos in skipped), (k, n)
+            assert all(fates[pos] == "zero" for pos in skipped), (k, n)
             skips += len(skipped)
         # rows are first skipped in degree 7, past 20,000 columns at k = 4
         assert skips > 0 or k == 4, k
 
 
+def test_rows_placed_unbuilt_are_the_rows_no_step_reduces(monkeypatch):
+    for k in range(1, 5):
+        for n, degree in enumerate(record_degrees(monkeypatch, k, top_degree(k, 20_000))):
+            heads = head_rows(k, n)
+            built = {max(row) for row in degree["built"]}
+            placed = [
+                pos for pos, row in enumerate(heads)
+                if not degree["skipped"][pos] and max(row) not in built
+            ]
+            _, _, fates = eliminate(heads, degree["below"])
+            unreduced = [pos for pos, fate in enumerate(fates) if fate == "unreduced"]
+            assert placed == unreduced, (k, n)
+
+
+def test_rows_built_at_b2_3_through_degree_10(monkeypatch):
+    # of the 11,929 rows r * v not skipped over degrees 3..10, 225 are built
+    degrees = record_degrees(monkeypatch, 3, 10)
+    assert sum(degree["skipped"].count(0) for degree in degrees) == 11_929
+    assert sum(len(degree["built"]) for degree in degrees) == 225
+
+
 def rank_of(rows):
-    # _sparse_rank_exact takes its rows over, so it gets fresh copies
-    pivots, integral = _sparse_rank_exact([dict(r) for r in rows])
+    # eliminate reduces its rows in place, so it gets fresh copies
+    pivots, integral, _ = eliminate([dict(r) for r in rows])
     return len(pivots), integral
 
 
@@ -270,10 +320,7 @@ def test_exact_rank_matches_dense_fraction_elimination(matrix):
 
 def test_oracle_stays_integral_within_the_default_budget():
     for k in range(1, 7):
-        top = 0
-        while _word_count(k, top + 1) <= DEFAULT_COLUMN_BUDGET:
-            top += 1
-        rep = quotient_dims_oracle(k, top)
+        rep = quotient_dims_oracle(k, top_degree(k, DEFAULT_COLUMN_BUDGET))
         # "integer" only if every degree's elimination kept +-1 pivots
         assert rep.field_used == "integer", k
         assert rep.all_ok, k
@@ -339,10 +386,10 @@ def test_budget_applies_to_full_oracle_run():
 
 
 def test_budget_is_checked_before_any_elimination(monkeypatch):
-    def no_rows(k, n):
-        raise AssertionError(f"rows built for degree {n}")
+    def no_elimination(k, n, *state):
+        raise AssertionError(f"degree {n} eliminated")
 
-    monkeypatch.setattr(oracle, "_relation_head_rows", no_rows)
+    monkeypatch.setattr(oracle, "_degree_pivots", no_elimination)
     with pytest.raises(ResourceLimit) as exc:
         quotient_dims_oracle(2, 13)
     assert str(exc.value) == (

@@ -191,6 +191,21 @@ def test_assembly_matches_hand_computation():
     assert g2 == FinAbGroup(free_rank=2)
 
 
+def test_each_torsion_order_is_factored_once(monkeypatch):
+    from fourfold import stable
+
+    stems = bundled_stems_table()  # parsed before counting starts
+    factored = []
+    factor = stable._factor
+    monkeypatch.setattr(stable, "_factor", lambda n: factored.append(n) or factor(n))
+    stable._prime_power_key.cache_clear()
+    group = stable_homotopy_simply_connected(1000, 5, stems)
+    assert str(group) == "(Z/24)^1000 + (Z/2)^999 + Z"
+    assert len(group.torsion) == 2999
+    # every summand is sorted, then keyed again by invariant_factors
+    assert len(factored) <= len(set(group.torsion)) == 3
+
+
 def test_assembly_rejects_bad_betti():
     with pytest.raises(DomainError, match="rank of pi_2 must be >= 1, got 0"):
         stable_homotopy_simply_connected(0, 5, bundled_stems_table())
