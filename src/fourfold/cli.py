@@ -176,17 +176,18 @@ def cmd_stable(betti: int, n: int, pi1_order: int, stems_file: str = "") -> Comm
             f"{exc.max_index}"
         )
         return CommandResult(STATUS_FAIL, payload, rendered)
+    human = str(group)
     payload = {
         "betti": betti,
         "n": n,
         "pi1_order": pi1_order,
         "stems_source": stems.source_note,
         "group": group.to_json_dict(),
-        "human": str(group),
+        "human": human,
     }
     rendered = "\n".join(
         [
-            f"pi_{n}^s = {group}",
+            f"pi_{n}^s = {human}",
             f"primary decomposition: free rank {group.free_rank}, "
             f"torsion {list(group.torsion)}",
         ]

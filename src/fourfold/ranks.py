@@ -25,6 +25,17 @@ nonnegative; else it is a bug and raises.  The rank checks are exact:
 - Polynomials of degree j that agree at j + 1 points are equal: agreement at
   b2 = 0..j proves a closed form of degree j.
 
+The ranks at one b2 form one infinite sequence, and a table of N of them is
+its prefix.  homotopy_ranks keeps, per b2 >= 2, the longest prefix it has
+computed, and only one that passed every check above (a check that raises
+stores nothing); a shorter request is a slice of it.  The prefixes hold at
+most RANK_STORE_BYTES of integers in all: the least recently used b2 goes
+first, and a table larger than the cap is returned but not kept.  Every
+entry point that reads ranks goes through homotopy_ranks, so
+growth_report, cumulative_bound_check and pbw_identity_check share the
+store; _necklace itself, which the polynomial checks call at b2 = 0..2,
+keeps nothing.
+
 Public parameter convention: every function here takes b2 itself.  The
 closed-form polynomials for low degrees are internally evaluated at b2 - 1;
 that reindexing lives in one place (_closed_form) with its own tests, because
@@ -33,6 +44,8 @@ it is the easiest place to slip.
 
 from __future__ import annotations
 
+import sys
+import threading
 from typing import Optional
 
 from ._record import Record
@@ -42,6 +55,10 @@ from .series import _power_sums
 #: Working precision (decimal digits) for the growth base beta.  The residual
 #: check probes n = 60 against a 1e-6 tolerance; 50+ digits leaves headroom.
 GROWTH_PRECISION = 60
+
+#: Bytes of rank tuples (tuple and int objects) the prefix store may keep,
+#: summed over every b2.
+RANK_STORE_BYTES = 8 << 20
 
 
 def _lucas(k: int, N: int) -> list:
@@ -84,8 +101,56 @@ class RankTable(Record):
 _ELLIPTIC_B2_1 = (1, 0, 0, 1)
 
 
+class _PrefixStore:
+    """Checked rank prefixes m_1..m_M by b2, least recently used first.
+
+    entries maps b2 to (ranks, bytes) and nbytes is the sum of those bytes;
+    the lock keeps the two consistent across threads.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.clear()
+
+    def clear(self):
+        with self._lock:
+            self.entries = {}
+            self.nbytes = 0
+
+    def get(self, k: int, N: int) -> Optional[tuple]:
+        """m_1..m_N at b2 = k if a prefix that long is kept, else None."""
+        with self._lock:
+            entry = self.entries.pop(k, None)
+            if entry is None:
+                return None
+            self.entries[k] = entry  # now the most recently used
+        ranks = entry[0]
+        return ranks[:N] if len(ranks) >= N else None
+
+    def put(self, k: int, ranks: tuple):
+        size = sys.getsizeof(ranks) + sum(map(sys.getsizeof, ranks))
+        if size > RANK_STORE_BYTES:
+            return
+        with self._lock:
+            old = self.entries.pop(k, None)
+            if old is not None:
+                self.nbytes -= old[1]
+                if len(old[0]) > len(ranks):  # another thread stored a longer one
+                    ranks, size = old
+            self.entries[k] = (ranks, size)
+            self.nbytes += size
+            while self.nbytes > RANK_STORE_BYTES:
+                self.nbytes -= self.entries.pop(next(iter(self.entries)))[1]
+
+
+_store = _PrefixStore()
+
+
 def homotopy_ranks(betti: int, N: int) -> RankTable:
     """Rank table m_1..m_N for second Betti number betti.
+
+    Repeated calls at one betti slice the longest table computed so far
+    (see the module docstring).
 
     >>> homotopy_ranks(3, 6).ranks
     (3, 5, 5, 10, 24, 55)
@@ -101,19 +166,22 @@ def homotopy_ranks(betti: int, N: int) -> RankTable:
         ranks = tuple(_ELLIPTIC_B2_1[n - 1] if n <= 4 else 0 for n in range(1, N + 1))
         return RankTable(betti=1, max_degree=N, ranks=ranks)
 
-    ranks = _necklace(k, N)
-    for n, m_n in enumerate(ranks, start=1):
-        if m_n < 0:
-            raise InternalInconsistency(f"m_{n}({k}) = {m_n} < 0; sign convention violated")
-    # anchors forced independently of the inversion: m_1 by Hurewicz,
-    # m_2 by the degree-3 closed form
-    if ranks[0] != k:
-        raise InternalInconsistency(f"m_1({k}) = {ranks[0]}, expected {k}")
-    if N >= 2 and ranks[1] != _closed_form(2, k - 1):
-        raise InternalInconsistency(
-            f"m_2({k}) = {ranks[1]}, expected {_closed_form(2, k - 1)}"
-        )
-    return RankTable(betti=betti, max_degree=N, ranks=tuple(ranks))
+    ranks = _store.get(k, N)
+    if ranks is None:
+        ranks = tuple(_necklace(k, N))
+        for n, m_n in enumerate(ranks, start=1):
+            if m_n < 0:
+                raise InternalInconsistency(f"m_{n}({k}) = {m_n} < 0; sign convention violated")
+        # anchors forced independently of the inversion: m_1 by Hurewicz,
+        # m_2 by the degree-3 closed form
+        if ranks[0] != k:
+            raise InternalInconsistency(f"m_1({k}) = {ranks[0]}, expected {k}")
+        if N >= 2 and ranks[1] != _closed_form(2, k - 1):
+            raise InternalInconsistency(
+                f"m_2({k}) = {ranks[1]}, expected {_closed_form(2, k - 1)}"
+            )
+        _store.put(k, ranks)
+    return RankTable(betti=betti, max_degree=N, ranks=ranks)
 
 
 def _necklace(k: int, N: int) -> list:
@@ -338,7 +406,7 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
         ctx.prec = GROWTH_PRECISION
         residual = abs(Decimal(N) * Decimal(table.rank(N)) / beta**N - 1)
         residual = +residual
-    bounds = cumulative_bound_check(betti, max(1, N // 2), _table=table)
+    bounds = cumulative_bound_check(betti, max(1, N // 2))
     return GrowthReport(
         betti=betti,
         classification="hyperbolic",
@@ -372,7 +440,7 @@ def rank_polynomial_checks(N: int) -> tuple:
     return divisible, closed
 
 
-def cumulative_bound_check(betti: int, n_max: int, _table: Optional[RankTable] = None) -> dict:
+def cumulative_bound_check(betti: int, n_max: int) -> dict:
     """Check sum_{i=1}^{2n} m_i(b2) >= (b2 - 1)^(2n) / (2n) for n = 1..n_max.
 
     The left side is the total rank of pi_2..pi_{2n+1}.  The comparison is
@@ -385,10 +453,7 @@ def cumulative_bound_check(betti: int, n_max: int, _table: Optional[RankTable] =
         raise DomainError(f"cumulative bound needs b2 >= 3, got {betti}")
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    table = _table
-    if table is None or table.max_degree < 2 * n_max:
-        table = homotopy_ranks(betti, 2 * n_max)
-    ranks = table.ranks
+    ranks = homotopy_ranks(betti, 2 * n_max).ranks
     step = (betti - 1) ** 2
     out = {}
     partial = 0

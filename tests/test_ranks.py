@@ -1,17 +1,20 @@
 """Rank tables, closed forms, growth classification, and the arithmetic helpers."""
 
 import random
+import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fourfold import (
     PBW_NOT_APPLICABLE,
     PBW_PASS,
     DomainError,
+    InternalInconsistency,
     cumulative_bound_check,
     growth_base,
     growth_report,
@@ -126,7 +129,7 @@ def test_rank_polynomial_checks_pass():
     assert rank_polynomial_checks(0) == (True, True)
 
 
-def test_rank_polynomial_checks_fail_on_a_changed_polynomial(monkeypatch):
+def test_rank_polynomial_checks_fail_on_a_changed_polynomial(monkeypatch, empty_rank_store):
     necklace = _necklace
 
     def nonzero_past_degree_six(k, N):
@@ -229,7 +232,7 @@ def _pbw_reference(k, ranks, N):
     return "pass", None
 
 
-def test_pbw_check_matches_product_series_on_mutated_tables(monkeypatch):
+def test_pbw_check_matches_product_series_on_mutated_tables(monkeypatch, empty_rank_store):
     rng = random.Random(4)
     statuses = []
     for _ in range(400):
@@ -321,8 +324,12 @@ def _cumulative_bound_reference(table, k, n_max):
 )
 @example(3, 1, 0)
 @example(12, 150, 2**150 - 1)
-@settings(max_examples=40, deadline=None)
-def test_cumulative_bound_matches_direct_reference(k, n_max, misses):
+# empty_rank_store is emptied once per test, not per example: the patched
+# homotopy_ranks below never reads or fills the store
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_cumulative_bound_matches_direct_reference(empty_rank_store, k, n_max, misses):
     table = homotopy_ranks(k, 2 * n_max)
     assert cumulative_bound_check(k, n_max) == _cumulative_bound_reference(table, k, n_max)
     # the true ranks clear every bound by far, so also try a table whose
@@ -337,7 +344,9 @@ def test_cumulative_bound_matches_direct_reference(k, n_max, misses):
     edge = RankTable(betti=k, max_degree=2 * n_max, ranks=tuple(ranks))
     expected = {n: not misses >> (n - 1) & 1 for n in range(1, n_max + 1)}
     assert _cumulative_bound_reference(edge, k, n_max) == expected
-    assert cumulative_bound_check(k, n_max, _table=edge) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("fourfold.ranks.homotopy_ranks", lambda betti, n: edge)
+        assert cumulative_bound_check(k, n_max) == expected
 
 
 def test_cumulative_bound_is_exact_rational():
@@ -355,3 +364,118 @@ def test_rank_table_serialization():
     assert d == {"betti": 3, "ranks": {"pi_2": 3, "pi_3": 5, "pi_4": 5}}
     assert t.to_csv().splitlines()[0] == "degree,rank"
     assert "2,3" in t.to_csv().splitlines()
+
+
+# -- the prefix store ----------------------------------------------------------
+
+
+def _assert_store_consistent(store, cap):
+    assert store.nbytes == sum(size for _, size in store.entries.values())
+    assert store.nbytes <= cap
+
+
+def test_store_answers_equal_the_fresh_sieve_in_any_call_order(empty_rank_store):
+    rng = random.Random(14)
+    N = {k: rng.randint(1, 400) for k in range(2, 21)}
+    for _ in range(300):
+        k = rng.randint(2, 20)
+        # each b2's degree walks up and down, so calls both hit and extend
+        N[k] = min(400, max(1, N[k] + rng.choice((-1, 1)) * rng.randint(1, 150)))
+        assert homotopy_ranks(k, N[k]).ranks == tuple(_necklace(k, N[k])), (k, N[k])
+    assert set(empty_rank_store.entries) == set(range(2, 21))
+
+
+def test_a_check_that_raises_stores_nothing(monkeypatch, empty_rank_store):
+    homotopy_ranks(5, 50)
+    before = dict(empty_rank_store.entries), empty_rank_store.nbytes
+    necklace = _necklace
+
+    def negative_last_term(k, N):
+        ranks = necklace(k, N)
+        ranks[-1] = -1
+        return ranks
+
+    monkeypatch.setattr("fourfold.ranks._necklace", negative_last_term)
+    for k, N in ((5, 80), (7, 30)):
+        with pytest.raises(InternalInconsistency, match="< 0"):
+            homotopy_ranks(k, N)
+        assert (dict(empty_rank_store.entries), empty_rank_store.nbytes) == before
+    monkeypatch.undo()
+    for k, N in ((5, 80), (5, 60), (7, 30), (7, 29)):
+        assert homotopy_ranks(k, N).ranks == tuple(_necklace(k, N))
+
+
+def test_store_keeps_to_its_cap_and_evicts_the_least_recently_used(
+    monkeypatch, empty_rank_store
+):
+    store = empty_rank_store
+    for k in (3, 4, 5):
+        homotopy_ranks(k, 60)
+    cap = store.nbytes
+    monkeypatch.setattr("fourfold.ranks.RANK_STORE_BYTES", cap)
+    homotopy_ranks(3, 10)  # a hit makes b2 = 3 the most recently used
+    assert list(store.entries) == [4, 5, 3]
+    homotopy_ranks(6, 60)
+    assert 4 not in store.entries and {3, 6} <= set(store.entries)
+    assert list(store.entries) == [k for k in (4, 5, 3, 6) if k in store.entries]
+    _assert_store_consistent(store, cap)
+    # a table larger than the whole cap is returned but not kept
+    kept = dict(store.entries)
+    assert homotopy_ranks(7, 2000).ranks == tuple(_necklace(7, 2000))
+    assert store.entries == kept
+    rng = random.Random(3)
+    for _ in range(200):
+        k, N = rng.randint(2, 12), rng.randint(1, 120)
+        assert homotopy_ranks(k, N).ranks == tuple(_necklace(k, N))
+        _assert_store_consistent(store, cap)
+
+
+def test_threads_share_the_store_and_get_the_fresh_answers(monkeypatch, empty_rank_store):
+    # a cap of a few tables, so that threads evict each other's entries
+    monkeypatch.setattr("fourfold.ranks.RANK_STORE_BYTES", 40_000)
+    rng = random.Random(8)
+    calls = [[(rng.randint(2, 9), rng.randint(1, 250)) for _ in range(150)] for _ in range(4)]
+    fresh = {kN: tuple(_necklace(*kN)) for thread in calls for kN in thread}
+    wrong, errors = [], []
+
+    def work(thread_calls):
+        try:
+            for k, N in thread_calls:
+                if homotopy_ranks(k, N).ranks != fresh[k, N]:
+                    wrong.append((k, N))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(c,)) for c in calls]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert (wrong, errors) == ([], [])
+    _assert_store_consistent(empty_rank_store, 40_000)
+
+
+def test_entry_points_slice_one_stored_table(monkeypatch, empty_rank_store):
+    calls = []
+    necklace = _necklace
+
+    def counting(k, N):
+        calls.append((k, N))
+        return necklace(k, N)
+
+    monkeypatch.setattr("fourfold.ranks._necklace", counting)
+    homotopy_ranks(3, 600)
+    for n in (1, 2, 300, 599, 600):
+        homotopy_ranks(3, n)
+    growth_report(3, 500)
+    cumulative_bound_check(3, 250)
+    pbw_identity_check(3, 45)
+    assert calls == [(3, 600)]
+    homotopy_ranks(3, 601)
+    assert calls == [(3, 600), (3, 601)]
