@@ -5,57 +5,15 @@ loop-space homology series, stable homotopy groups, growth classification,
 and a brute-force graded-algebra oracle that independently verifies every
 closed-form identity.
 
-The public names below are exported lazily: `import fourfold` loads no
-submodule, and the first use of a name imports only its home module.  The
-modules named in `_EXPORTS` are package attributes too (`fourfold.oracle`).
+The public names, listed once in `_EXPORTS` by home module, are exported
+lazily: `import fourfold` loads no submodule, and the first use of a name
+imports only its home module.  The modules named in `_EXPORTS` are package
+attributes too (`fourfold.oracle`).
 """
 
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DomainError",
-    "FourfoldError",
-    "FinAbGroup",
-    "GradedDims",
-    "GrowthReport",
-    "InsufficientStemsData",
-    "InternalInconsistency",
-    "MarkerSum",
-    "OracleReport",
-    "PBW_FAIL",
-    "PBW_NOT_APPLICABLE",
-    "PBW_PASS",
-    "ParseError",
-    "PbwCheck",
-    "RankTable",
-    "ResourceLimit",
-    "StemsTable",
-    "TruncatedSeries",
-    "UngradedGenerator",
-    "ValidationError",
-    "bundled_stems_table",
-    "cumulative_bound_check",
-    "euler_identity_check",
-    "free_comm_series",
-    "growth_base",
-    "growth_report",
-    "homotopy_ranks",
-    "ideal_degree_dim",
-    "integral_low_homotopy",
-    "koszul_leading_monomial_check",
-    "load_stems_table",
-    "pbw_identity_check",
-    "pbw_series",
-    "quotient_dims_oracle",
-    "quotient_series",
-    "rank_polynomial_checks",
-    "rank_polynomial_eval",
-    "stable_homotopy_finite_pi1",
-    "stable_homotopy_simply_connected",
-    "tensor_series",
-]
 
 _EXPORTS = {
     "errors": (
@@ -100,7 +58,6 @@ _EXPORTS = {
     ),
     "stable": (
         "FinAbGroup",
-        "MarkerSum",
         "StemsTable",
         "bundled_stems_table",
         "integral_low_homotopy",
@@ -110,6 +67,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):

@@ -29,7 +29,11 @@ from .errors import (
     ResourceLimit,
     ValidationError,
 )
-from .oracle import koszul_leading_monomial_check, quotient_dims_oracle
+from .oracle import (
+    DEFAULT_COLUMN_BUDGET,
+    koszul_leading_monomial_check,
+    quotient_dims_oracle,
+)
 from .ranks import (
     PBW_FAIL,
     PBW_NOT_APPLICABLE,
@@ -311,19 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="table",
         help="output format (default: table)",
     )
-    common.add_argument(
-        "--stems-file",
-        default="",
-        metavar="PATH",
-        help="stems table file (default: bundled table for indices 0..19)",
-    )
-    common.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        metavar="COLUMNS",
-        help=f"oracle matrix column cap (default 50000; env {BUDGET_ENV_VAR})",
-    )
 
     parser = argparse.ArgumentParser(
         prog="fourfold",
@@ -352,6 +343,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--betti", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="stable index")
     p.add_argument("--pi1-order", type=int, default=1)
+    p.add_argument(
+        "--stems-file",
+        default="",
+        metavar="PATH",
+        help="stems table file (default: bundled table for indices 0..19)",
+    )
 
     p = sub.add_parser("growth", parents=[common], help="growth classification")
     p.add_argument("--betti", type=int, required=True)
@@ -360,6 +357,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="full verification suite")
     p.add_argument("--betti", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=DEFAULT_VERIFY_DEGREE)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        metavar="COLUMNS",
+        help=f"oracle matrix column cap (default {DEFAULT_COLUMN_BUDGET}; "
+        f"env {BUDGET_ENV_VAR})",
+    )
 
     return parser
 

@@ -10,7 +10,7 @@ tests/refimpl.py, as the reference they compare these recurrences against.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from ._record import Record
 from .errors import DomainError, InternalInconsistency, UngradedGenerator
@@ -84,41 +84,19 @@ class GradedDims(Record):
             raise DomainError(f"negative dimension in {dims}")
         self.__dict__.update(dims=dims)
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, int], max_degree: int) -> "GradedDims":
-        """GradedDims({1: 2, 2: 2}, 4) -> dims (0, 2, 2, 0, 0)."""
-        dims = [0] * (max_degree + 1)
-        for deg, mult in mapping.items():
-            if deg < 0:
-                raise DomainError(f"negative degree {deg}")
-            if 0 <= deg <= max_degree:
-                dims[deg] = int(mult)
-        return cls(tuple(dims))
-
-    def degree_dim(self, i: int) -> int:
-        if 0 <= i < len(self.dims):
-            return self.dims[i]
-        return 0
-
     def __getitem__(self, i: int) -> int:
-        return self.degree_dim(i)
+        """Dimension in degree i; 0 past the last listed degree."""
+        return self.dims[i] if 0 <= i < len(self.dims) else 0
 
 
-DimsLike = Union[GradedDims, Mapping[int, int]]
-
-
-def _dims_by_degree(dims: DimsLike) -> dict:
+def _dims_by_degree(dims: Mapping[int, int]) -> dict:
     """Generators as {degree: multiplicity}, nonzero entries only, validated.
 
     Every generator set passes through here: degrees must be >= 1
     (UngradedGenerator for degree 0) and multiplicities >= 0.
     """
-    if isinstance(dims, GradedDims):
-        dims = dict(enumerate(dims.dims))
-    elif not isinstance(dims, Mapping):
-        raise TypeError(
-            f"generators must be a mapping or GradedDims, not {type(dims).__name__}"
-        )
+    if not isinstance(dims, Mapping):
+        raise TypeError(f"generators must be a mapping, not {type(dims).__name__}")
     by_deg = {int(i): int(d) for i, d in dims.items() if d}
     for deg, mult in by_deg.items():
         if deg == 0:
@@ -169,7 +147,7 @@ def _power_sums(by_deg: Mapping[int, int], N: int) -> list:
     return c
 
 
-def free_comm_series(dims: DimsLike, N: int) -> TruncatedSeries:
+def free_comm_series(dims: Mapping[int, int], N: int) -> TruncatedSeries:
     """Hilbert series of the free graded-commutative algebra on given generators.
 
     Odd-degree generators contribute exterior factors (1 + t^i), even-degree
@@ -194,7 +172,7 @@ def free_comm_series(dims: DimsLike, N: int) -> TruncatedSeries:
     return TruncatedSeries.from_coefficients(a, N)
 
 
-def tensor_series(dims: DimsLike, N: int) -> TruncatedSeries:
+def tensor_series(dims: Mapping[int, int], N: int) -> TruncatedSeries:
     """Hilbert series 1/(1 - sum_i dims[i] t^i) of the free associative algebra.
 
     The n-th coefficient counts words over the graded alphabet with total
@@ -245,7 +223,7 @@ def pbw_series(ranks, N: int) -> TruncatedSeries:
     >>> pbw_series({1: 1, 4: 1}, 5).as_int_list()
     [1, 1, 0, 0, 1, 1]
     """
-    if not isinstance(ranks, (GradedDims, Mapping)):
+    if not isinstance(ranks, Mapping):
         # RankTable-like: .ranks is m_1..m_N with m_n at index n-1
         ranks = {i + 1: m for i, m in enumerate(ranks.ranks)}
     return free_comm_series(ranks, N)

@@ -12,7 +12,9 @@ Betti number k reads off three sphere stems:
 
 and a finite fundamental group of order m adds (pi_{n-1}^s)^(m-1).  Stems
 below index 0 are trivial.  The stem values themselves are standard reference
-data loaded from a table, never computed here.
+data loaded from a table, never computed here: the bundled table, or a file
+in the line format or as one flat JSON object.  Stems and assembled groups
+are all FinAbGroups, the one group type of the package.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import os
 import re
 from functools import lru_cache
-from typing import Mapping, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 from ._record import Record
 from .errors import (
@@ -112,8 +114,6 @@ class FinAbGroup(Record):
         return self.free_rank == 0 and not self.torsion
 
     def direct_sum(self, other: "FinAbGroup") -> "FinAbGroup":
-        if not isinstance(other, FinAbGroup):
-            raise DomainError("cannot sum a concrete group with a symbolic one")
         return FinAbGroup(self.free_rank + other.free_rank, self.torsion + other.torsion)
 
     def power(self, e: int) -> "FinAbGroup":
@@ -162,47 +162,6 @@ class FinAbGroup(Record):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
-class MarkerSum(Record):
-    """Formal direct sum of opaque marker groups, e.g. G1^3 + G0^2.
-
-    Used by symbolic stems tables to test the assembly bookkeeping without
-    committing to any actual group values.
-    """
-
-    def __init__(self, terms: tuple = ()):
-        # ((name, multiplicity), ...), name-sorted, mults > 0
-        merged = {}
-        for name, mult in terms:
-            if mult < 0:
-                raise DomainError(f"negative multiplicity for {name}")
-            if mult:
-                merged[name] = merged.get(name, 0) + mult
-        self.__dict__.update(terms=tuple(sorted(merged.items())))
-
-    def is_trivial(self) -> bool:
-        return not self.terms
-
-    def direct_sum(self, other: "MarkerSum") -> "MarkerSum":
-        if not isinstance(other, MarkerSum):
-            raise DomainError("cannot sum a symbolic group with a concrete one")
-        return MarkerSum(self.terms + other.terms)
-
-    def power(self, e: int) -> "MarkerSum":
-        if e < 0:
-            raise DomainError(f"negative direct-sum exponent {e}")
-        return MarkerSum(tuple((name, mult * e) for name, mult in self.terms))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            name if mult == 1 else f"{name}^{mult}" for name, mult in self.terms
-        )
-
-
-GroupLike = Union[FinAbGroup, MarkerSum]
-
-
 class StemsTable(Record):
     """Sphere stems pi_n^s for n = 0..max_index; lower indices are trivial."""
 
@@ -215,30 +174,16 @@ class StemsTable(Record):
         for n in range(max_index + 1):
             if n not in entries:
                 raise ValidationError(f"stems table is missing index {n}")
-        first = entries[0]
-        if isinstance(first, FinAbGroup) and first != FinAbGroup(1, ()):
-            raise ValidationError(f"stem 0 must be Z, got {first}")
+        if entries[0] != FinAbGroup(1, ()):
+            raise ValidationError(f"stem 0 must be Z, got {entries[0]}")
 
-    @property
-    def symbolic(self) -> bool:
-        return isinstance(self.entries[0], MarkerSum)
-
-    def zero(self) -> GroupLike:
-        return MarkerSum(()) if self.symbolic else FinAbGroup.trivial()
-
-    def lookup(self, n: int) -> GroupLike:
+    def lookup(self, n: int) -> FinAbGroup:
         """Stem n; trivial below 0, error above max_index."""
         if n < 0:
-            return self.zero()
+            return FinAbGroup.trivial()
         if n > self.max_index:
             raise InsufficientStemsData(n, self.max_index)
         return self.entries[n]
-
-    @classmethod
-    def symbolic_table(cls, max_index: int, prefix: str = "G") -> "StemsTable":
-        """Table of opaque markers G0, G1, ... for formula-shape tests."""
-        entries = {n: MarkerSum(((f"{prefix}{n}", 1),)) for n in range(max_index + 1)}
-        return cls(entries=entries, max_index=max_index, source_note="symbolic markers")
 
 
 _LINE_RE = re.compile(r"^(\d+)\s*:\s*(.+?)\s*$")
@@ -269,11 +214,11 @@ def load_stems_table(source: str, source_note: str = "") -> StemsTable:
     """Parse a stems document (line format `n: Z/a + Z/b`, or JSON).
 
     Line format: one `n: <group>` entry per line, `#` comments allowed.
-    JSON: either {"entries": {"0": "Z", ...}, "source_note": "..."} or a
-    flat {"0": "Z", ...} object with the same value grammar.
+    JSON: one flat object {"0": "Z", "1": "Z/2", ...} with the same value
+    grammar; it is the only JSON form.  The table's source_note is the
+    argument, never read from the document.
     """
     raw = {}
-    note = source_note
     if source.lstrip().startswith("{"):
         import json
 
@@ -281,14 +226,7 @@ def load_stems_table(source: str, source_note: str = "") -> StemsTable:
             doc = json.loads(source)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"bad JSON stems document: {exc}") from exc
-        if "entries" in doc:
-            note = note or str(doc.get("source_note", ""))
-            items = doc["entries"]
-        else:
-            items = doc
-        if not isinstance(items, Mapping):
-            raise ParseError("JSON stems document must be an object of entries")
-        for key, val in items.items():
+        for key, val in doc.items():
             if not str(key).isdigit():
                 raise ParseError(f"entry {key!r}: index must be a nonnegative integer")
             n = int(key)
@@ -310,7 +248,7 @@ def load_stems_table(source: str, source_note: str = "") -> StemsTable:
     if not raw:
         raise ParseError("empty stems document")
     max_index = max(raw)
-    return StemsTable(entries=raw, max_index=max_index, source_note=note)
+    return StemsTable(entries=raw, max_index=max_index, source_note=source_note)
 
 
 @lru_cache(maxsize=None)
@@ -322,15 +260,15 @@ def bundled_stems_table() -> StemsTable:
     return load_stems_table(text, source_note="bundled reference table, stems 0..19")
 
 
-def _assemble(stems: StemsTable, contributions) -> GroupLike:
-    total = stems.zero()
+def _assemble(stems: StemsTable, contributions) -> FinAbGroup:
+    total = FinAbGroup.trivial()
     for index, exponent in contributions:
         if exponent > 0:
             total = total.direct_sum(stems.lookup(index).power(exponent))
     return total
 
 
-def stable_homotopy_simply_connected(betti: int, n: int, stems: StemsTable) -> GroupLike:
+def stable_homotopy_simply_connected(betti: int, n: int, stems: StemsTable) -> FinAbGroup:
     """pi_n^s of a simply connected closed 4-manifold with b2 = betti.
 
     >>> str(stable_homotopy_simply_connected(2, 5, bundled_stems_table()))
@@ -341,7 +279,7 @@ def stable_homotopy_simply_connected(betti: int, n: int, stems: StemsTable) -> G
 
 def stable_homotopy_finite_pi1(
     pi2_rank: int, n: int, m: int, stems: StemsTable
-) -> GroupLike:
+) -> FinAbGroup:
     """Same assembly for finite fundamental group of order m (m = 1: no change)."""
     if pi2_rank < 1:
         raise DomainError(f"rank of pi_2 must be >= 1, got {pi2_rank}")

@@ -5,14 +5,21 @@ and sharing no code with `fourfold`: series arithmetic over Fraction, the
 PBW product series, the Moebius function, and the words and relation of the
 oracle's algebra.  A series is the list of its coefficients 0..N; a word is
 a tuple of letter codes, x_i -> i - 1 (degree 1) and y_i -> k + i - 1
-(degree 2).  The one exception is `eliminate`, the whole-matrix loop over the
-oracle's own one-row reducer: the oracle's shortcuts are pinned to the
-elimination they stand for, and the reducer itself to dense elimination.
+(degree 2).  Two exceptions use the package's own types.  `eliminate` is
+the whole-matrix loop over the oracle's own one-row reducer: the oracle's
+shortcuts are pinned to the elimination they stand for, and the reducer
+itself to dense elimination.  `marker_table` is a StemsTable of distinct
+primes, so that `stem_exponents` can read back which stems an assembled
+group is made of.
 """
 
 from fractions import Fraction
 
 from fourfold.oracle import _reduce_row
+from fourfold.stable import FinAbGroup, StemsTable
+
+#: Stem i of the marker table is Z/MARKER_PRIMES[i - 1]: the first 20 primes.
+MARKER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 
 
 def series_mul(a, b):
@@ -130,3 +137,25 @@ def eliminate(rows, below=lambda col: None):
             fates.append("unreduced" if found[0] == lead else "reduced")
     integral = all(inv in (1, -1) for _, inv in pivots.values())
     return pivots, integral, fates
+
+
+def marker_table():
+    """Stems 0..20: stem 0 is Z and stem i is Z/p_i, p_i the i-th prime.
+
+    No two stems share a summand, so a direct sum of them records how many
+    copies of each stem it holds.
+    """
+    entries = {0: FinAbGroup(1, ())}
+    for i, p in enumerate(MARKER_PRIMES, start=1):
+        entries[i] = FinAbGroup(0, (p,))
+    return StemsTable(entries, len(MARKER_PRIMES), "marker table")
+
+
+def stem_exponents(group):
+    """{stem index: copies} of a group assembled from marker_table(): the
+    free rank counts stem 0 and each Z/p_i counts stem i."""
+    counts = {0: group.free_rank} if group.free_rank else {}
+    for p in group.torsion:
+        i = MARKER_PRIMES.index(p) + 1
+        counts[i] = counts.get(i, 0) + 1
+    return counts

@@ -303,6 +303,18 @@ def test_stable_deeply_nested_json_stems_file_is_usage_error(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_stable_json_entries_object_is_usage_error(capsys, tmp_path):
+    # the flat object is the only JSON form; the note is the file's path
+    f = tmp_path / "entries.json"
+    f.write_text(json.dumps({"entries": {"0": "Z"}, "source_note": "mine"}))
+    code, out, err = run(
+        capsys, "stable", "--betti", "2", "--n", "5", "--stems-file", str(f)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: entry 'entries': index must be a nonnegative integer\n"
+
+
 def test_stable_order_too_large_to_factor_is_a_limit(capsys, tmp_path):
     f = tmp_path / "big.txt"
     f.write_text("0: Z\n1: Z/99999999999999999999999999989\n")
@@ -595,3 +607,24 @@ def test_missing_required_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["ranks"])
     assert exc.value.code == 2
+
+
+def test_flags_belong_to_the_one_command_that_reads_them(capsys):
+    # --stems-file is read by stable only, --budget by verify only
+    required = {
+        "ranks": ["--betti", "3"],
+        "series": ["--kind", "tensor", "--betti", "3"],
+        "stable": ["--betti", "2", "--n", "5"],
+        "growth": ["--betti", "3"],
+        "verify": ["--betti", "3"],
+    }
+    for flag, value, owner in (
+        ("--stems-file", "/nonexistent", "stable"),
+        ("--budget", "-5", "verify"),
+    ):
+        for command in sorted(set(required) - {owner}):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *required[command], flag, value])
+            assert exc.value.code == 2, (command, flag)
+            err = capsys.readouterr().err
+            assert err.endswith(f"\nfourfold: error: unrecognized arguments: {flag} {value}\n")

@@ -163,11 +163,12 @@ def test_constructors_reject_bad_generators(constructor):
         constructor([0, 2], 3)  # a bare sequence is not a generator set
 
 
-def test_graded_dims_wrapper_round_trip():
-    d = GradedDims.from_mapping({1: 2, 3: 4}, 4)
-    assert d.degree_dim(1) == 2
-    assert d.degree_dim(2) == 0
-    assert free_comm_series(d, 3).coefficient(1) == 2
+def test_graded_dims_is_zero_past_its_end_and_no_generator_set():
+    d = GradedDims((0, 2, 0, 4))
+    assert [d[i] for i in range(-1, 6)] == [0, 0, 2, 0, 4, 0, 0]
+    with pytest.raises(TypeError) as exc:
+        free_comm_series(d, 3)
+    assert str(exc.value) == "generators must be a mapping, not GradedDims"
 
 
 def test_tensor_series_fibonacci_at_unit_dims():

@@ -10,10 +10,8 @@ from fourfold import (
     DomainError,
     FinAbGroup,
     InsufficientStemsData,
-    MarkerSum,
     ParseError,
     ResourceLimit,
-    StemsTable,
     ValidationError,
     bundled_stems_table,
     homotopy_ranks,
@@ -22,6 +20,7 @@ from fourfold import (
     stable_homotopy_finite_pi1,
     stable_homotopy_simply_connected,
 )
+from refimpl import marker_table, stem_exponents
 
 
 def test_group_canonical_order_is_primary_decomposition():
@@ -88,19 +87,6 @@ def test_group_json_shape():
         "free_rank": 1,
         "torsion": [8, 3],
     }
-
-
-def test_marker_sum_merges_and_renders():
-    a = MarkerSum((("G1", 2),))
-    b = MarkerSum((("G0", 1), ("G1", 1)))
-    s = a.direct_sum(b)
-    assert str(s) == "G0 + G1^3"
-    assert str(s.power(2)) == "G0^2 + G1^6"
-
-
-def test_mixing_symbolic_and_concrete_is_rejected():
-    with pytest.raises(DomainError):
-        FinAbGroup.from_orders(0, [2]).direct_sum(MarkerSum((("G0", 1),)))
 
 
 # stems tables
@@ -170,13 +156,6 @@ def test_index_zero_must_be_infinite_cyclic():
         load_stems_table("0: Z/2\n1: Z/2\n")
 
 
-def test_symbolic_table_substitution():
-    t = StemsTable.symbolic_table(12)
-    assert str(t.lookup(4)) == "G4"
-    out = stable_homotopy_simply_connected(3, 6, t)
-    assert str(out) == "G1 + G3^2 + G4^3"
-
-
 # assembly
 
 
@@ -221,7 +200,7 @@ def test_assembly_raises_when_stems_run_out():
 
 def test_finite_fundamental_group_adds_one_block():
     stems = bundled_stems_table()
-    for table in (stems, StemsTable.symbolic_table(19)):
+    for table in (stems, marker_table()):
         for k in range(1, 13):
             for n in range(22):
                 assert stable_homotopy_simply_connected(k, n, table) == (
@@ -235,10 +214,21 @@ def test_finite_fundamental_group_adds_one_block():
     assert with_pi1 == plain.direct_sum(extra)
 
 
-def test_finite_pi1_symbolic_bookkeeping():
-    t = StemsTable.symbolic_table(10)
-    out = stable_homotopy_finite_pi1(2, 6, 3, t)
-    assert str(out) == "G1 + G3 + G4^2 + G5^2"
+def test_assembly_takes_each_stem_its_number_of_times():
+    # stem i of the marker table is Z/p_i, so the group names its stems
+    table = marker_table()
+    for k in range(1, 13):
+        for n in range(22):
+            for m in range(1, 7):
+                expected = {}
+                for index, copies in ((n - 2, k), (n - 3, k - 1), (n - 5, 1), (n - 1, m - 1)):
+                    if index >= 0 and copies:
+                        expected[index] = expected.get(index, 0) + copies
+                group = stable_homotopy_finite_pi1(k, n, m, table)
+                assert stem_exponents(group) == expected, (k, n, m)
+    # by hand: pi_6 at k = 2, m = 3 takes stems 4 and 5 twice, 3 and 1 once
+    group = stable_homotopy_finite_pi1(2, 6, 3, table)
+    assert stem_exponents(group) == {1: 1, 3: 1, 4: 2, 5: 2}
 
 
 def test_integral_low_degrees():

@@ -20,7 +20,7 @@ from fourfold.errors import DomainError, InternalInconsistency, ValidationError
 from fourfold.oracle import OracleReport
 from fourfold.ranks import GrowthReport, PbwCheck, RankTable
 from fourfold.series import GradedDims, TruncatedSeries
-from fourfold.stable import FinAbGroup, MarkerSum, StemsTable
+from fourfold.stable import FinAbGroup, StemsTable
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -102,8 +102,8 @@ def test_import_fourfold_loads_no_submodule():
 
 #: The public API; a name added or removed here is a deliberate API change.
 PUBLIC_API = [
-    "DomainError", "FourfoldError", "FinAbGroup", "GradedDims", "GrowthReport",
-    "InsufficientStemsData", "InternalInconsistency", "MarkerSum", "OracleReport",
+    "DomainError", "FinAbGroup", "FourfoldError", "GradedDims", "GrowthReport",
+    "InsufficientStemsData", "InternalInconsistency", "OracleReport",
     "PBW_FAIL", "PBW_NOT_APPLICABLE", "PBW_PASS", "ParseError", "PbwCheck",
     "RankTable", "ResourceLimit", "StemsTable", "TruncatedSeries",
     "UngradedGenerator", "ValidationError", "bundled_stems_table",
@@ -178,7 +178,6 @@ RECORDS = [
     (TruncatedSeries, dict(coeffs=(1, 2, -3), truncation_order=2)),
     (GradedDims, dict(dims=(1, 0, 2))),
     (FinAbGroup, dict(free_rank=1, torsion=(8, 3))),
-    (MarkerSum, dict(terms=(("G0", 1), ("G1", 2)))),
     (StemsTable, dict(entries=STEMS, max_index=1, source_note="two stems")),
     (CommandResult, dict(status="ok", payload={"a": 1}, rendered="r", csv="c")),
 ]
@@ -225,8 +224,7 @@ def test_record_equality_is_by_class_and_fields(cls, fields):
 @pytest.mark.parametrize(
     "record",
     [RankTable(3, 2, (3, 5)), PbwCheck("pass"),
-     TruncatedSeries((1, 2), 1), GradedDims((1, 2)), FinAbGroup(1, (8, 3)),
-     MarkerSum((("G0", 1),))],
+     TruncatedSeries((1, 2), 1), GradedDims((1, 2)), FinAbGroup(1, (8, 3))],
     ids=lambda r: type(r).__name__,
 )
 def test_hashable_records_hash_by_value(record):
@@ -245,7 +243,6 @@ def test_records_holding_a_dict_are_unhashable():
 
 def test_record_defaults():
     assert FinAbGroup() == FinAbGroup(0, ()) == FinAbGroup.trivial()
-    assert MarkerSum() == MarkerSum(())
     assert PbwCheck("pass").first_failure is None
     assert StemsTable(STEMS, 1).source_note == ""
     growth = [GrowthReport(2, "elliptic", 5, None, None, False, 60) for _ in range(2)]
@@ -262,7 +259,6 @@ def test_record_defaults():
         (lambda: GradedDims((-1,)), DomainError, "negative dimension in (-1,)"),
         (lambda: FinAbGroup(0, (6,)), DomainError, "torsion order 6 is not a prime power"),
         (lambda: FinAbGroup(-1), DomainError, "negative free rank -1"),
-        (lambda: MarkerSum((("G", -1),)), DomainError, "negative multiplicity for G"),
         (lambda: TruncatedSeries((1, 0.5), 1), DomainError, "coefficient 0.5 is not an int"),
         (lambda: TruncatedSeries((1, Fraction(1, 2)), 1), DomainError,
          "coefficient Fraction(1, 2) is not an int"),
@@ -284,5 +280,4 @@ def test_records_normalise_their_fields():
     assert TruncatedSeries([1, 2], 1).coeffs == (1, 2)
     assert GradedDims([1, 2]).dims == (1, 2)
     assert FinAbGroup(0, (3, 8, 2)).torsion == (2, 8, 3)
-    assert MarkerSum((("G1", 1), ("G0", 1), ("G1", 1))).terms == (("G0", 1), ("G1", 2))
     assert not PbwCheck("fail") and PbwCheck("pass")
