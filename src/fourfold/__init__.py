@@ -28,8 +28,6 @@ _EXPORTS = {
     ),
     "oracle": (
         "OracleReport",
-        "euler_identity_check",
-        "ideal_degree_dim",
         "koszul_leading_monomial_check",
         "quotient_dims_oracle",
     ),
@@ -46,7 +44,6 @@ _EXPORTS = {
         "homotopy_ranks",
         "pbw_identity_check",
         "rank_polynomial_checks",
-        "rank_polynomial_eval",
     ),
     "series": (
         "GradedDims",

@@ -142,7 +142,7 @@ def _parse_dims(spec: str) -> dict:
     out = {}
     for part in spec.split(","):
         deg, sep, mult = part.partition(":")
-        if not sep or not deg.strip().isdigit() or not mult.strip().isdigit():
+        if not sep or not deg.strip().isdecimal() or not mult.strip().isdecimal():
             raise DomainError(f"bad --dims entry {part!r}; expected degree:multiplicity")
         out[int(deg)] = out.get(int(deg), 0) + int(mult)
     return out

@@ -255,23 +255,6 @@ def _ideal_ranks(k: int, N: int) -> list:
     return out[2:]
 
 
-def ideal_degree_dim(k: int, n: int, budget: Optional[int] = None) -> int:
-    """Dimension of the degree-n slice of the two-sided ideal (r).
-
-    >>> ideal_degree_dim(2, 3)
-    1
-    >>> ideal_degree_dim(2, 4)
-    4
-    """
-    if k < 1:
-        raise DomainError(f"alphabet parameter must be >= 1, got {k}")
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
-    if n >= 3:  # below the relation's degree there is no matrix to build
-        _columns(k, n, DEFAULT_COLUMN_BUDGET if budget is None else budget)
-    return _ideal_ranks(k, n)[n][0]
-
-
 class OracleReport(Record):
     """Per-degree comparison of oracle dimensions against the closed form."""
 
@@ -333,6 +316,11 @@ def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> Oracle
 
     series_match[n] compares against the closed-form quotient series;
     euler_ok[n] checks the cubic Euler identity using oracle dims only.
+    Every degree's width is checked against the column budget (default
+    DEFAULT_COLUMN_BUDGET) before any elimination.
+
+    >>> quotient_dims_oracle(2, 5).ideal_dims.dims
+    (0, 0, 0, 1, 4, 16)
     """
     if k < 1:
         raise DomainError(f"alphabet parameter must be >= 1, got {k}")
@@ -340,7 +328,6 @@ def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> Oracle
         raise DomainError(f"max degree must be >= 0, got {N}")
     budget = DEFAULT_COLUMN_BUDGET if budget is None else budget
 
-    # every degree's width first, so an over-budget run does no elimination
     tensor = [_columns(k, n, budget) for n in range(N + 1)]
     ranks = _ideal_ranks(k, N)
     ideal = [rank for rank, _ in ranks]
@@ -357,11 +344,6 @@ def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> Oracle
         euler_ok=_euler_flags(k, quotient),
         field_used="integer" if all(ok for _, ok in ranks) else "rational",
     )
-
-
-def euler_identity_check(report: OracleReport) -> tuple:
-    """Re-derive the per-degree Euler identity flags from a report's dims."""
-    return _euler_flags(report.betti_param, report.quotient_dims.dims)
 
 
 def koszul_leading_monomial_check(k: int) -> tuple:

@@ -36,6 +36,20 @@ growth_report, cumulative_bound_check and pbw_identity_check share the
 store; _necklace itself, which the polynomial checks call at b2 = 0..2,
 keeps nothing.
 
+Growth lemma.  For k >= 3, m_n >= L_n / (2n) > beta^n / (2n) for every n,
+as L_n = beta^n + beta^-n.  In n m_n = sum_{d|n} +-mu(d) L_{n/d} the terms
+with d > 1 have distinct indices n/d <= n/2, so n m_n >= L_n - S_{n//2} with
+S_j = L_1 + ... + L_j, and it suffices that L_n >= 2 S_{n//2}:
+- n = 1: S_0 = 0.
+- n = 2, 3: S_1 = L_1 = k, and L_n >= L_2 = k^2 - 2 >= 2k.
+- n >= 4: L_j / L_{j-1} >= 7/3 for j >= 2, by induction from
+  L_2 / L_1 = k - 2/k >= 7/3 through L_{j+1} / L_j = k - L_{j-1} / L_j >=
+  k - 3/7 >= 7/3.  So S_m <= (7/4) L_m, and with m = n//2 and n - m >= 2,
+  L_n >= (49/9) L_m >= 2 S_m.
+The hypotheses are three integer inequalities, L_2 >= 2 L_1, 3 L_2 >= 7 L_1
+and 21 k >= 58, which hold exactly when k >= 3; growth_report decides
+exponential_growth by them, for every degree and not only in its window.
+
 Public parameter convention: every function here takes b2 itself.  The
 closed-form polynomials for low degrees are internally evaluated at b2 - 1;
 that reindexing lives in one place (_closed_form) with its own tests, because
@@ -46,11 +60,14 @@ from __future__ import annotations
 
 import sys
 import threading
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ._record import Record
 from .errors import DomainError, InternalInconsistency
 from .series import _power_sums
+
+if TYPE_CHECKING:  # decimal is imported only where growth is computed
+    from decimal import Decimal
 
 #: Working precision (decimal digits) for the growth base beta.  The residual
 #: check probes n = 60 against a 1e-6 tolerance; 50+ digits leaves headroom.
@@ -72,8 +89,12 @@ def _lucas(k: int, N: int) -> list:
 class RankTable(Record):
     """Ranks m_1..m_N where m_n = rank of pi_{n+1} tensor Q at b2 = betti."""
 
-    def __init__(self, betti: int, max_degree: int, ranks: tuple):
-        self.__dict__.update(betti=betti, max_degree=max_degree, ranks=ranks)
+    def __init__(self, betti: int, ranks: tuple):
+        self.__dict__.update(betti=betti, ranks=ranks)
+
+    @property
+    def max_degree(self) -> int:
+        return len(self.ranks)
 
     def rank(self, n: int) -> int:
         """m_n for 1 <= n <= max_degree."""
@@ -164,7 +185,7 @@ def homotopy_ranks(betti: int, N: int) -> RankTable:
     k = betti
     if k == 1:
         ranks = tuple(_ELLIPTIC_B2_1[n - 1] if n <= 4 else 0 for n in range(1, N + 1))
-        return RankTable(betti=1, max_degree=N, ranks=ranks)
+        return RankTable(betti=1, ranks=ranks)
 
     ranks = _store.get(k, N)
     if ranks is None:
@@ -181,7 +202,7 @@ def homotopy_ranks(betti: int, N: int) -> RankTable:
                 f"m_2({k}) = {ranks[1]}, expected {_closed_form(2, k - 1)}"
             )
         _store.put(k, ranks)
-    return RankTable(betti=betti, max_degree=N, ranks=ranks)
+    return RankTable(betti=betti, ranks=ranks)
 
 
 def _necklace(k: int, N: int) -> list:
@@ -233,22 +254,6 @@ def _closed_form(j: int, c: int) -> int:
     return num // den
 
 
-def rank_polynomial_eval(degree: int, betti: int) -> int:
-    """Closed-form rank m_degree for b2 = betti, degrees 2..6 only.
-
-    Equals homotopy_ranks(betti, N).rank(degree) at every b2, as the
-    closed-forms check of rank_polynomial_checks proves.
-
-    >>> rank_polynomial_eval(6, 3)
-    55
-    """
-    if not 2 <= degree <= 6:
-        raise DomainError(f"degree {degree} outside the closed-form range 2..6")
-    if betti < 3:
-        raise DomainError(f"closed forms need b2 >= 3, got {betti}")
-    return _closed_form(degree, betti - 1)
-
-
 PBW_PASS = "pass"
 PBW_FAIL = "fail"
 PBW_NOT_APPLICABLE = "not-applicable"
@@ -260,9 +265,6 @@ class PbwCheck(Record):
     def __init__(self, status: str, first_failure: Optional[int] = None):
         # status: pass | fail | not-applicable
         self.__dict__.update(status=status, first_failure=first_failure)
-
-    def __bool__(self):
-        return self.status != PBW_FAIL
 
 
 def _newton_sums(poly: list, N: int) -> list:
@@ -317,9 +319,10 @@ class GrowthReport(Record):
 
     growth_base and limit_residual are Decimals carrying `precision` digits;
     they are absent (None) in the elliptic case b2 <= 2.  exponential_growth
-    is decided exactly: it holds when b2 >= 3 and every cumulative lower
-    bound sum_{i<=2n} m_i >= (b2 - 1)^(2n) / (2n) in the probe window holds.
-    cumulative_bound_ok defaults to a new empty dict.
+    is decided by the growth lemma (module docstring), so it holds in every
+    degree when b2 >= 3.  cumulative_bound_ok is the paper's stated bound
+    sum_{i<=2n} m_i >= (b2 - 1)^(2n) / (2n) for each n of the probe window;
+    it defaults to a new empty dict.
     """
 
     def __init__(
@@ -364,16 +367,22 @@ class GrowthReport(Record):
         return doc
 
 
-def growth_base(betti: int, precision: int = GROWTH_PRECISION) -> Decimal:
-    """beta = (k + sqrt(k^2 - 4))/2 at the given decimal precision, k >= 3."""
+def growth_base(betti: int) -> Decimal:
+    """beta = (k + sqrt(k^2 - 4))/2 to GROWTH_PRECISION digits, k >= 3."""
     from decimal import Decimal, localcontext
 
     if betti < 3:
         raise DomainError(f"growth base exists only for b2 >= 3, got {betti}")
     with localcontext() as ctx:
-        ctx.prec = precision
+        ctx.prec = GROWTH_PRECISION
         k = Decimal(betti)
         return +((k + (k * k - 4).sqrt()) / 2)
+
+
+def _growth_lemma_holds(k: int) -> bool:
+    """The growth lemma's hypotheses at b2 = k (module docstring), in integers."""
+    L_1, L_2 = _lucas(k, 2)[1:]
+    return L_2 >= 2 * L_1 and 3 * L_2 >= 7 * L_1 and 21 * k >= 58
 
 
 def growth_report(betti: int, N: int = 60) -> GrowthReport:
@@ -413,7 +422,7 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
         probe_degree=N,
         growth_base=beta,
         limit_residual=residual,
-        exponential_growth=all(bounds.values()),
+        exponential_growth=_growth_lemma_holds(betti),
         precision=GROWTH_PRECISION,
         cumulative_bound_ok=bounds,
     )

@@ -10,16 +10,19 @@ tests/refimpl.py, as the reference they compare these recurrences against.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._record import Record
 from .errors import DomainError, InternalInconsistency, UngradedGenerator
+
+if TYPE_CHECKING:  # ranks imports this module, so pbw_series imports it late
+    from .ranks import RankTable
 
 
 class TruncatedSeries(Record):
     """A power series known exactly up to (and including) t^truncation_order.
 
-    >>> s = TruncatedSeries.from_coefficients([1, 2, 3], 2)
+    >>> s = TruncatedSeries((1, 2, 3), 2)
     >>> s.coefficient(1)
     2
     >>> str(s)
@@ -38,12 +41,6 @@ class TruncatedSeries(Record):
             if not isinstance(c, int):
                 raise DomainError(f"coefficient {c!r} is not an int")
         self.__dict__.update(coeffs=coeffs, truncation_order=truncation_order)
-
-    @classmethod
-    def from_coefficients(cls, coeffs: Iterable[int], order: int) -> "TruncatedSeries":
-        """Series from the low-degree coefficients; missing ones are zero."""
-        cs = list(coeffs)
-        return cls(cs + [0] * (order + 1 - len(cs)), order)
 
     def coefficient(self, i: int) -> int:
         if not 0 <= i <= self.truncation_order:
@@ -169,7 +166,7 @@ def free_comm_series(dims: Mapping[int, int], N: int) -> TruncatedSeries:
         a[n], rem = divmod(sum(c[j] * a[n - j] for j in range(1, n + 1)), n)
         if rem:
             raise InternalInconsistency(f"product series coefficient {n} is not integral")
-    return TruncatedSeries.from_coefficients(a, N)
+    return TruncatedSeries(a, N)
 
 
 def tensor_series(dims: Mapping[int, int], N: int) -> TruncatedSeries:
@@ -185,7 +182,7 @@ def tensor_series(dims: Mapping[int, int], N: int) -> TruncatedSeries:
     for deg, mult in _dims_by_degree(dims).items():
         if deg <= N:
             den[deg] = -mult
-    return TruncatedSeries.from_coefficients(_poly_reciprocal(den, N), N)
+    return TruncatedSeries(_poly_reciprocal(den, N), N)
 
 
 def quotient_series(k: int, N: int) -> TruncatedSeries:
@@ -209,21 +206,23 @@ def quotient_series(k: int, N: int) -> TruncatedSeries:
             "k must be >= 1: the quotient model needs at least one summand, "
             "and at k = 0 the series 1/(1 + t^3) has negative coefficients"
         )
-    return TruncatedSeries.from_coefficients(_poly_reciprocal([1, -k, -k, 1], N), N)
+    return TruncatedSeries(_poly_reciprocal([1, -k, -k, 1], N), N)
 
 
-def pbw_series(ranks, N: int) -> TruncatedSeries:
+def pbw_series(table: RankTable, N: int) -> TruncatedSeries:
     """Product series of a graded Lie algebra's universal envelope.
 
-    Takes rank multiplicities by degree (a RankTable or a {degree: rank}
-    mapping; degrees not listed count as 0) and forms the free
-    graded-commutative series on them: odd degrees give exterior factors,
-    even degrees polynomial factors.
+    Takes the ranks m_n of a RankTable as the multiplicities of degree n
+    and forms the free graded-commutative series on them: odd degrees give
+    exterior factors, even degrees polynomial factors.  (On a {degree: rank}
+    mapping that is free_comm_series.)
 
-    >>> pbw_series({1: 1, 4: 1}, 5).as_int_list()
+    >>> from fourfold.ranks import homotopy_ranks
+    >>> pbw_series(homotopy_ranks(1, 5), 5).as_int_list()
     [1, 1, 0, 0, 1, 1]
     """
-    if not isinstance(ranks, Mapping):
-        # RankTable-like: .ranks is m_1..m_N with m_n at index n-1
-        ranks = {i + 1: m for i, m in enumerate(ranks.ranks)}
-    return free_comm_series(ranks, N)
+    from .ranks import RankTable
+
+    if not isinstance(table, RankTable):
+        raise TypeError(f"pbw_series takes a RankTable, not {type(table).__name__}")
+    return free_comm_series(dict(enumerate(table.ranks, start=1)), N)

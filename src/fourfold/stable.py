@@ -202,7 +202,7 @@ def _parse_group_expr(expr: str, where: str) -> FinAbGroup:
             free += 1
         elif term.startswith("Z/"):
             body = term[2:].strip()
-            if not body.isdigit() or int(body) < 1:
+            if not body.isdecimal() or int(body) < 1:
                 raise ParseError(f"{where}: bad cyclic order in {term!r}")
             orders.append(int(body))
         else:
@@ -227,7 +227,7 @@ def load_stems_table(source: str, source_note: str = "") -> StemsTable:
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"bad JSON stems document: {exc}") from exc
         for key, val in doc.items():
-            if not str(key).isdigit():
+            if not str(key).isdecimal():
                 raise ParseError(f"entry {key!r}: index must be a nonnegative integer")
             n = int(key)
             if n in raw:
@@ -302,10 +302,9 @@ def integral_low_homotopy(betti: int) -> Tuple[FinAbGroup, FinAbGroup]:
     >>> tuple(str(g) for g in integral_low_homotopy(3))
     ('Z^5', '(Z/2)^4 + Z^5')
     """
-    from .ranks import rank_polynomial_eval  # not loaded with the stems table
+    from .ranks import homotopy_ranks  # not loaded with the stems table
 
     if betti < 3:
         raise DomainError(f"integral low homotopy needs b2 >= 3, got {betti}")
-    pi3 = FinAbGroup(rank_polynomial_eval(2, betti), ())
-    pi4 = FinAbGroup(rank_polynomial_eval(3, betti), (2,) * (2 * (betti - 1)))
-    return pi3, pi4
+    _, m_2, m_3 = homotopy_ranks(betti, 3).ranks
+    return FinAbGroup(m_2, ()), FinAbGroup(m_3, (2,) * (2 * (betti - 1)))

@@ -13,16 +13,15 @@ from fourfold import (
     PBW_PASS,
     bundled_stems_table,
     cumulative_bound_check,
-    euler_identity_check,
     growth_report,
     homotopy_ranks,
     koszul_leading_monomial_check,
     pbw_identity_check,
     quotient_dims_oracle,
     quotient_series,
-    rank_polynomial_eval,
     stable_homotopy_simply_connected,
 )
+from fourfold.ranks import _closed_form
 from refimpl import marker_table, stem_exponents
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -37,7 +36,7 @@ def test_criterion_01_low_degree_rank_rows():
     t0 = time.perf_counter()
     row3 = homotopy_ranks(3, 6).ranks
     row4 = homotopy_ranks(4, 6).ranks
-    closed4 = tuple([4] + [rank_polynomial_eval(j, 4) for j in range(2, 7)])
+    closed4 = tuple([4] + [_closed_form(j, 4 - 1) for j in range(2, 7)])
     elapsed = time.perf_counter() - t0
     ok = (
         row3 == (3, 5, 5, 10, 24, 55)
@@ -72,8 +71,7 @@ def test_criterion_03_euler_identity_on_oracle_dims():
     ok = True
     for k, N in ((1, 8), (2, 8), (3, 7)):
         rep = quotient_dims_oracle(k, N)
-        flags = euler_identity_check(rep)
-        ok = ok and all(flags) and len(flags) == N + 1
+        ok = ok and all(rep.euler_ok) and len(rep.euler_ok) == N + 1
     _report(3, ok, "cubic Euler identity holds on oracle dims, k=1..3")
 
 

@@ -135,6 +135,15 @@ def test_series_bad_dims_is_usage_error(capsys):
     assert "dims" in err
 
 
+def test_series_superscript_digit_in_dims_is_usage_error(capsys):
+    # str.isdigit accepts the superscript two, which int() rejects
+    code, out, err = run(
+        capsys, "series", "--kind", "free-comm", "--betti", "1", "--dims", "²:1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: bad --dims entry '²:1'; expected degree:multiplicity\n"
+
+
 def test_series_degree_zero_generator_is_usage_error(capsys):
     code, _, err = run(
         capsys, "series", "--kind", "free-comm", "--betti", "1", "--dims", "0:1"
@@ -313,6 +322,27 @@ def test_stable_json_entries_object_is_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: entry 'entries': index must be a nonnegative integer\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("line.txt", "0: Z\n1: Z/²\n", "line 2: bad cyclic order in 'Z/²'"),
+        ("key.json", '{"0": "Z", "²": "Z/2"}',
+         "entry '²': index must be a nonnegative integer"),
+    ],
+    ids=["line-order", "json-key"],
+)
+def test_stable_superscript_digit_in_stems_file_is_usage_error(
+    capsys, tmp_path, name, text, message
+):
+    f = tmp_path / name
+    f.write_text(text, encoding="utf-8")
+    code, out, err = run(
+        capsys, "stable", "--betti", "2", "--n", "5", "--stems-file", str(f)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_stable_order_too_large_to_factor_is_a_limit(capsys, tmp_path):

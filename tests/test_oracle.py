@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from fourfold import (
     DomainError,
     ResourceLimit,
-    euler_identity_check,
-    ideal_degree_dim,
     koszul_leading_monomial_check,
     quotient_dims_oracle,
     quotient_series,
@@ -328,17 +326,14 @@ def test_oracle_stays_integral_within_the_default_budget():
 
 def test_ideal_dims_low_degrees():
     # degree < 3 cannot meet a degree-3 relation
-    assert ideal_degree_dim(2, 0) == 0
-    assert ideal_degree_dim(2, 2) == 0
-    assert ideal_degree_dim(2, 3) == 1
-    assert ideal_degree_dim(2, 4) == 4
-    assert ideal_degree_dim(2, 5) == 16
-    assert ideal_degree_dim(3, 8) == 3339
+    assert quotient_dims_oracle(2, 0).ideal_dims.dims == (0,)
+    assert quotient_dims_oracle(2, 5).ideal_dims.dims == (0, 0, 0, 1, 4, 16)
+    assert quotient_dims_oracle(3, 8).ideal_dims[8] == 3339
 
 
 def test_single_relation_spans_one_dimension():
     for k in (1, 2, 3, 4):
-        assert ideal_degree_dim(k, 3) == 1
+        assert quotient_dims_oracle(k, 3).ideal_dims[3] == 1
 
 
 def test_oracle_report_matches_closed_form():
@@ -357,9 +352,12 @@ def test_oracle_degenerate_parameter_one():
 def test_euler_identity_on_oracle_dims():
     for k, N in ((1, 8), (2, 8), (3, 7)):
         rep = quotient_dims_oracle(k, N)
-        flags = euler_identity_check(rep)
-        assert all(flags), (k, flags)
-        assert flags == rep.euler_ok
+        assert rep.euler_ok == (True,) * (N + 1), (k, rep.euler_ok)
+        q = rep.quotient_dims
+        for n in range(N + 1):
+            # dim A_n - k dim A_{n-1} - k dim A_{n-2} + dim A_{n-3} = [n == 0]
+            euler = q[n] - k * q[n - 1] - k * q[n - 2] + q[n - 3]
+            assert euler == (n == 0), (k, n)
 
 
 def test_report_internal_consistency_fields():
@@ -373,7 +371,7 @@ def test_report_internal_consistency_fields():
 
 def test_resource_limit_names_the_budget():
     with pytest.raises(ResourceLimit) as exc:
-        ideal_degree_dim(4, 7, budget=1000)
+        quotient_dims_oracle(4, 7, budget=1000)
     assert "budget" in str(exc.value)
 
 
@@ -399,7 +397,7 @@ def test_budget_is_checked_before_any_elimination(monkeypatch):
 
 def test_deep_degree_is_a_resource_limit_not_a_recursion_error():
     with pytest.raises(ResourceLimit):
-        ideal_degree_dim(2, 3000)
+        quotient_dims_oracle(2, 3000)
     assert _word_count(2, 3000) == 2 * (_word_count(2, 2999) + _word_count(2, 2998))
 
 
@@ -415,7 +413,7 @@ def test_ideal_dim_agrees_with_series_difference(k, n):
     expected = tensor_series({1: k, 2: k}, n).coefficient(n) - quotient_series(
         k, n
     ).coefficient(n)
-    assert ideal_degree_dim(k, n) == expected
+    assert quotient_dims_oracle(k, n).ideal_dims[n] == expected
 
 
 def test_koszul_leading_monomial_for_small_alphabets():

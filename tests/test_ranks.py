@@ -21,9 +21,8 @@ from fourfold import (
     homotopy_ranks,
     pbw_identity_check,
     rank_polynomial_checks,
-    rank_polynomial_eval,
 )
-from fourfold.ranks import RankTable, _closed_form, _lucas, _necklace
+from fourfold.ranks import RankTable, _closed_form, _growth_lemma_holds, _lucas, _necklace
 from refimpl import moebius, pbw_product, series_log, series_reciprocal
 
 
@@ -164,6 +163,14 @@ def test_homotopy_ranks_hyperbolic_table():
     assert t.rank(6) == 55  # rank of pi_7
 
 
+def test_rank_past_the_end_is_a_domain_error():
+    table = RankTable(3, (1, 2))
+    assert table.max_degree == 2 and table.rank(2) == 2
+    for n in (0, 3, 4):
+        with pytest.raises(DomainError, match=f"degree {n} outside 1..2"):
+            table.rank(n)
+
+
 def test_homotopy_ranks_boundary_case():
     assert homotopy_ranks(2, 8).ranks == (2, 2, 0, 0, 0, 0, 0, 0)
 
@@ -199,18 +206,17 @@ def test_closed_forms_match_moebius_inversion():
     for betti in range(3, 9):
         table = homotopy_ranks(betti, 6)
         for j in range(2, 7):
-            assert rank_polynomial_eval(j, betti) == table.rank(j), (betti, j)
+            assert _closed_form(j, betti - 1) == table.rank(j), (betti, j)
 
 
 def test_closed_form_values_at_betti_4():
-    assert [rank_polynomial_eval(j, 4) for j in range(2, 7)] == [9, 16, 45, 144, 456]
+    assert [_closed_form(j, 4 - 1) for j in range(2, 7)] == [9, 16, 45, 144, 456]
 
 
 def test_closed_form_domain():
-    with pytest.raises(DomainError):
-        rank_polynomial_eval(7, 4)
-    with pytest.raises(DomainError):
-        rank_polynomial_eval(3, 2)
+    for j in (1, 7):
+        with pytest.raises(DomainError, match="supported range is 2..6"):
+            _closed_form(j, 3)
 
 
 def test_pbw_identities_pass_for_hyperbolic_range():
@@ -239,7 +245,7 @@ def test_pbw_check_matches_product_series_on_mutated_tables(monkeypatch, empty_r
         k, N = rng.randint(2, 9), rng.randint(1, 40)
         ranks = list(homotopy_ranks(k, N).ranks)
         ranks[rng.randrange(N)] += rng.choice((-2, -1, 1, 2))
-        table = RankTable(k, N, tuple(ranks))
+        table = RankTable(k, tuple(ranks))
         monkeypatch.setattr("fourfold.ranks.homotopy_ranks", lambda betti, n: table)
         chk = pbw_identity_check(k, N)
         assert (chk.status, chk.first_failure) == _pbw_reference(k, ranks, N), (k, ranks)
@@ -255,7 +261,7 @@ def test_pbw_check_matches_product_series_on_true_tables():
 def test_pbw_not_applicable_at_betti_one():
     chk = pbw_identity_check(1, 8)
     assert chk.status == PBW_NOT_APPLICABLE
-    assert bool(chk)  # not-applicable is not a failure
+    assert chk.first_failure is None
 
 
 def test_growth_base_satisfies_quadratic():
@@ -266,7 +272,7 @@ def test_growth_base_satisfies_quadratic():
 
 
 def test_growth_base_50_digits():
-    b = growth_base(3, precision=50)
+    b = growth_base(3)
     assert str(b).startswith("2.618033988749894848204586834365638117720309179805")
 
 
@@ -291,10 +297,14 @@ def test_growth_report_hyperbolic():
 
 
 def test_growth_flag_is_exact_at_tiny_probes():
-    # the cumulative bound decides the flag, so it needs no minimum window
+    # the growth lemma decides the flag, so it needs no minimum window
     for betti in range(3, 13):
         for probe in (1, 2, 3):
             assert growth_report(betti, probe).exponential_growth, (betti, probe)
+
+
+def test_growth_lemma_hypotheses_hold_exactly_from_three():
+    assert [k for k in range(-50, 200) if _growth_lemma_holds(k)] == list(range(3, 200))
 
 
 def test_growth_report_json_is_plain_data():
@@ -341,7 +351,7 @@ def test_cumulative_bound_matches_direct_reference(empty_rank_store, k, n_max, m
         step = target - total
         ranks += [step // 3, step - step // 3]
         total = target
-    edge = RankTable(betti=k, max_degree=2 * n_max, ranks=tuple(ranks))
+    edge = RankTable(betti=k, ranks=tuple(ranks))
     expected = {n: not misses >> (n - 1) & 1 for n in range(1, n_max + 1)}
     assert _cumulative_bound_reference(edge, k, n_max) == expected
     with pytest.MonkeyPatch.context() as mp:
@@ -360,6 +370,7 @@ def test_cumulative_bound_is_exact_rational():
 
 def test_rank_table_serialization():
     t = homotopy_ranks(3, 3)
+    assert repr(t) == "RankTable(betti=3, ranks=(3, 5, 5))"
     d = t.to_json_dict()
     assert d == {"betti": 3, "ranks": {"pi_2": 3, "pi_3": 5, "pi_4": 5}}
     assert t.to_csv().splitlines()[0] == "degree,rank"

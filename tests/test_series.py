@@ -16,6 +16,7 @@ from fourfold import (
     quotient_series,
     tensor_series,
 )
+from fourfold.ranks import RankTable
 from fourfold.series import _poly_reciprocal
 from refimpl import series_log, series_mul, series_reciprocal
 
@@ -27,13 +28,13 @@ coeff_lists = st.lists(
 
 
 def test_construction_keeps_exact_types():
-    s = TruncatedSeries.from_coefficients([1, 2, 3], 2)
+    s = TruncatedSeries([1, 2, 3], 2)
     assert all(type(c) is int for c in s.coeffs)
     assert s.coefficient(1) == 2
     with pytest.raises(DomainError):
         s.coefficient(5)  # beyond the truncation order is unknowable, not zero
     with pytest.raises(DomainError):
-        TruncatedSeries.from_coefficients([0.5], 0)
+        TruncatedSeries([0.5], 0)
     # the reference arithmetic divides in Fraction, never in float
     r = series_reciprocal([2, 1, 0, 0])
     assert all(type(c) is Fraction for c in r)
@@ -223,13 +224,23 @@ def test_quotient_equals_reciprocal_of_cubic():
 
 
 def test_pbw_series_accepts_rank_table_shape():
-    class Fake:
-        ranks = (2, 2)
-
-    s = pbw_series(Fake(), 4)
+    s = pbw_series(RankTable(2, (2, 2)), 4)
     # two odd generators in degree 1, two even in degree 2
     assert s == free_comm_series({1: 2, 2: 2}, 4)
     assert s.as_int_list() == [1, 2, 3, 4, 5]
+
+
+class _RanksOnly:
+    ranks = (2, 2)
+
+
+@pytest.mark.parametrize(
+    "table", [{1: 2, 2: 2}, GradedDims((0, 2, 2)), _RanksOnly()],
+    ids=lambda t: type(t).__name__,
+)
+def test_pbw_series_rejects_anything_but_a_rank_table(table):
+    with pytest.raises(TypeError, match="pbw_series takes a RankTable, not "):
+        pbw_series(table, 4)
 
 
 def test_str_rendering():

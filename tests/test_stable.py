@@ -151,6 +151,14 @@ def test_parse_rejects_garbage_group_expression():
         load_stems_table("0: Z\n1: Z/\n")
 
 
+def test_parse_rejects_superscript_digits():
+    # str.isdigit accepts the superscript two, which int() rejects
+    with pytest.raises(ParseError, match=r"^line 2: bad cyclic order in 'Z/²'$"):
+        load_stems_table("0: Z\n1: Z/²\n")
+    with pytest.raises(ParseError, match="^entry '²': index must be a nonnegative integer$"):
+        load_stems_table(json.dumps({"0": "Z", "²": "Z/2"}, ensure_ascii=False))
+
+
 def test_index_zero_must_be_infinite_cyclic():
     with pytest.raises(ValidationError):
         load_stems_table("0: Z/2\n1: Z/2\n")

@@ -1,6 +1,7 @@
 """Start-up: what each entry point imports, the lazy package exports, and the
 hand-written record classes that replace dataclasses."""
 
+import ast
 import copy
 import importlib
 import inspect
@@ -8,6 +9,7 @@ import os
 import pickle
 import subprocess
 import sys
+import typing
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -107,11 +109,11 @@ PUBLIC_API = [
     "PBW_FAIL", "PBW_NOT_APPLICABLE", "PBW_PASS", "ParseError", "PbwCheck",
     "RankTable", "ResourceLimit", "StemsTable", "TruncatedSeries",
     "UngradedGenerator", "ValidationError", "bundled_stems_table",
-    "cumulative_bound_check", "euler_identity_check",
+    "cumulative_bound_check",
     "free_comm_series", "growth_base", "growth_report", "homotopy_ranks",
-    "ideal_degree_dim", "integral_low_homotopy", "koszul_leading_monomial_check",
+    "integral_low_homotopy", "koszul_leading_monomial_check",
     "load_stems_table", "pbw_identity_check", "pbw_series", "quotient_dims_oracle",
-    "quotient_series", "rank_polynomial_checks", "rank_polynomial_eval",
+    "quotient_series", "rank_polynomial_checks",
     "stable_homotopy_finite_pi1",
     "stable_homotopy_simply_connected", "tensor_series",
 ]
@@ -147,6 +149,27 @@ def test_unknown_name_is_an_attribute_error():
     assert not hasattr(fourfold, "cli_main")
 
 
+def typing_namespace(module) -> dict:
+    """The module's globals plus the imports it makes under TYPE_CHECKING,
+    the names a type checker resolves its annotations in."""
+    namespace = dict(vars(module))
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            exec(compile(ast.Module(node.body, []), module.__file__, "exec"), namespace)
+    return namespace
+
+
+@pytest.mark.parametrize("name", fourfold.__all__)
+def test_annotations_of_every_export_resolve(name):
+    # no lint step runs, so this is where an annotation naming nothing fails
+    obj = getattr(fourfold, name)
+    if isinstance(obj, type):
+        obj = obj.__init__
+    if callable(obj) and getattr(obj, "__module__", "").startswith("fourfold"):
+        module = importlib.import_module(obj.__module__)
+        typing.get_type_hints(obj, typing_namespace(module))
+
+
 def test_submodules_are_attributes_of_the_package():
     for module in ("errors", "oracle", "ranks", "series", "stable"):
         assert getattr(fourfold, module) is importlib.import_module(f"fourfold.{module}")
@@ -168,7 +191,7 @@ def report_fields():
 #: (class, field values in declaration order); each row builds one record.
 RECORDS = [
     (OracleReport, report_fields()),
-    (RankTable, dict(betti=3, max_degree=2, ranks=(3, 5))),
+    (RankTable, dict(betti=3, ranks=(3, 5))),
     (PbwCheck, dict(status="fail", first_failure=4)),
     (GrowthReport, dict(
         betti=3, classification="hyperbolic", probe_degree=4,
@@ -223,7 +246,7 @@ def test_record_equality_is_by_class_and_fields(cls, fields):
 
 @pytest.mark.parametrize(
     "record",
-    [RankTable(3, 2, (3, 5)), PbwCheck("pass"),
+    [RankTable(3, (3, 5)), PbwCheck("pass"),
      TruncatedSeries((1, 2), 1), GradedDims((1, 2)), FinAbGroup(1, (8, 3))],
     ids=lambda r: type(r).__name__,
 )
@@ -280,4 +303,3 @@ def test_records_normalise_their_fields():
     assert TruncatedSeries([1, 2], 1).coeffs == (1, 2)
     assert GradedDims([1, 2]).dims == (1, 2)
     assert FinAbGroup(0, (3, 8, 2)).torsion == (2, 8, 3)
-    assert not PbwCheck("fail") and PbwCheck("pass")
