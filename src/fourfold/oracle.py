@@ -316,7 +316,8 @@ def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> Oracle
 
     series_match[n] compares against the closed-form quotient series;
     euler_ok[n] checks the cubic Euler identity using oracle dims only.
-    Every degree's width is checked against the column budget (default
+    Every degree from the relation's degree 3 up, where a matrix is built,
+    has its width checked against the column budget (default
     DEFAULT_COLUMN_BUDGET) before any elimination.
 
     >>> quotient_dims_oracle(2, 5).ideal_dims.dims
@@ -328,7 +329,7 @@ def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> Oracle
         raise DomainError(f"max degree must be >= 0, got {N}")
     budget = DEFAULT_COLUMN_BUDGET if budget is None else budget
 
-    tensor = [_columns(k, n, budget) for n in range(N + 1)]
+    tensor = [_columns(k, n, budget) if n >= 3 else _word_count(k, n) for n in range(N + 1)]
     ranks = _ideal_ranks(k, N)
     ideal = [rank for rank, _ in ranks]
     quotient = [t - i for t, i in zip(tensor, ideal)]

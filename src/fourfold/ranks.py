@@ -268,16 +268,23 @@ class PbwCheck(Record):
 
 
 def _newton_sums(poly: list, N: int) -> list:
-    """[0, p_1..p_N]: power sums of 1/poly (poly[0] = 1) by Newton's identities,
-    p_n = -n a_n - sum_{i=1..n-1} a_i p_{n-i} with a_i = poly[i], 0 past its end.
+    """[0, p_1..p_N]: power sums of 1/poly (poly[0] = 1, degree <= 3) by Newton's
+    identities, p_n = -n a_n - a_1 p_{n-1} - a_2 p_{n-2} - a_3 p_{n-3} with
+    a_i = poly[i], 0 past its end, rolled over three locals.  Both callers pass
+    a polynomial of degree <= 3; a longer one raises DomainError.
 
     >>> _newton_sums([1, -3, 1], 4)
     [0, 3, 7, 18, 47]
     """
-    a = poly + [0] * N
-    p = [0] * (N + 1)
+    if len(poly) > 4:
+        raise DomainError(f"Newton sums take a polynomial of degree <= 3, got {poly}")
+    _, a1, a2, a3 = list(poly) + [0] * (4 - len(poly))
+    head = [-a1, -2 * a2, -3 * a3]  # the -n a_n terms, n = 1..3
+    p = [0]
+    x = y = z = 0  # p_{n-3}, p_{n-2}, p_{n-1}
     for n in range(1, N + 1):
-        p[n] = -n * a[n] - sum(a[i] * p[n - i] for i in range(1, min(n, len(poly))))
+        x, y, z = y, z, (head[n - 1] if n <= 3 else 0) - a1 * z - a2 * y - a3 * x
+        p.append(z)
     return p
 
 

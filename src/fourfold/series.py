@@ -3,9 +3,13 @@
 Everything here is a polynomial in t truncated at an explicit order N, with
 int coefficients: a TruncatedSeries accepts nothing else, so neither a float
 nor a Fraction gets in.  Each named constructor computes its coefficients by
-one integer recurrence.  The general series arithmetic over Fraction (product,
-reciprocal, logarithm) is not part of the package: it lives with the tests in
-tests/refimpl.py, as the reference they compare these recurrences against.
+one integer recurrence.  quotient_series rolls its cubic one over three local
+variables, one multiply per coefficient, and tensor_series on generators of
+degree <= 2 its two-term one over two; _poly_reciprocal, the general 1/poly
+recurrence, serves only tensor generators of degree >= 3.  The general series
+arithmetic over Fraction (product, reciprocal, logarithm) is not part of the
+package: it lives with the tests in tests/refimpl.py, as the reference they
+compare these recurrences against.
 """
 
 from __future__ import annotations
@@ -111,7 +115,8 @@ def _dims_by_degree(dims: Mapping[int, int]) -> dict:
 def _poly_reciprocal(poly: Sequence[int], N: int) -> list:
     """Coefficients 0..N of 1/poly for an integer polynomial with poly[0] = 1.
 
-    r_0 = 1 and r_n = -sum_{i=1..min(n, deg poly)} poly[i] r_{n-i}.
+    r_0 = 1 and r_n = -sum_{i=1..min(n, deg poly)} poly[i] r_{n-i}.  Only
+    tensor_series on a generator of degree >= 3 calls it.
     """
     terms = [(-i, -c) for i, c in enumerate(poly) if i and c]
     d = -terms[-1][0] if terms else 0  # r_n sits at out[d + n], r_{<0} = 0
@@ -173,16 +178,24 @@ def tensor_series(dims: Mapping[int, int], N: int) -> TruncatedSeries:
     """Hilbert series 1/(1 - sum_i dims[i] t^i) of the free associative algebra.
 
     The n-th coefficient counts words over the graded alphabet with total
-    degree n (one letter of each listed multiplicity per degree).
+    degree n (one letter of each listed multiplicity per degree).  With every
+    generator in degree <= 2 it is a_n = m_1 a_{n-1} + m_2 a_{n-2} over two
+    locals; a generator of degree >= 3 takes the general _poly_reciprocal.
 
     >>> tensor_series({1: 2, 2: 2}, 3).as_int_list()
     [1, 2, 6, 16]
     """
-    den = [1] + [0] * N
-    for deg, mult in _dims_by_degree(dims).items():
-        if deg <= N:
-            den[deg] = -mult
-    return TruncatedSeries(_poly_reciprocal(den, N), N)
+    by_deg = _dims_by_degree(dims)
+    if max(by_deg, default=0) > 2:
+        den = [1] + [-by_deg.get(i, 0) for i in range(1, N + 1)]
+        return TruncatedSeries(_poly_reciprocal(den, N), N)
+    m1, m2 = by_deg.get(1, 0), by_deg.get(2, 0)
+    out = [1]
+    prev, cur = 0, 1  # a_{n-2}, a_{n-1}
+    for _ in range(N):
+        prev, cur = cur, m1 * cur + m2 * prev
+        out.append(cur)
+    return TruncatedSeries(out, N)
 
 
 def quotient_series(k: int, N: int) -> TruncatedSeries:
@@ -191,9 +204,10 @@ def quotient_series(k: int, N: int) -> TruncatedSeries:
     k is the number of 2-sphere x 3-sphere summands in the connected sum
     (one x-generator of degree 1 and one y-generator of degree 2 per summand,
     modulo the single cubic relation sum_i [x_i, y_i]).  The coefficients
-    are the integer recurrence of 1/poly on the cubic,
+    are the integer recurrence of 1/poly on the cubic, run over three locals
+    with one multiply per coefficient,
 
-        a_n = k a_{n-1} + k a_{n-2} - a_{n-3}   (a_0 = 1, a_{<0} = 0),
+        a_n = k (a_{n-1} + a_{n-2}) - a_{n-3}   (a_0 = 1, a_{<0} = 0),
 
     so a_1 = k and a_2 = k^2 + k.  `verify` checks them against the
     oracle's linear algebra.
@@ -206,7 +220,12 @@ def quotient_series(k: int, N: int) -> TruncatedSeries:
             "k must be >= 1: the quotient model needs at least one summand, "
             "and at k = 0 the series 1/(1 + t^3) has negative coefficients"
         )
-    return TruncatedSeries(_poly_reciprocal([1, -k, -k, 1], N), N)
+    out = [1]
+    x, y, z = 0, 0, 1  # a_{n-3}, a_{n-2}, a_{n-1}
+    for _ in range(N):
+        x, y, z = y, z, k * (y + z) - x
+        out.append(z)
+    return TruncatedSeries(out, N)
 
 
 def pbw_series(table: RankTable, N: int) -> TruncatedSeries:

@@ -1,16 +1,16 @@
 """Reference implementations that the tests compare the package against.
 
 Plain functions over lists and tuples, written for clarity rather than speed
-and sharing no code with `fourfold`: series arithmetic over Fraction, the
-PBW product series, the Moebius function, and the words and relation of the
-oracle's algebra.  A series is the list of its coefficients 0..N; a word is
-a tuple of letter codes, x_i -> i - 1 (degree 1) and y_i -> k + i - 1
-(degree 2).  Two exceptions use the package's own types.  `eliminate` is
-the whole-matrix loop over the oracle's own one-row reducer: the oracle's
-shortcuts are pinned to the elimination they stand for, and the reducer
-itself to dense elimination.  `marker_table` is a StemsTable of distinct
-primes, so that `stem_exponents` can read back which stems an assembled
-group is made of.
+and sharing no code with `fourfold`: series arithmetic over Fraction,
+Newton's power sums of 1/poly at any degree, the PBW product series, the
+Moebius function, and the words and relation of the oracle's algebra.  A
+series is the list of its coefficients 0..N; a word is a tuple of letter
+codes, x_i -> i - 1 (degree 1) and y_i -> k + i - 1 (degree 2).  Two
+exceptions use the package's own types.  `eliminate` is the whole-matrix
+loop over the oracle's own one-row reducer: the oracle's shortcuts are
+pinned to the elimination they stand for, and the reducer itself to dense
+elimination.  `marker_table` is a StemsTable of distinct primes, so that
+`stem_exponents` can read back which stems an assembled group is made of.
 """
 
 from fractions import Fraction
@@ -48,6 +48,20 @@ def series_log(a):
         power = series_mul(power, u)
         out = [c - Fraction(p, m) for c, p in zip(out, power)]
     return out
+
+
+def newton_sums(poly, n):
+    """[0, p_1..p_n]: power sums of 1/poly (poly[0] = 1), any degree, by Newton's
+    identities p_m = -m a_m - sum_{i=1..m-1} a_i p_{m-i}, a_i = poly[i], 0 past its end.
+
+    >>> newton_sums([1, -3, 1], 4)
+    [0, 3, 7, 18, 47]
+    """
+    a = list(poly) + [0] * n
+    p = [0] * (n + 1)
+    for m in range(1, n + 1):
+        p[m] = -m * a[m] - sum(a[i] * p[m - i] for i in range(1, min(m, len(poly))))
+    return p
 
 
 def pbw_product(dims, n):

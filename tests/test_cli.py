@@ -513,6 +513,19 @@ def test_verify_budget_flag_limits_work(capsys):
     assert out.rstrip().endswith("FAIL")
 
 
+def test_verify_below_degree_three_passes_under_any_budget(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--betti", "3", "--max-degree", "2", "--budget", "5"
+    )
+    assert code == 0
+    assert out.endswith("PASS\n")
+    code, out, _ = run(
+        capsys, "verify", "--betti", "3", "--max-degree", "3", "--budget", "5"
+    )
+    assert code == 1
+    assert "resource limit: degree 3 at k=3 needs a 45-column matrix" in out
+
+
 def test_verify_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("FOURFOLD_BUDGET", "1000")
     code, out, _ = run(capsys, "verify", "--betti", "4", "--max-degree", "8")
@@ -583,8 +596,10 @@ def test_verify_ends_in_result_or_one_line_error(betti, max_degree, budget, fmt)
         assert err.getvalue() == ""
         assert out.getvalue()
     cap = DEFAULT_COLUMN_BUDGET if budget is None else budget
-    if betti >= 1 and max_degree >= 0 and cap >= _word_count(betti, max_degree):
-        # valid input within the budget: every check passes
+    if betti >= 1 and max_degree >= 0 and cap >= 1 and (
+        max_degree < 3 or cap >= _word_count(betti, max_degree)
+    ):
+        # valid input within the budget (no matrix below degree 3): every check passes
         assert code == 0
         if fmt == "table":
             assert out.getvalue().endswith("PASS\n")

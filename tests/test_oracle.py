@@ -383,6 +383,16 @@ def test_budget_applies_to_full_oracle_run():
     assert rep.all_ok
 
 
+def test_budget_counts_only_degrees_with_a_matrix():
+    # below the relation's degree 3 no matrix is built, so no width is capped
+    rep = quotient_dims_oracle(3, 2, budget=5)
+    assert rep.all_ok
+    assert rep.tensor_dims.dims == (1, 3, 12)
+    with pytest.raises(ResourceLimit) as exc:
+        quotient_dims_oracle(3, 3, budget=5)
+    assert str(exc.value) == "degree 3 at k=3 needs a 45-column matrix; budget is 5 columns"
+
+
 def test_budget_is_checked_before_any_elimination(monkeypatch):
     def no_elimination(k, n, *state):
         raise AssertionError(f"degree {n} eliminated")

@@ -5,6 +5,7 @@ import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -22,8 +23,15 @@ from fourfold import (
     pbw_identity_check,
     rank_polynomial_checks,
 )
-from fourfold.ranks import RankTable, _closed_form, _growth_lemma_holds, _lucas, _necklace
-from refimpl import moebius, pbw_product, series_log, series_reciprocal
+from fourfold.ranks import (
+    RankTable,
+    _closed_form,
+    _growth_lemma_holds,
+    _lucas,
+    _necklace,
+    _newton_sums,
+)
+from refimpl import moebius, newton_sums, pbw_product, series_log, series_reciprocal
 
 
 # mu on 1..20, from any number theory table
@@ -224,6 +232,21 @@ def test_pbw_identities_pass_for_hyperbolic_range():
         for n in (1, 2, 12):
             chk = pbw_identity_check(k, n)
             assert chk.status == PBW_PASS, (k, n, chk)
+
+
+def test_newton_sums_match_the_generic_identities_up_to_degree_three():
+    # every polynomial 1 + a_1 t + .. of degree <= 3 with a_i in -6..6, as a
+    # list of each length; each order 0..60 is a prefix at some polynomial
+    polys = [[1]] + [[1, *tail] for d in (1, 2, 3) for tail in product(range(-6, 7), repeat=d)]
+    for i, poly in enumerate(polys):
+        want = newton_sums(poly, 60)
+        assert _newton_sums(poly, 60) == want, poly
+        assert _newton_sums(poly, i % 61) == want[: i % 61 + 1], poly
+
+
+def test_newton_sums_reject_degree_four():
+    with pytest.raises(DomainError, match="degree <= 3"):
+        _newton_sums([1, 0, 0, 0, 1], 5)
 
 
 def _pbw_reference(k, ranks, N):

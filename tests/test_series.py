@@ -114,6 +114,12 @@ def test_free_comm_rejects_degree_zero_generator():
     st.dictionaries(st.integers(min_value=1, max_value=12), st.integers(0, 4), max_size=4),
     st.integers(min_value=0, max_value=12),
 )
+@example({}, 5)
+@example({1: 3}, 12)
+@example({2: 4}, 12)
+@example({1: 2, 2: 3}, 12)
+@example({1: 0, 2: 2}, 7)  # a zero multiplicity
+@example({1: 1, 2: 1, 3: 2}, 12)  # degree 3 takes _poly_reciprocal
 @settings(max_examples=80, deadline=None)
 def test_constructors_match_fraction_products(dims, N):
     """The integer recurrences agree with factor-by-factor Fraction arithmetic."""
@@ -150,6 +156,32 @@ def test_poly_reciprocal_matches_fraction_reference(tail, N):
     got = _poly_reciprocal(poly, N)
     assert got == series_reciprocal((poly + [0] * N)[: N + 1])
     assert all(type(c) is int for c in got)
+
+
+@given(
+    st.sampled_from([(), (1,), (2,), (1, 2)]),
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.integers(min_value=0, max_value=1000),
+)
+@example((), 0, 0, 1000)
+@example((1,), 5, 0, 1000)
+@example((2,), 5, 0, 1000)
+@example((1, 2), 3, 7, 1000)  # m_1 != m_2
+@example((1, 2), 0, 4, 3)  # a zero multiplicity
+@example((1, 2), 0, 0, 2)
+@settings(max_examples=40, deadline=None)
+def test_tensor_series_low_degree_loop_matches_poly_reciprocal(degrees, a, b, N):
+    """Generators of degree <= 2 take the two-term loop; it agrees with 1/poly."""
+    dims = dict(zip(degrees, (a, b)))
+    den = [1, -dims.get(1, 0), -dims.get(2, 0)]
+    assert tensor_series(dims, N).as_int_list() == _poly_reciprocal(den, N)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_quotient_series_loop_matches_poly_reciprocal(k):
+    for N in (0, 1, 2, 3, 4, 299, 1000):
+        assert quotient_series(k, N).as_int_list() == _poly_reciprocal([1, -k, -k, 1], N)
 
 
 @pytest.mark.parametrize("constructor", [free_comm_series, tensor_series])
