@@ -51,7 +51,6 @@ BUDGET_ENV_VAR = "FOURFOLD_BUDGET"
 
 STATUS_OK = "ok"
 STATUS_FAIL = "fail"
-STATUS_NOT_APPLICABLE = "not-applicable"
 
 
 class CommandResult(Record):

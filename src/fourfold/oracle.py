@@ -14,13 +14,13 @@ W(n-2).  A row u * r * v with u = c * u' is c * (u' * r * v), a degree
 n - deg(c) row shifted by the offset of block c.  So the rows with u nonempty
 span the direct sum of the lower-degree row spaces, one per block, with the
 lower degrees' pivot rows, shifted, as an echelon basis (max columns stay
-distinct).  Degree n streams only its W(n-3) rows r * v; a pivot is a new one
-of degree n or is found by walking down the blocks (subtract the block offset,
+distinct).  Degree n streams only its W(n-3) rows r * v; a pivot is one of
+degree n or is found by walking down the blocks (subtract the block offset,
 go down deg(c)) until a degree below 3.  Nothing is copied, and
-rank_n = k rank_{n-1} + k rank_{n-2} + (new pivots of degree n).  Which
-columns hold a pivot is a flag per column: k copies of degree n-1's flags,
-then k of degree n-2's, then the new pivots; a walk starts only at a column
-known to hold one.
+rank_n = k rank_{n-1} + k rank_{n-2} + (pivots of degree n).  Which columns
+hold a pivot is a flag per column: k copies of degree n-1's flags, then k of
+degree n-2's, then the leads of degree n's rows r * v; a walk starts only at
+a column known to hold one.
 
 Right multiplication.  Appending a letter c is linear and injective; it maps
 a row u * r * w to the row u * r * w c, and keeps the lex order of two words
@@ -29,35 +29,36 @@ zero in its degree, it is a combination of the rows r * v'' with v'' < v and
 of the rows with u nonempty, so r * v c is the same combination of the rows
 r * v'' c, with v'' c < v c, and of rows with u nonempty: it is dependent
 before its turn.  The elimination would reduce it to zero and change no pivot,
-so it is skipped and never built.  Each degree keeps one flag per row r * v,
-set for the rows skipped or reduced to zero; degree n reads its skips off
-the flags of degrees n-1 and n-2 through a table from each word v to v[:-1].
+so it is skipped and never built; degree n reads its skips off the row flags
+(below) of degrees n-1 and n-2 through a table from each word v to v[:-1].
 
-Lead-column placement.  Pivots are lead-relative: (column - lead column,
-value) for the entries left of the lead, and 1 / lead, so a lower degree's
-pivot applies in a block as it is.  Every row r * v has the same entries
-relative to its lead, the -1 at y_k x_k * v, and the rows come in
-increasing lead column, each left of the next one's lead.  The elimination's
-first step on r * v looks up its lead column alone: if no lower degree's
-pivot holds it, the row is a pivot as it stands and is stored as the
-degree's one template without being built.  Only the other rows are built
-and reduced: of the rows not skipped, about 2 % at k = 3 and 5 % at k = 2.
+Pivots are templates.  Every row r * v has the same entries relative to its
+lead, the -1 at y_k x_k * v, and the rows come in increasing lead column.  A
+row whose lead no lower pivot holds is a pivot as it stands (no earlier row
+leads there): the degree's one template, placed at that lead, never built.
+Every other row must reduce to zero.  The lead y_k x_k does not overlap
+itself, so {r} is a Groebner basis (Bergman 1978): the degree-n ideal has one
+dimension per word containing y_k x_k, and the shifted lower pivots (leads
+containing it past the first letter) with the templates (leads y_k x_k * v, v
+free of it) already span it.  The oracle checks rather than assumes this: it
+builds the other rows and raises InternalInconsistency at one that does not
+vanish.  So a degree keeps its lead window's first column top, its template,
+and a flag per row r * v, 0 at each template and 1 at each row skipped or
+reduced to zero; no pivot is stored.  After the degree every lead holds a
+pivot: a template's by its placement, a built row's by the lower pivot that
+made it built, a skipped row's because a dependent row's max column is a
+pivot column of the rows before it, and this degree's earlier rows lead left
+of it.
 
 Rank policy: one elimination over the integers, pivoting on the max column.
-While every pivot leads with +-1, by induction on the degree the input rows
-and the pivot rows (own and shifted) are integer combinations of each other,
-and such pivots in distinct columns stay independent modulo every prime: the
-rank is the rank over Q and over every prime field at once.  A pivot with
-another lead keeps its Fraction inverse; the rank stays exact over Q, and that
-degree and all above it report "rational".  Skipping by right multiplication
-keeps this: with +-1 pivots the multipliers that reduced r * v to zero are
-integers, so r * v c is an integer combination of rows too; and a rational
-degree already makes every degree above it rational.
+Every pivot, own or shifted, is a template leading with -1, so multipliers
+are ints, every row is an integer combination of pivots, and pivots in
+distinct columns stay independent modulo every prime: the rank is the rank
+over Q and over every prime field at once, and the field is always "integer".
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional
 
 from ._record import Record
@@ -76,7 +77,6 @@ def _relation_terms(k: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=None)
 def _word_count(k: int, n: int) -> int:
     # c_n = k c_{n-1} + k c_{n-2}: append x (degree 1) or y (degree 2).
     if n < 0:
@@ -109,20 +109,22 @@ def _word_offset(k: int, letters, rem: int) -> int:
     return pos
 
 
-def _inherited_pivot(k: int, widths: list, pivots: list, n: int, col: int):
+def _inherited_pivot(k: int, widths: list, degrees: list, n: int, col: int):
     """The lower degree's pivot that holds column col of degree n, or None.
-    widths[m] is W(m), pivots[m] degree m's new pivots by column.  Each step
-    drops the first letter: the column within its block, one or two degrees
-    down."""
+    widths[m] is W(m); degrees[m] is degree m's (top, flags, template), whose
+    pivots are its template at each column top + pos with flags[pos] == 0.
+    Each step drops the first letter: the column within its block, one or two
+    degrees down."""
     while n >= 3:
         x_width = widths[n - 1]
         if col < k * x_width:
             col, n = col % x_width, n - 1
         else:
             col, n = (col - k * x_width) % widths[n - 2], n - 2
-        piv = pivots[n].get(col)
-        if piv is not None:
-            return piv
+        top, flags, template = degrees[n]
+        pos = col - top
+        if 0 <= pos < len(flags) and not flags[pos]:
+            return template
     return None
 
 
@@ -154,27 +156,20 @@ def _prefix_tables(k: int):
         d += 1
 
 
-def _reduce_row(row: dict, pivot_at) -> Optional[tuple]:
+def _reduce_row(row: dict, pivot_at) -> bool:
     """Reduce row, a {column: nonzero int} dict, in place from its max column
-    down by pivot_at(col), the pivot that holds col or None.  None when the
-    row vanishes, else (its lead column, the row as a pivot).
+    down by pivot_at(col), the pivot that holds col or None; whether the row
+    vanished.
 
     A pivot is ((column - lead column, value) for the entries left of its
-    lead, 1 / lead), so it applies at whatever column it leads.  The inverse
-    of a +-1 lead is that int; any other lead keeps its Fraction inverse.
+    lead, lead), so it applies at whatever column it leads; every lead is -1,
+    its own inverse, so the multipliers are ints.
     """
     while row:
         c = max(row)
         piv = pivot_at(c)
         if piv is None:
-            coef = row.pop(c)
-            if coef == 1 or coef == -1:
-                inv = coef
-            else:
-                from fractions import Fraction
-
-                inv = 1 / Fraction(coef)
-            return c, (tuple((cc - c, vv) for cc, vv in row.items()), inv)
+            return False
         rel, inv = piv
         mult = row.pop(c) * inv  # coef - mult * lead is 0
         for d, vv in rel:
@@ -184,56 +179,55 @@ def _reduce_row(row: dict, pivot_at) -> Optional[tuple]:
                 row[cc] = nv
             else:
                 del row[cc]
-    return None
+    return True
 
 
-def _degree_pivots(k: int, n: int, widths: list, pivots: list, has, dep) -> tuple:
-    """(new pivots of degree n by column, whether each leads with +-1).
+def _degree_pivots(k: int, n: int, widths: list, degrees: list, has, dep) -> tuple:
+    """Degree n's (top, flags, template): its lead window starts at column
+    top, and flags is dep, 0 at each template pivot after the call.
 
-    The rows r * v go in lex order of v, skipping those flagged in dep and
-    flagging those that reduce to zero.  has[col] says whether a lower
-    degree's pivot holds col (widths and pivots as for _inherited_pivot).
-    The lead of r * v is its -1 at y_k x_k * v, column pos + top for v at
-    pos, and every earlier row lies left of it; so if no lower pivot holds
-    that column, r * v is a pivot as it stands, stored unbuilt as the
-    degree's one template.  Only the other rows are built and reduced.
+    The rows r * v go in lex order of v, skipping those flagged in dep.
+    has[col] says whether a lower degree's pivot holds col (widths and
+    degrees as for _inherited_pivot).  The lead of r * v is its -1 at
+    y_k x_k * v, column top + pos for v at pos: a row whose lead no lower
+    pivot holds is a template pivot and needs no work; any other row is
+    built, must reduce to zero, and is flagged.  Then every lead of the
+    window holds a pivot (module docstring), and has says so.
     """
     mids = [(_word_offset(k, w, n), c) for c, w in _relation_terms(k)]
     top, lead = max(mids)  # lead -1 is its own inverse
     template = tuple((m - top, c) for m, c in mids if m != top), lead
-    new = {}
 
     def pivot_at(col):
-        piv = new.get(col)
-        if piv is None and has[col]:
-            piv = _inherited_pivot(k, widths, pivots, n, col)
-        return piv
+        if has[col]:
+            return _inherited_pivot(k, widths, degrees, n, col)
+        # left of the row's lead: an earlier row's, a pivot if a template
+        pos = col - top
+        return template if pos >= 0 and not dep[pos] else None
 
-    integral = True
-    pos = dep.find(0)
+    # 1 at each row not skipped whose lead a lower pivot holds: flags are
+    # bytes of 0 and 1, so one int AND over the window finds them all
+    w = len(dep)
+    below = int.from_bytes(has[top:top + w], "little")
+    built = (below & ~int.from_bytes(dep, "little")).to_bytes(w, "little")
+    pos = built.find(1)
     while pos >= 0:
-        col = pos + top
-        if not has[col]:
-            new[col] = template
-        else:
-            found = _reduce_row({pos + m: c for m, c in mids}, pivot_at)
-            if found is None:
-                dep[pos] = 1
-            else:
-                col, piv = found
-                new[col] = piv
-                integral = integral and piv[1] in (1, -1)  # else a Fraction
-        pos = dep.find(0, pos + 1)
-    return new, integral
+        if not _reduce_row({pos + m: c for m, c in mids}, pivot_at):
+            raise InternalInconsistency(
+                f"row r * v at position {pos} of degree {n}, k={k}, "
+                "does not reduce to zero"
+            )
+        dep[pos] = 1
+        pos = built.find(1, pos + 1)
+    has[top:top + w] = b"\x01" * w
+    return top, dep, template
 
 
 def _ideal_ranks(k: int, N: int) -> list:
-    """[(rank, integral)] of the ideal slices of degrees 0..N; integral stays
-    True while every degree so far kept +-1 pivots."""
+    """Ranks of the ideal slices of degrees 0..N."""
     widths = [_word_count(k, m) for m in range(N + 1)]
-    pivots, out = [], [(0, True), (0, True)]  # out starts at degrees -2, -1
+    degrees, out = [], [0, 0]  # out starts at degrees -2, -1
     held = [b"", b""]  # degrees n-2, n-1: 1 at each column holding a pivot
-    dependent = [b"", b""]  # degrees n-2, n-1: 1 at each dependent row r * v
     prefixes = _prefix_tables(k)
     for n in range(N + 1):
         if n < 3:
@@ -244,19 +238,20 @@ def _ideal_ranks(k: int, N: int) -> list:
             has += held[0] * k
             # r * v' dependent makes r * v' c dependent (right multiplication)
             dep = bytearray(1) if n == 3 else bytearray(
-                map((dependent[1] + dependent[0]).__getitem__, next(prefixes))
+                map((degrees[n - 1][1] + degrees[n - 2][1]).__getitem__, next(prefixes))
             )
-        new, ok = _degree_pivots(k, n, widths, pivots, has, dep)
-        for c in new:
-            has[c] = 1
-        pivots.append(new)
-        held, dependent = [held[1], has], [dependent[1], dep]
-        out.append((k * out[-1][0] + k * out[-2][0] + len(new), ok and out[-1][1]))
+        state = _degree_pivots(k, n, widths, degrees, has, dep)
+        degrees.append(state)
+        held = [held[1], has]
+        out.append(k * out[-1] + k * out[-2] + dep.count(0))
     return out[2:]
 
 
 class OracleReport(Record):
     """Per-degree comparison of oracle dimensions against the closed form."""
+
+    #: every pivot leads with -1 (module docstring, rank policy)
+    field_used = "integer"
 
     def __init__(
         self,
@@ -267,7 +262,6 @@ class OracleReport(Record):
         quotient_dims: GradedDims,
         series_match: tuple,
         euler_ok: tuple,
-        field_used: str,
     ):
         self.__dict__.update(
             betti_param=betti_param,
@@ -277,7 +271,6 @@ class OracleReport(Record):
             quotient_dims=quotient_dims,
             series_match=series_match,
             euler_ok=euler_ok,
-            field_used=field_used,
         )
         for n in range(max_degree + 1):
             if quotient_dims[n] != tensor_dims[n] - ideal_dims[n]:
@@ -330,8 +323,7 @@ def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> Oracle
     budget = DEFAULT_COLUMN_BUDGET if budget is None else budget
 
     tensor = [_columns(k, n, budget) if n >= 3 else _word_count(k, n) for n in range(N + 1)]
-    ranks = _ideal_ranks(k, N)
-    ideal = [rank for rank, _ in ranks]
+    ideal = _ideal_ranks(k, N)
     quotient = [t - i for t, i in zip(tensor, ideal)]
 
     closed = quotient_series(k, N).coeffs
@@ -343,7 +335,6 @@ def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> Oracle
         quotient_dims=GradedDims(tuple(quotient)),
         series_match=tuple(q == c for q, c in zip(quotient, closed)),
         euler_ok=_euler_flags(k, quotient),
-        field_used="integer" if all(ok for _, ok in ranks) else "rational",
     )
 
 

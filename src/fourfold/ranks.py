@@ -268,22 +268,22 @@ class PbwCheck(Record):
 
 
 def _newton_sums(poly: list, N: int) -> list:
-    """[0, p_1..p_N]: power sums of 1/poly (poly[0] = 1, degree <= 3) by Newton's
-    identities, p_n = -n a_n - a_1 p_{n-1} - a_2 p_{n-2} - a_3 p_{n-3} with
-    a_i = poly[i], 0 past its end, rolled over three locals.  Both callers pass
-    a polynomial of degree <= 3; a longer one raises DomainError.
+    """[0, p_1..p_N]: power sums of 1/poly (poly[0] = 1, degree <= 2) by Newton's
+    identities, p_n = -n a_n - a_1 p_{n-1} - a_2 p_{n-2} with a_i = poly[i],
+    0 past its end, rolled over two locals.  The PBW check passes a quadratic;
+    a longer polynomial raises DomainError.
 
     >>> _newton_sums([1, -3, 1], 4)
     [0, 3, 7, 18, 47]
     """
-    if len(poly) > 4:
-        raise DomainError(f"Newton sums take a polynomial of degree <= 3, got {poly}")
-    _, a1, a2, a3 = list(poly) + [0] * (4 - len(poly))
-    head = [-a1, -2 * a2, -3 * a3]  # the -n a_n terms, n = 1..3
+    if len(poly) > 3:
+        raise DomainError(f"Newton sums take a polynomial of degree <= 2, got {poly}")
+    _, a1, a2 = list(poly) + [0] * (3 - len(poly))
+    head = [-a1, -2 * a2]  # the -n a_n terms, n = 1, 2
     p = [0]
-    x = y = z = 0  # p_{n-3}, p_{n-2}, p_{n-1}
+    y = z = 0  # p_{n-2}, p_{n-1}
     for n in range(1, N + 1):
-        x, y, z = y, z, (head[n - 1] if n <= 3 else 0) - a1 * z - a2 * y - a3 * x
+        y, z = z, (head[n - 1] if n <= 2 else 0) - a1 * z - a2 * y
         p.append(z)
     return p
 
@@ -296,8 +296,16 @@ def pbw_identity_check(betti: int, N: int) -> PbwCheck:
 
     Identity 2: replacing m_1 by k - 1 (the l-table of the associated
     connected sum of k - 1 summands) gives the quotient algebra series
-    at parameter k - 1.  Each is checked on power sums, the ranks' against
-    the polynomial's; first_failure is the first order where the series differ.
+    at parameter k - 1, 1/(1 - (k-1) t - (k-1) t^2 + t^3).
+
+    Identity 1 is checked on power sums, the ranks' against the polynomial's;
+    first_failure is the first order where the series differ.  Identity 2
+    holds or fails at that same order, so it needs no pass of its own: if
+    m_1 != k, identity 1 fails at order 1 (c_1 = m_1, p_1 = k).  Else m_1 = k
+    becoming k - 1 divides the product by (1 + t) = (1 - t^2) / (1 - t), and
+    1 - (k-1) t - (k-1) t^2 + t^3 = (1 + t)(1 - k t + t^2).  1/(1 + t) has
+    power sums (-1)^j, so both sides of identity 2 exceed identity 1's by
+    (-1)^j at every order j.
 
     Not applicable at b2 = 1: identity 1's right side 1/(1 - t + t^2) has
     negative coefficients there, and identity 2's parameter would be 0.
@@ -312,12 +320,11 @@ def pbw_identity_check(betti: int, N: int) -> PbwCheck:
     # both identities hold trivially at order 0; the table needs degree 1
     table = homotopy_ranks(k, max(N, 1))
 
-    m = dict(enumerate(table.ranks, start=1))
-    for dims, poly in ((m, [1, -k, 1]), ({**m, 1: k - 1}, [1, 1 - k, 1 - k, 1])):
-        lhs, rhs = _power_sums(dims, N), _newton_sums(poly, N)
-        if lhs != rhs:
-            first = next(n for n in range(1, N + 1) if lhs[n] != rhs[n])
-            return PbwCheck(status=PBW_FAIL, first_failure=first)
+    lhs = _power_sums(dict(enumerate(table.ranks, start=1)), N)
+    rhs = _newton_sums([1, -k, 1], N)
+    if lhs != rhs:
+        first = next(n for n in range(1, N + 1) if lhs[n] != rhs[n])
+        return PbwCheck(status=PBW_FAIL, first_failure=first)
     return PbwCheck(status=PBW_PASS)
 
 

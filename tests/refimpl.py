@@ -5,17 +5,18 @@ and sharing no code with `fourfold`: series arithmetic over Fraction,
 Newton's power sums of 1/poly at any degree, the PBW product series, the
 Moebius function, and the words and relation of the oracle's algebra.  A
 series is the list of its coefficients 0..N; a word is a tuple of letter
-codes, x_i -> i - 1 (degree 1) and y_i -> k + i - 1 (degree 2).  Two
-exceptions use the package's own types.  `eliminate` is the whole-matrix
-loop over the oracle's own one-row reducer: the oracle's shortcuts are
-pinned to the elimination they stand for, and the reducer itself to dense
-elimination.  `marker_table` is a StemsTable of distinct primes, so that
-`stem_exponents` can read back which stems an assembled group is made of.
+codes, x_i -> i - 1 (degree 1) and y_i -> k + i - 1 (degree 2).
+`eliminate` is sparse elimination over Q of any rows, pivoting on the max
+column, with a Fraction inverse at a lead other than +-1: the oracle's
+shortcuts (skipped rows, template pivots, rows that must vanish) are pinned
+to the elimination they stand for, and it is pinned to dense elimination.
+One exception uses the package's own types: `marker_table` is a StemsTable of
+distinct primes, so that `stem_exponents` can read back which stems an
+assembled group is made of.
 """
 
 from fractions import Fraction
 
-from fourfold.oracle import _reduce_row
 from fourfold.stable import FinAbGroup, StemsTable
 
 #: Stem i of the marker table is Z/MARKER_PRIMES[i - 1]: the first 20 primes.
@@ -131,9 +132,37 @@ def word_text(k, word):
     return "*".join(f"x{c + 1}" if c < k else f"y{c - k + 1}" for c in word) or "1"
 
 
+def reduce_row(row, pivot_at):
+    """Reduce row, a {column: nonzero number} dict, in place from its max
+    column down by pivot_at(col), the pivot that holds col or None.  None
+    when the row vanishes, else (its lead column, the row as a pivot).
+
+    A pivot is ((column - lead column, value) for the entries left of its
+    lead, 1 / lead), so it applies at whatever column it leads.  The inverse
+    of a +-1 lead is that int; any other lead keeps its Fraction inverse.
+    """
+    while row:
+        c = max(row)
+        piv = pivot_at(c)
+        if piv is None:
+            coef = row.pop(c)
+            inv = coef if coef in (1, -1) else 1 / Fraction(coef)
+            return c, (tuple((cc - c, vv) for cc, vv in row.items()), inv)
+        rel, inv = piv
+        mult = row.pop(c) * inv  # coef - mult * lead is 0
+        for d, vv in rel:
+            cc = c + d
+            nv = row.get(cc, 0) - mult * vv
+            if nv:
+                row[cc] = nv
+            else:
+                del row[cc]
+    return None
+
+
 def eliminate(rows, below=lambda col: None):
-    """Every row in turn reduced by the oracle's reducer against the pivots
-    of the rows before it, or below(col) where none of those holds col.
+    """Every row in turn reduced by reduce_row against the pivots of the
+    rows before it, or below(col) where none of those holds col.
 
     Returns (pivots by column, whether each leads with +-1, the fate of each
     row): "unreduced" for a row that became a pivot with no reduction step,
@@ -143,7 +172,7 @@ def eliminate(rows, below=lambda col: None):
     pivots, fates = {}, []
     for row in rows:
         lead = max(row, default=None)
-        found = _reduce_row(row, lambda col: pivots.get(col) or below(col))
+        found = reduce_row(row, lambda col: pivots.get(col) or below(col))
         if found is None:
             fates.append("zero")
         else:

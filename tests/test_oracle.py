@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fourfold import (
     DomainError,
+    InternalInconsistency,
     ResourceLimit,
     koszul_leading_monomial_check,
     quotient_dims_oracle,
@@ -27,11 +28,12 @@ from fourfold.oracle import (
 from refimpl import eliminate, enumerate_words, relation_terms, word_text
 
 
-def full_relation_rows(k, n):
+def full_relation_rows(k, n, rel=None):
     """Every row u * r * v of degree n as a {column: +-1} dict: the whole
     matrix, the reference for the degree recursion.  Left degree ascending,
-    then u lex, then v lex."""
-    rel = relation_terms(k)
+    then u lex, then v lex.  r is relation_terms(k) unless rel, a degree-3
+    relation in the same form, is given."""
+    rel = rel or relation_terms(k)
     for a in range(n - 2):
         b = n - 3 - a
         # the column of u * w * v is offset(u) + offset(w) + (position of v)
@@ -60,22 +62,25 @@ def top_degree(k, columns):
 def record_degrees(monkeypatch, k, N):
     """Run _ideal_ranks(k, N) and record, per degree, what its elimination
     starts from and what it makes: the skip flags, a lookup of the lower
-    degrees' pivots by column, the new pivots, and the rows it builds."""
+    degrees' pivots by column, its pivots by column (the template at each
+    flag left 0), and the rows it builds."""
     degrees = []
     step, reduce_row = oracle._degree_pivots, oracle._reduce_row
 
-    def recording_step(k, n, widths, pivots, has, dep):
+    def recording_step(k, n, widths, lower, has, dep):
         held = bytes(has)
         degrees.append({
             "skipped": bytes(dep),
             "below": lambda col: (
-                _inherited_pivot(k, widths, pivots, n, col) if held[col] else None
+                _inherited_pivot(k, widths, lower, n, col) if held[col] else None
             ),
             "built": [],
         })
-        new, integral = step(k, n, widths, pivots, has, dep)
-        degrees[-1]["new"] = new
-        return new, integral
+        top, flags, template = state = step(k, n, widths, lower, has, dep)
+        degrees[-1]["new"] = {
+            top + pos: template for pos, flag in enumerate(flags) if not flag
+        }
+        return state
 
     def recording_reduce(row, pivot_at):
         degrees[-1]["built"].append(dict(row))
@@ -178,11 +183,12 @@ def test_production_rows_are_the_rows_with_empty_left_factor(monkeypatch):
 
 
 def test_block_walk_maps_columns_to_first_letter_and_rest():
-    # every lower column holds a marker pivot, so the walk stops after one step
+    # one marker pivot, as a window of one template at the column the first
+    # step down must reach, so the walk ends there or not at all
     for k in range(1, 4):
         for n in range(3, 8):
             widths = [_word_count(k, m) for m in range(n + 1)]
-            pivots = [{j: (m, j) for j in range(widths[m])} for m in range(n + 1)]
+            empty = [(0, b"", None)] * (n + 1)
             position = [
                 {w: j for j, w in enumerate(enumerate_words(k, m))}
                 for m in range(n + 1)
@@ -191,9 +197,13 @@ def test_block_walk_maps_columns_to_first_letter_and_rest():
                 c, rest = word[0], word[1:]
                 m = n - (1 if c < k else 2)
                 j = position[m][rest]
-                assert _inherited_pivot(k, widths, pivots, n, col) == (m, j)
+                marked = list(empty)
+                marked[m] = (j, b"\x00", (m, j))
+                assert _inherited_pivot(k, widths, marked, n, col) == (m, j)
+                # a flag of 1 is no pivot: the walk goes on past it
+                marked[m] = (j, b"\x01", (m, j))
+                assert _inherited_pivot(k, widths, marked, n, col) is None
             # with no pivot below, the walk runs out below degree 3
-            empty = [{} for _ in range(n + 1)]
             assert all(
                 _inherited_pivot(k, widths, empty, n, col) is None
                 for col in range(widths[n])
@@ -206,7 +216,22 @@ def test_degree_recursion_matches_elimination_of_the_full_matrix():
         recursive = _ideal_ranks(k, top)
         for n in range(top + 1):
             pivots, integral, _ = eliminate(full_relation_rows(k, n))
-            assert recursive[n] == (len(pivots), integral), (k, n)
+            # +-1 pivots throughout: the rank over Q is the rank mod every prime
+            assert integral, (k, n)
+            assert recursive[n] == len(pivots), (k, n)
+
+
+def test_relation_whose_lead_overlaps_itself_is_refused(monkeypatch):
+    # x2 x1 x2 - x1 x1 x1 at k = 2: the lead x2 x1 x2 overlaps itself, so {r}
+    # is no Groebner basis and a row built at degree 5 is a new pivot, not a
+    # zero.  The oracle raises there; the full elimination still has a rank.
+    rel = ((1, (1, 0, 1)), (-1, (0, 0, 0)))
+    monkeypatch.setattr(oracle, "_relation_terms", lambda k: rel)
+    with pytest.raises(InternalInconsistency, match=r"of degree 5, k=2,"):
+        _ideal_ranks(2, 7)
+    assert _ideal_ranks(2, 4) == [0, 0, 0, 1, 4]
+    ranks = [len(eliminate(full_relation_rows(2, n, rel))[0]) for n in (5, 6, 7)]
+    assert ranks == [16, 55, 182]
 
 
 def test_prefix_tables_locate_each_word_without_its_last_letter():
@@ -319,7 +344,8 @@ def test_exact_rank_matches_dense_fraction_elimination(matrix):
 def test_oracle_stays_integral_within_the_default_budget():
     for k in range(1, 7):
         rep = quotient_dims_oracle(k, top_degree(k, DEFAULT_COLUMN_BUDGET))
-        # "integer" only if every degree's elimination kept +-1 pivots
+        # every pivot is a template leading with -1; a row that would need
+        # another pivot raises instead of reporting a field
         assert rep.field_used == "integer", k
         assert rep.all_ok, k
 

@@ -184,7 +184,7 @@ def report_fields():
     return dict(
         betti_param=1, max_degree=3, tensor_dims=GradedDims((1, 1, 2, 3)),
         ideal_dims=GradedDims((0, 0, 0, 1)), quotient_dims=GradedDims((1, 1, 2, 2)),
-        series_match=(True,) * 4, euler_ok=(True,) * 4, field_used="integer",
+        series_match=(True,) * 4, euler_ok=(True,) * 4,
     )
 
 
