@@ -1,13 +1,17 @@
 """Command-line front end: ranks, series, stable, growth, verify.
 
+The library modules compute; this module alone decides what is printed.
 Every command builds a CommandResult holding a JSON payload, a rendered text
-table, and a CSV form; `--format` picks which one is printed.  Identical
-flags always produce byte-identical output.
+table and a CSV form, each from the fields of the library's result records;
+`--format` picks which one is printed.  Identical flags always produce
+byte-identical output.
 
 Exit codes: 0 on success or a not-applicable check, 1 when a verification
 fails, a size limit is hit, required data is missing or stdout closes before
 the output is written, 2 for usage errors (argparse's own convention,
-extended to mathematical domain violations).
+extended to mathematical domain violations).  A failed check prints its
+result, ending in FAIL; every FourfoldError leaves through _main as one
+`error:` line on stderr, with nothing on stdout.
 
 Start-up: the module imports what `verify`, `ranks`, `series` and `growth`
 run; `stable` imports its module when it runs.
@@ -21,14 +25,7 @@ import os
 import sys
 
 from ._record import Record
-from .errors import (
-    DomainError,
-    FourfoldError,
-    InsufficientStemsData,
-    ParseError,
-    ResourceLimit,
-    ValidationError,
-)
+from .errors import DomainError, FourfoldError, ParseError, ResourceLimit, ValidationError
 from .oracle import (
     DEFAULT_COLUMN_BUDGET,
     koszul_leading_monomial_check,
@@ -56,7 +53,7 @@ STATUS_FAIL = "fail"
 class CommandResult(Record):
     """What a command prints: JSON payload, text table, CSV."""
 
-    def __init__(self, status: str, payload: dict, rendered: str, csv: str = ""):
+    def __init__(self, status: str, payload: dict, rendered: str, csv: str):
         self.__dict__.update(status=status, payload=payload, rendered=rendered, csv=csv)
 
     @property
@@ -80,16 +77,21 @@ def _csv_lines(header: str, rows) -> str:
     return "\n".join([header] + [",".join(map(str, r)) for r in rows]) + "\n"
 
 
+def _str_or_none(value):
+    return None if value is None else str(value)
+
+
 # -- commands ---------------------------------------------------------------
 
 
 def cmd_ranks(betti: int, max_degree: int) -> CommandResult:
     table = homotopy_ranks(betti, max_degree)
     classification = "elliptic" if betti <= 2 else "hyperbolic"
-    payload = table.to_json_dict()
-    payload["classification"] = classification
+    by_degree = list(enumerate(table.ranks, start=2))  # m_n is the rank of pi_{n+1}
+    ranks = {f"pi_{n}": m for n, m in by_degree}
+    payload = {"betti": table.betti, "ranks": ranks, "classification": classification}
 
-    rows = [(f"pi_{n + 1}", m) for n, m in enumerate(table.ranks, start=1)]
+    rows = list(ranks.items())
     rendered = "\n".join(
         [
             f"rational homotopy ranks at b2 = {betti}",
@@ -97,7 +99,7 @@ def cmd_ranks(betti: int, max_degree: int) -> CommandResult:
             f"growth classification: {classification}",
         ]
     )
-    csv = table.to_csv()
+    csv = _csv_lines("degree,rank", by_degree)
     return CommandResult(STATUS_OK, payload, rendered, csv)
 
 
@@ -124,7 +126,8 @@ def cmd_series(kind: str, betti: int, terms: int, dims_spec: str = "") -> Comman
         series = free_comm_series({1: betti, 2: betti}, terms)
     else:
         raise DomainError(f"unknown series kind {kind!r}")
-    payload.update(series.to_json_dict())
+    payload["truncation_order"] = series.truncation_order
+    payload["coefficients"] = [str(c) for c in series.coeffs]
     rows = list(enumerate(payload["coefficients"]))
     rendered = "\n".join(
         [
@@ -162,30 +165,14 @@ def cmd_stable(betti: int, n: int, pi1_order: int, stems_file: str = "") -> Comm
         stems = load_stems_table(text, source_note=stems_file)
     else:
         stems = bundled_stems_table()
-    try:
-        group = stable_homotopy_finite_pi1(betti, n, pi1_order, stems)
-    except InsufficientStemsData as exc:
-        payload = {
-            "betti": betti,
-            "n": n,
-            "pi1_order": pi1_order,
-            "stems_source": stems.source_note,
-            "error": "insufficient-stems-data",
-            "missing_index": exc.index,
-            "max_index": exc.max_index,
-        }
-        rendered = (
-            f"FAIL: stem {exc.index} is required but the table ends at "
-            f"{exc.max_index}"
-        )
-        return CommandResult(STATUS_FAIL, payload, rendered)
+    group = stable_homotopy_finite_pi1(betti, n, pi1_order, stems)
     human = str(group)
     payload = {
         "betti": betti,
         "n": n,
         "pi1_order": pi1_order,
         "stems_source": stems.source_note,
-        "group": group.to_json_dict(),
+        "group": {"free_rank": group.free_rank, "torsion": list(group.torsion)},
         "human": human,
     }
     rendered = "\n".join(
@@ -204,7 +191,18 @@ def cmd_stable(betti: int, n: int, pi1_order: int, stems_file: str = "") -> Comm
 
 def cmd_growth(betti: int, probe: int) -> CommandResult:
     report = growth_report(betti, probe)
-    payload = report.to_json_dict()
+    bounds = sorted(report.cumulative_bound_ok.items())
+    payload = {
+        "betti": report.betti,
+        "classification": report.classification,
+        "probe_degree": report.probe_degree,
+        # Decimals, or None when elliptic
+        "growth_base": _str_or_none(report.growth_base),
+        "limit_residual": _str_or_none(report.limit_residual),
+        "exponential_growth": report.exponential_growth,
+        "precision": report.precision,
+        "cumulative_bound_ok": {str(n): ok for n, ok in bounds},
+    }
     lines = [
         f"growth report at b2 = {betti} (probe degree {probe})",
         f"classification: {report.classification}",
@@ -215,10 +213,7 @@ def cmd_growth(betti: int, probe: int) -> CommandResult:
     else:
         lines.append("growth base: none (elliptic)")
     lines.append(f"exponential growth: {'yes' if report.exponential_growth else 'no'}")
-    bound_rows = [
-        (n, "ok" if ok else "VIOLATED")
-        for n, ok in sorted(report.cumulative_bound_ok.items())
-    ]
+    bound_rows = [(n, "ok" if ok else "VIOLATED") for n, ok in bounds]
     if bound_rows:
         lines.append("cumulative lower bounds:")
         lines.append(_align(bound_rows, ("n", "bound")))
@@ -237,19 +232,19 @@ def cmd_verify(betti: int, max_degree: int, budget=None) -> CommandResult:
     payload = {"betti": betti, "max_degree": max_degree}
     lines = [f"verification at b2 = {betti}, oracle degree {max_degree}"]
 
-    try:
-        report = quotient_dims_oracle(betti, max_degree, budget)
-    except ResourceLimit as exc:
-        payload["error"] = "resource-limit"
-        payload["message"] = str(exc)
-        payload["failing_checks"] = ["oracle-resource-limit"]
-        lines.append(f"resource limit: {exc}")
-        lines.append("FAIL")
-        return CommandResult(STATUS_FAIL, payload, "\n".join(lines))
-
+    report = quotient_dims_oracle(betti, max_degree, budget)
     checks["oracle-series-match"] = all(report.series_match)
     checks["euler-identity"] = all(report.euler_ok)
-    payload["oracle"] = report.to_json_dict()
+    payload["oracle"] = {
+        "betti_param": report.betti_param,
+        "max_degree": report.max_degree,
+        "tensor_dims": list(report.tensor_dims.dims),
+        "ideal_dims": list(report.ideal_dims.dims),
+        "quotient_dims": list(report.quotient_dims.dims),
+        "series_match": list(report.series_match),
+        "euler_ok": list(report.euler_ok),
+        "field_used": report.field_used,
+    }
 
     koszul_ok, lead = koszul_leading_monomial_check(betti)
     checks["koszul-leading-monomial"] = koszul_ok
@@ -409,10 +404,7 @@ def _main(argv) -> int:
     args = parser.parse_args(argv)
     try:
         text, code = _output(args)
-    except (DomainError, ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomainError, ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FourfoldError as exc:
@@ -444,7 +436,7 @@ def _output(args) -> tuple:
             result = cmd_verify(args.betti, args.max_degree, _resolve_budget(args))
         if args.format == "json":
             text = json.dumps(result.payload, indent=2)
-        elif args.format == "csv" and result.csv:
+        elif args.format == "csv":
             text = result.csv[:-1]  # every CSV form ends in a newline
         else:
             text = result.rendered

@@ -224,22 +224,25 @@ def _degree_pivots(k: int, n: int, widths: list, degrees: list, has, dep) -> tup
 
 
 def _ideal_ranks(k: int, N: int) -> list:
-    """Ranks of the ideal slices of degrees 0..N."""
+    """Ranks of the ideal slices of degrees 0..N.  No row r * v exists below
+    degree 3, so degrees 0..2 have rank 0 and an empty window; their column
+    flags, all 0, are no wider than degree 3, whose width the budget checks."""
+    if N < 3:
+        return [0] * (N + 1)
     widths = [_word_count(k, m) for m in range(N + 1)]
-    degrees, out = [], [0, 0]  # out starts at degrees -2, -1
-    held = [b"", b""]  # degrees n-2, n-1: 1 at each column holding a pivot
+    degrees = [(0, b"", None)] * 3
+    out = [0] * 5  # degrees -2..2
+    # degrees n-2, n-1: 1 at each column holding a pivot
+    held = [bytearray(widths[1]), bytearray(widths[2])]
     prefixes = _prefix_tables(k)
-    for n in range(N + 1):
-        if n < 3:
-            has, dep = bytearray(widths[n]), bytearray()
-        else:
-            # column blocks by first letter: k of degree n-1, then k of n-2
-            has = held[1] * k
-            has += held[0] * k
-            # r * v' dependent makes r * v' c dependent (right multiplication)
-            dep = bytearray(1) if n == 3 else bytearray(
-                map((degrees[n - 1][1] + degrees[n - 2][1]).__getitem__, next(prefixes))
-            )
+    for n in range(3, N + 1):
+        # column blocks by first letter: k of degree n-1, then k of n-2
+        has = held[1] * k
+        has += held[0] * k
+        # r * v' dependent makes r * v' c dependent (right multiplication)
+        dep = bytearray(1) if n == 3 else bytearray(
+            map((degrees[n - 1][1] + degrees[n - 2][1]).__getitem__, next(prefixes))
+        )
         state = _degree_pivots(k, n, widths, degrees, has, dep)
         degrees.append(state)
         held = [held[1], has]
@@ -281,18 +284,6 @@ class OracleReport(Record):
     @property
     def all_ok(self) -> bool:
         return all(self.series_match) and all(self.euler_ok)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "betti_param": self.betti_param,
-            "max_degree": self.max_degree,
-            "tensor_dims": list(self.tensor_dims.dims),
-            "ideal_dims": list(self.ideal_dims.dims),
-            "quotient_dims": list(self.quotient_dims.dims),
-            "series_match": list(self.series_match),
-            "euler_ok": list(self.euler_ok),
-            "field_used": self.field_used,
-        }
 
 
 def _euler_flags(k: int, qdims) -> tuple:

@@ -102,18 +102,6 @@ class RankTable(Record):
             raise DomainError(f"degree {n} outside 1..{self.max_degree}")
         return self.ranks[n - 1]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "betti": self.betti,
-            "ranks": {f"pi_{n + 1}": m for n, m in enumerate(self.ranks, start=1)},
-        }
-
-    def to_csv(self) -> str:
-        lines = ["degree,rank"]
-        for n, m in enumerate(self.ranks, start=1):
-            lines.append(f"{n + 1},{m}")
-        return "\n".join(lines) + "\n"
-
 
 # The b2 = 1 manifolds are rationally elliptic with one generator in
 # degree 2 and one in degree 5 (in m-table indexing: degrees 1 and 4).
@@ -362,23 +350,6 @@ class GrowthReport(Record):
             precision=precision,
             cumulative_bound_ok=cumulative_bound_ok,
         )
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "betti": self.betti,
-            "classification": self.classification,
-            "probe_degree": self.probe_degree,
-            "growth_base": None if self.growth_base is None else str(self.growth_base),
-            "limit_residual": (
-                None if self.limit_residual is None else str(self.limit_residual)
-            ),
-            "exponential_growth": self.exponential_growth,
-            "precision": self.precision,
-            "cumulative_bound_ok": {
-                str(n): ok for n, ok in sorted(self.cumulative_bound_ok.items())
-            },
-        }
-        return doc
 
 
 def growth_base(betti: int) -> Decimal:

@@ -68,13 +68,6 @@ class TruncatedSeries(Record):
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(t^{self.truncation_order + 1})"
 
-    def to_json_dict(self) -> dict:
-        """{"truncation_order": N, "coefficients": [...]}, coefficients as decimal strings."""
-        return {
-            "truncation_order": self.truncation_order,
-            "coefficients": [str(c) for c in self.coeffs],
-        }
-
 
 class GradedDims(Record):
     """Degreewise dimensions of a graded vector space, indexed 0..N."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 from functools import lru_cache
 from typing import Sequence, Tuple
 
@@ -117,8 +118,17 @@ class FinAbGroup(Record):
         return FinAbGroup(self.free_rank + other.free_rank, self.torsion + other.torsion)
 
     def power(self, e: int) -> "FinAbGroup":
+        """The direct sum of e copies; ResourceLimit when its torsion summands
+        would not fit in a tuple (more than sys.maxsize)."""
         if e < 0:
             raise DomainError(f"negative direct-sum exponent {e}")
+        if not self.torsion:  # () * e overflows past sys.maxsize too
+            return FinAbGroup(self.free_rank * e)
+        if len(self.torsion) * e > sys.maxsize:
+            raise ResourceLimit(
+                f"a sum of {e} copies has {len(self.torsion) * e} cyclic "
+                f"summands, more than {sys.maxsize}"
+            )
         return FinAbGroup(self.free_rank * e, self.torsion * e)
 
     def invariant_factors(self) -> list:
@@ -157,9 +167,6 @@ class FinAbGroup(Record):
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
         return " + ".join(parts) if parts else "0"
-
-    def to_json_dict(self) -> dict:
-        return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
 class StemsTable(Record):

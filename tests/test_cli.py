@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourfold import cli, errors
 from fourfold.cli import main
 from fourfold.oracle import DEFAULT_COLUMN_BUDGET, _word_count
 
@@ -243,10 +244,10 @@ def test_stable_with_pi1_order(capsys):
 
 
 def test_stable_past_table_fails_cleanly(capsys):
-    code, out, _ = run(capsys, "stable", "--betti", "2", "--n", "30")
+    code, out, err = run(capsys, "stable", "--betti", "2", "--n", "30")
     assert code == 1
-    assert "FAIL" in out
-    assert "ends at 19" in out
+    assert out == ""
+    assert err == "error: stem index 28 requested but table ends at 19\n"
 
 
 def test_stable_honors_stems_file(capsys, tmp_path):
@@ -274,9 +275,6 @@ def test_stable_source_is_in_the_payload_only(capsys, tmp_path):
         from_file = run(capsys, *base, "--stems-file", str(f), "--format", fmt)
         assert bundled == from_file, fmt
         assert "stems" not in bundled[1], fmt
-    code, out, _ = run(capsys, "stable", "--betti", "2", "--n", "30", "--format", "json")
-    assert code == 1
-    assert json.loads(out)["stems_source"] == "bundled reference table, stems 0..19"
 
 
 def test_stable_missing_stems_file(capsys, tmp_path):
@@ -504,13 +502,18 @@ def test_verify_csv(capsys):
     assert lines[4] == "3,3,1,2,True,True"
 
 
+BUDGET_1000_AT_B2_4 = (
+    "error: degree 5 at k=4 needs a 2240-column matrix; budget is 1000 columns\n"
+)
+
+
 def test_verify_budget_flag_limits_work(capsys):
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "verify", "--betti", "4", "--max-degree", "8", "--budget", "1000"
     )
     assert code == 1
-    assert "resource limit" in out
-    assert out.rstrip().endswith("FAIL")
+    assert out == ""
+    assert err == BUDGET_1000_AT_B2_4
 
 
 def test_verify_below_degree_three_passes_under_any_budget(capsys):
@@ -519,18 +522,20 @@ def test_verify_below_degree_three_passes_under_any_budget(capsys):
     )
     assert code == 0
     assert out.endswith("PASS\n")
-    code, out, _ = run(
+    code, out, err = run(
         capsys, "verify", "--betti", "3", "--max-degree", "3", "--budget", "5"
     )
     assert code == 1
-    assert "resource limit: degree 3 at k=3 needs a 45-column matrix" in out
+    assert out == ""
+    assert err == "error: degree 3 at k=3 needs a 45-column matrix; budget is 5 columns\n"
 
 
 def test_verify_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("FOURFOLD_BUDGET", "1000")
-    code, out, _ = run(capsys, "verify", "--betti", "4", "--max-degree", "8")
+    code, out, err = run(capsys, "verify", "--betti", "4", "--max-degree", "8")
     assert code == 1
-    assert "resource limit" in out
+    assert out == ""
+    assert err == BUDGET_1000_AT_B2_4
 
 
 def test_verify_flag_overrides_env(capsys, monkeypatch):
@@ -588,21 +593,28 @@ def test_verify_ends_in_result_or_one_line_error(betti, max_degree, budget, fmt)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    one_line_error = (
+        out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: ")
+    )
+    result = out.getvalue() != "" and err.getvalue() == ""
     if code == 2:
-        assert out.getvalue() == ""
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert one_line_error
+    elif code == 1:
+        # a failed check prints its result; a limit prints one error line
+        assert result or one_line_error
     else:
-        assert err.getvalue() == ""
-        assert out.getvalue()
+        assert result
     cap = DEFAULT_COLUMN_BUDGET if budget is None else budget
-    if betti >= 1 and max_degree >= 0 and cap >= 1 and (
-        max_degree < 3 or cap >= _word_count(betti, max_degree)
-    ):
-        # valid input within the budget (no matrix below degree 3): every check passes
-        assert code == 0
-        if fmt == "table":
-            assert out.getvalue().endswith("PASS\n")
+    if betti >= 1 and max_degree >= 0 and cap >= 1:
+        if max_degree < 3 or cap >= _word_count(betti, max_degree):
+            # within the budget (no matrix below degree 3): every check passes
+            assert code == 0
+            if fmt == "table":
+                assert out.getvalue().endswith("PASS\n")
+        else:
+            assert code == 1 and one_line_error
+            assert lines[0].endswith(f"budget is {cap} columns")
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
@@ -629,6 +641,35 @@ def test_value_past_the_int_digit_limit_is_a_resource_limit(capsys, argv, fmt):
         "error: a value has more than 640 digits, "
         "Python's limit for converting an int to text\n"
     )
+
+
+RAISED = [
+    (errors.FourfoldError("a bug"), 1),
+    (errors.InternalInconsistency("two computations disagree"), 1),
+    (errors.ResourceLimit("over budget"), 1),
+    (errors.InsufficientStemsData(20, 19), 1),
+    (errors.DomainError("bad value"), 2),
+    (errors.UngradedGenerator("degree 0"), 2),
+    (errors.ParseError("bad document"), 2),
+    (errors.ValidationError("bad content"), 2),
+    (OSError("no such file"), 2),
+]
+
+
+def _subclasses(cls):
+    return {cls}.union(*(_subclasses(sub) for sub in cls.__subclasses__()))
+
+
+@pytest.mark.parametrize("exc, code", RAISED, ids=lambda v: type(v).__name__)
+def test_every_error_is_one_stderr_line_with_its_exit_code(capsys, monkeypatch, exc, code):
+    # one case per error class of the package, plus OSError
+    assert {type(e) for e, _ in RAISED} == _subclasses(errors.FourfoldError) | {OSError}
+
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_ranks", fail)
+    assert run(capsys, "ranks", "--betti", "3") == (code, "", f"error: {exc}\n")
 
 
 def test_verify_deep_at_betti_one(capsys):

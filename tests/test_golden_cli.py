@@ -2,7 +2,7 @@
 
 tests/golden/cli_transcripts.json holds one record per run: its argv, exit
 code, stdout and stderr.  The runs cover all five commands at b2 = 1, 2, 3
-and 5 in the table, json and csv formats, plus five error cases; each goes
+and 5 in the table, json and csv formats, plus seven error cases; each goes
 through main(argv) in process, with FOURFOLD_BUDGET unset.  A change to any
 byte of output fails this test.
 
@@ -42,6 +42,10 @@ ERRORS = (
     ("ranks", "--betti", "0"),
     ("series", "--kind", "pbw", "--betti", "2", "--dims", "1:2"),
     ("stable", "--betti", "2", "--n", "22"),
+    # 10**30 - 1 copies of stem 0 (Z) and of stem 1 (Z/2): the torsion-free
+    # sum is a result, the other has more summands than a tuple holds
+    ("stable", "--betti", "2", "--n", "1", "--pi1-order", str(10**30)),
+    ("stable", "--betti", "2", "--n", "2", "--pi1-order", str(10**30)),
 )
 
 RUNS = [

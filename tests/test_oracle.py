@@ -60,14 +60,15 @@ def top_degree(k, columns):
 
 
 def record_degrees(monkeypatch, k, N):
-    """Run _ideal_ranks(k, N) and record, per degree, what its elimination
-    starts from and what it makes: the skip flags, a lookup of the lower
-    degrees' pivots by column, its pivots by column (the template at each
-    flag left 0), and the rows it builds."""
+    """Run _ideal_ranks(k, N) and record, per degree 3..N (the first with a
+    row r * v), what its elimination starts from and what it makes: the skip
+    flags, a lookup of the lower degrees' pivots by column, its pivots by
+    column (the template at each flag left 0), and the rows it builds."""
     degrees = []
     step, reduce_row = oracle._degree_pivots, oracle._reduce_row
 
     def recording_step(k, n, widths, lower, has, dep):
+        assert n == len(degrees) + 3
         held = bytes(has)
         degrees.append({
             "skipped": bytes(dep),
@@ -90,7 +91,7 @@ def record_degrees(monkeypatch, k, N):
     monkeypatch.setattr(oracle, "_reduce_row", recording_reduce)
     _ideal_ranks(k, N)
     monkeypatch.undo()
-    assert len(degrees) == N + 1
+    assert len(degrees) == N - 2
     return degrees
 
 
@@ -167,7 +168,7 @@ def test_production_rows_are_the_rows_with_empty_left_factor(monkeypatch):
     # each row the loop builds, and each pivot it places unbuilt, is the row
     # r * v at its lead column, as the full stream spells it
     for k in range(1, 5):
-        for n, degree in enumerate(record_degrees(monkeypatch, k, 8)):
+        for n, degree in enumerate(record_degrees(monkeypatch, k, 8), start=3):
             by_lead = {max(row): row for row in head_rows(k, n)}
             assert len(by_lead) == _word_count(k, n - 3)
             built = [max(row) for row in degree["built"]]
@@ -247,7 +248,8 @@ def test_prefix_tables_locate_each_word_without_its_last_letter():
 def test_rows_skipped_by_right_multiplication_reduce_to_zero(monkeypatch):
     for k in range(1, 5):
         skips = 0
-        for n, degree in enumerate(record_degrees(monkeypatch, k, top_degree(k, 20_000))):
+        degrees = record_degrees(monkeypatch, k, top_degree(k, 20_000))
+        for n, degree in enumerate(degrees, start=3):
             # every row r * v reduced in turn: none skipped, none placed unbuilt
             pivots, _, fates = eliminate(head_rows(k, n), degree["below"])
             assert by_column(pivots) == by_column(degree["new"]), (k, n)
@@ -260,7 +262,8 @@ def test_rows_skipped_by_right_multiplication_reduce_to_zero(monkeypatch):
 
 def test_rows_placed_unbuilt_are_the_rows_no_step_reduces(monkeypatch):
     for k in range(1, 5):
-        for n, degree in enumerate(record_degrees(monkeypatch, k, top_degree(k, 20_000))):
+        degrees = record_degrees(monkeypatch, k, top_degree(k, 20_000))
+        for n, degree in enumerate(degrees, start=3):
             heads = head_rows(k, n)
             built = {max(row) for row in degree["built"]}
             placed = [
@@ -419,6 +422,20 @@ def test_budget_counts_only_degrees_with_a_matrix():
     assert str(exc.value) == "degree 3 at k=3 needs a 45-column matrix; budget is 5 columns"
 
 
+def test_no_work_below_degree_three(monkeypatch):
+    # no row r * v below degree 3: no step, no relation offsets, no flags
+    def refuse(*args):
+        raise AssertionError("work below degree 3")
+
+    for name in ("_degree_pivots", "_word_offset", "_prefix_tables"):
+        monkeypatch.setattr(oracle, name, refuse)
+    monkeypatch.setattr(oracle, "bytearray", refuse, raising=False)
+    for k in (1, 3, 10**6):
+        assert [_ideal_ranks(k, N) for N in range(3)] == [[0], [0, 0], [0, 0, 0]]
+    # at b2 = 10**5, degree 2 would have taken 10**10 bytes of flags
+    assert quotient_dims_oracle(10**5, 2, budget=1).ideal_dims.dims == (0, 0, 0)
+
+
 def test_budget_is_checked_before_any_elimination(monkeypatch):
     def no_elimination(k, n, *state):
         raise AssertionError(f"degree {n} eliminated")
@@ -438,9 +455,7 @@ def test_deep_degree_is_a_resource_limit_not_a_recursion_error():
 
 
 def test_oracle_is_deterministic():
-    a = quotient_dims_oracle(2, 6)
-    b = quotient_dims_oracle(2, 6)
-    assert a.to_json_dict() == b.to_json_dict()
+    assert quotient_dims_oracle(2, 6) == quotient_dims_oracle(2, 6)
 
 
 @settings(deadline=None, max_examples=10)

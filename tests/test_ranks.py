@@ -23,6 +23,7 @@ from fourfold import (
     pbw_identity_check,
     rank_polynomial_checks,
 )
+from fourfold.cli import cmd_growth, cmd_ranks
 from fourfold.ranks import (
     RankTable,
     _closed_form,
@@ -331,9 +332,13 @@ def test_growth_lemma_hypotheses_hold_exactly_from_three():
 
 
 def test_growth_report_json_is_plain_data():
-    d = growth_report(3, 12).to_json_dict()
+    report = growth_report(3, 12)
+    d = cmd_growth(3, 12).payload
     assert d["classification"] == "hyperbolic"
-    assert isinstance(d["growth_base"], str)
+    assert d["growth_base"] == str(report.growth_base)
+    assert d["limit_residual"] == str(report.limit_residual)
+    assert d["cumulative_bound_ok"] == {str(n): True for n in range(1, 7)}
+    assert cmd_growth(2, 12).payload["growth_base"] is None
 
 
 def test_cumulative_bound_range():
@@ -394,10 +399,13 @@ def test_cumulative_bound_is_exact_rational():
 def test_rank_table_serialization():
     t = homotopy_ranks(3, 3)
     assert repr(t) == "RankTable(betti=3, ranks=(3, 5, 5))"
-    d = t.to_json_dict()
-    assert d == {"betti": 3, "ranks": {"pi_2": 3, "pi_3": 5, "pi_4": 5}}
-    assert t.to_csv().splitlines()[0] == "degree,rank"
-    assert "2,3" in t.to_csv().splitlines()
+    result = cmd_ranks(3, 3)
+    assert result.payload == {
+        "betti": 3,
+        "ranks": {"pi_2": 3, "pi_3": 5, "pi_4": 5},
+        "classification": "hyperbolic",
+    }
+    assert result.csv == "degree,rank\n2,3\n3,5\n4,5\n"
 
 
 # -- the prefix store ----------------------------------------------------------

@@ -16,6 +16,7 @@ from fourfold import (
     quotient_series,
     tensor_series,
 )
+from fourfold.cli import cmd_series
 from fourfold.ranks import RankTable
 from fourfold.series import _poly_reciprocal
 from refimpl import series_log, series_mul, series_reciprocal
@@ -278,4 +279,9 @@ def test_pbw_series_rejects_anything_but_a_rank_table(table):
 def test_str_rendering():
     s = TruncatedSeries((1, 0, 2), 2)
     assert "t^2" in str(s)
-    assert s.to_json_dict() == {"truncation_order": 2, "coefficients": ["1", "0", "2"]}
+    assert cmd_series("tensor", 2, 2).payload == {
+        "kind": "tensor",
+        "betti": 2,
+        "truncation_order": 2,
+        "coefficients": ["1", "2", "6"],
+    }

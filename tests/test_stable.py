@@ -1,6 +1,7 @@
 """Finite abelian groups, stems tables, and the stable-range assembly."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -20,6 +21,7 @@ from fourfold import (
     stable_homotopy_finite_pi1,
     stable_homotopy_simply_connected,
 )
+from fourfold.cli import cmd_stable
 from refimpl import marker_table, stem_exponents
 
 
@@ -82,10 +84,23 @@ def test_power_repeats_every_summand():
     assert g.power(0) == FinAbGroup.trivial()
 
 
+def test_power_past_a_tuple_is_a_resource_limit():
+    big = sys.maxsize + 1
+    # no torsion: only the free rank is multiplied
+    assert FinAbGroup(3).power(big) == FinAbGroup(3 * big)
+    assert FinAbGroup.trivial().power(big) == FinAbGroup.trivial()
+    with pytest.raises(ResourceLimit, match=f"has {big} cyclic summands, more than"):
+        FinAbGroup(1, (2,)).power(big)
+    with pytest.raises(ResourceLimit):
+        FinAbGroup(0, (2, 3)).power(sys.maxsize // 2 + 1)
+
+
 def test_group_json_shape():
-    assert FinAbGroup.from_orders(0, [24, 0]).to_json_dict() == {
+    # stems 3 (Z/24 = Z/8 + Z/3) three times, 2 (Z/2) twice and 0 (Z) once,
+    # torsion in canonical order: by prime, then exponent
+    assert cmd_stable(3, 5, 1).payload["group"] == {
         "free_rank": 1,
-        "torsion": [8, 3],
+        "torsion": [2, 2, 8, 8, 8, 3, 3, 3],
     }
 
 

@@ -271,9 +271,8 @@ def test_record_defaults():
     growth = [GrowthReport(2, "elliptic", 5, None, None, False, 60) for _ in range(2)]
     assert growth[0].cumulative_bound_ok == {}
     assert growth[0].cumulative_bound_ok is not growth[1].cumulative_bound_ok
-    result = CommandResult("ok", {}, "r")
-    assert result.csv == ""
-    assert result.exit_code == 0 and CommandResult("fail", {}, "r").exit_code == 1
+    assert CommandResult("ok", {}, "r", "c\n").exit_code == 0
+    assert CommandResult("fail", {}, "r", "c\n").exit_code == 1
 
 
 @pytest.mark.parametrize(
