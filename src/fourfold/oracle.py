@@ -333,14 +333,22 @@ def koszul_leading_monomial_check(k: int) -> tuple:
     """(unique-leading-monomial flag, the leading word as text) for the relation r.
 
     The expected leading word under x_1 < ... < x_k < y_1 < ... < y_k is
-    y_k x_k, and it must be the unique maximum among r's words.
+    y_k x_k, and it must be the unique maximum among r's words.  It is read
+    off k in O(1), without listing the 2k words of _relation_terms: the words
+    (i, k + i) start with a letter i <= k - 1, and the words (k + i, i) start
+    with k + i, a different letter for each i = 0..k-1.  All words have length
+    2, so the lex maximum is the word of largest first letter when that letter
+    is unique: (2k - 1, k - 1), i.e. y_k x_k, since 2k - 1 exceeds both k - 1
+    (the first family) and every other k + i (the second).
 
     >>> koszul_leading_monomial_check(3)
     (True, 'y3*x3')
     """
     if k < 1:
         raise DomainError(f"alphabet parameter must be >= 1, got {k}")
-    words = [w for _, w in _relation_terms(k)]
-    lead = max(words)
+    lead = (2 * k - 1, k - 1)  # the word (k + i, i) at i = k - 1
+    # its first letter is above k - 1, the largest that starts an (i, k + i),
+    # and above 2k - 2, the largest other k + i
+    unique = lead[0] > k - 1 and lead[0] > 2 * k - 2
     text = "*".join(f"x{c + 1}" if c < k else f"y{c - k + 1}" for c in lead)
-    return words.count(lead) == 1 and lead == (2 * k - 1, k - 1), text
+    return unique, text

@@ -26,15 +26,17 @@ nonnegative; else it is a bug and raises.  The rank checks are exact:
   b2 = 0..j proves a closed form of degree j.
 
 The ranks at one b2 form one infinite sequence, and a table of N of them is
-its prefix.  homotopy_ranks keeps, per b2 >= 2, the longest prefix it has
-computed, and only one that passed every check above (a check that raises
-stores nothing); a shorter request is a slice of it.  The prefixes hold at
-most RANK_STORE_BYTES of integers in all: the least recently used b2 goes
-first, and a table larger than the cap is returned but not kept.  Every
-entry point that reads ranks goes through homotopy_ranks, so
-growth_report, cumulative_bound_check and pbw_identity_check share the
-store; _necklace itself, which the polynomial checks call at b2 = 0..2,
-keeps nothing.
+its prefix.  So do the outcomes of two rank checks: flag n of the cumulative
+bound reads only m_1..m_2n, and flag n of PBW identity 1 (power sum c_n
+against p_n of 1/(1 - k t + t^2)) only m_1..m_n.  Three stores keep, per
+b2 >= 2, the longest prefix computed of each sequence (ranks, bound flags,
+PBW agreement flags), and only one that passed every check above (a check
+that raises stores nothing); a shorter request is a slice of it, so repeated
+calls at one b2 run each loop once.  Each store holds at most
+RANK_STORE_BYTES of objects: the least recently used b2 goes first, and a
+prefix larger than the cap is returned but not kept.  Every entry point that
+reads ranks goes through homotopy_ranks; _necklace itself, which the
+polynomial checks call at b2 = 0..2, keeps nothing.
 
 Growth lemma.  For k >= 3, m_n >= L_n / (2n) > beta^n / (2n) for every n,
 as L_n = beta^n + beta^-n.  In n m_n = sum_{d|n} +-mu(d) L_{n/d} the terms
@@ -73,7 +75,7 @@ if TYPE_CHECKING:  # decimal is imported only where growth is computed
 #: check probes n = 60 against a 1e-6 tolerance; 50+ digits leaves headroom.
 GROWTH_PRECISION = 60
 
-#: Bytes of rank tuples (tuple and int objects) the prefix store may keep,
+#: Bytes of tuples (tuple and item objects) each prefix store may keep,
 #: summed over every b2.
 RANK_STORE_BYTES = 8 << 20
 
@@ -111,9 +113,9 @@ _ELLIPTIC_B2_1 = (1, 0, 0, 1)
 
 
 class _PrefixStore:
-    """Checked rank prefixes m_1..m_M by b2, least recently used first.
+    """Prefixes s_1..s_M of one sequence per b2, least recently used first.
 
-    entries maps b2 to (ranks, bytes) and nbytes is the sum of those bytes;
+    entries maps b2 to (prefix, bytes) and nbytes is the sum of those bytes;
     the lock keeps the two consistent across threads.
     """
 
@@ -127,32 +129,43 @@ class _PrefixStore:
             self.nbytes = 0
 
     def get(self, k: int, N: int) -> Optional[tuple]:
-        """m_1..m_N at b2 = k if a prefix that long is kept, else None."""
+        """s_1..s_N at b2 = k if a prefix that long is kept, else None."""
         with self._lock:
             entry = self.entries.pop(k, None)
             if entry is None:
                 return None
             self.entries[k] = entry  # now the most recently used
-        ranks = entry[0]
-        return ranks[:N] if len(ranks) >= N else None
+        seq = entry[0]
+        return seq[:N] if len(seq) >= N else None
 
-    def put(self, k: int, ranks: tuple):
-        size = sys.getsizeof(ranks) + sum(map(sys.getsizeof, ranks))
+    def put(self, k: int, seq: tuple):
+        size = sys.getsizeof(seq) + sum(map(sys.getsizeof, seq))
         if size > RANK_STORE_BYTES:
             return
         with self._lock:
             old = self.entries.pop(k, None)
             if old is not None:
                 self.nbytes -= old[1]
-                if len(old[0]) > len(ranks):  # another thread stored a longer one
-                    ranks, size = old
-            self.entries[k] = (ranks, size)
+                if len(old[0]) > len(seq):  # another thread stored a longer one
+                    seq, size = old
+            self.entries[k] = (seq, size)
             self.nbytes += size
             while self.nbytes > RANK_STORE_BYTES:
                 self.nbytes -= self.entries.pop(next(iter(self.entries)))[1]
 
 
-_store = _PrefixStore()
+_store = _PrefixStore()  # m_1..m_N
+_bound_store = _PrefixStore()  # cumulative bound flags, n = 1..n_max
+_pbw_store = _PrefixStore()  # PBW identity 1 agreement flags, orders 1..N
+
+
+def _prefix(store: _PrefixStore, k: int, N: int, compute) -> tuple:
+    """s_1..s_N at b2 = k: a slice of store, else compute(k, N), then kept."""
+    seq = store.get(k, N)
+    if seq is None:
+        seq = compute(k, N)
+        store.put(k, seq)
+    return seq
 
 
 def homotopy_ranks(betti: int, N: int) -> RankTable:
@@ -170,27 +183,27 @@ def homotopy_ranks(betti: int, N: int) -> RankTable:
         raise DomainError(f"second Betti number must be >= 1, got {betti}")
     if N < 1:
         raise DomainError(f"max degree must be >= 1, got {N}")
-    k = betti
-    if k == 1:
+    if betti == 1:
         ranks = tuple(_ELLIPTIC_B2_1[n - 1] if n <= 4 else 0 for n in range(1, N + 1))
         return RankTable(betti=1, ranks=ranks)
+    return RankTable(betti=betti, ranks=_prefix(_store, betti, N, _checked_ranks))
 
-    ranks = _store.get(k, N)
-    if ranks is None:
-        ranks = tuple(_necklace(k, N))
-        for n, m_n in enumerate(ranks, start=1):
-            if m_n < 0:
-                raise InternalInconsistency(f"m_{n}({k}) = {m_n} < 0; sign convention violated")
-        # anchors forced independently of the inversion: m_1 by Hurewicz,
-        # m_2 by the degree-3 closed form
-        if ranks[0] != k:
-            raise InternalInconsistency(f"m_1({k}) = {ranks[0]}, expected {k}")
-        if N >= 2 and ranks[1] != _closed_form(2, k - 1):
-            raise InternalInconsistency(
-                f"m_2({k}) = {ranks[1]}, expected {_closed_form(2, k - 1)}"
-            )
-        _store.put(k, ranks)
-    return RankTable(betti=betti, ranks=ranks)
+
+def _checked_ranks(k: int, N: int) -> tuple:
+    """m_1..m_N at b2 = k >= 2 from the sieve; InternalInconsistency on a bad one."""
+    ranks = tuple(_necklace(k, N))
+    for n, m_n in enumerate(ranks, start=1):
+        if m_n < 0:
+            raise InternalInconsistency(f"m_{n}({k}) = {m_n} < 0; sign convention violated")
+    # anchors forced independently of the inversion: m_1 by Hurewicz,
+    # m_2 by the degree-3 closed form
+    if ranks[0] != k:
+        raise InternalInconsistency(f"m_1({k}) = {ranks[0]}, expected {k}")
+    if N >= 2 and ranks[1] != _closed_form(2, k - 1):
+        raise InternalInconsistency(
+            f"m_2({k}) = {ranks[1]}, expected {_closed_form(2, k - 1)}"
+        )
+    return ranks
 
 
 def _necklace(k: int, N: int) -> list:
@@ -304,16 +317,19 @@ def pbw_identity_check(betti: int, N: int) -> PbwCheck:
         raise DomainError(f"max degree must be >= 0, got {N}")
     if betti == 1:
         return PbwCheck(status=PBW_NOT_APPLICABLE)
-    k = betti
+    agree = _prefix(_pbw_store, betti, N, _pbw_agreement)
+    if False in agree:
+        return PbwCheck(status=PBW_FAIL, first_failure=agree.index(False) + 1)
+    return PbwCheck(status=PBW_PASS)
+
+
+def _pbw_agreement(k: int, N: int) -> tuple:
+    """(c_n == p_n for n = 1..N): the ranks' power sums against 1/(1 - k t + t^2)'s."""
     # both identities hold trivially at order 0; the table needs degree 1
     table = homotopy_ranks(k, max(N, 1))
-
     lhs = _power_sums(dict(enumerate(table.ranks, start=1)), N)
     rhs = _newton_sums([1, -k, 1], N)
-    if lhs != rhs:
-        first = next(n for n in range(1, N + 1) if lhs[n] != rhs[n])
-        return PbwCheck(status=PBW_FAIL, first_failure=first)
-    return PbwCheck(status=PBW_PASS)
+    return tuple(lhs[n] == rhs[n] for n in range(1, N + 1))
 
 
 class GrowthReport(Record):
@@ -447,13 +463,18 @@ def cumulative_bound_check(betti: int, n_max: int) -> dict:
         raise DomainError(f"cumulative bound needs b2 >= 3, got {betti}")
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    ranks = homotopy_ranks(betti, 2 * n_max).ranks
-    step = (betti - 1) ** 2
-    out = {}
+    return dict(zip(range(1, n_max + 1), _prefix(_bound_store, betti, n_max, _bound_flags)))
+
+
+def _bound_flags(k: int, n_max: int) -> tuple:
+    """(2n sum_{i<=2n} m_i >= (k - 1)^(2n) for n = 1..n_max), in integers."""
+    ranks = homotopy_ranks(k, 2 * n_max).ranks
+    step = (k - 1) ** 2
+    flags = []
     partial = 0
-    power = 1  # (b2 - 1)^(2n)
+    power = 1  # (k - 1)^(2n)
     for n in range(1, n_max + 1):
         partial += ranks[2 * n - 2] + ranks[2 * n - 1]
         power *= step
-        out[n] = 2 * n * partial >= power
-    return out
+        flags.append(2 * n * partial >= power)
+    return tuple(flags)

@@ -4,12 +4,13 @@ Everything here is a polynomial in t truncated at an explicit order N, with
 int coefficients: a TruncatedSeries accepts nothing else, so neither a float
 nor a Fraction gets in.  Each named constructor computes its coefficients by
 one integer recurrence.  quotient_series rolls its cubic one over three local
-variables, one multiply per coefficient, and tensor_series on generators of
-degree <= 2 its two-term one over two; _poly_reciprocal, the general 1/poly
-recurrence, serves only tensor generators of degree >= 3.  The general series
-arithmetic over Fraction (product, reciprocal, logarithm) is not part of the
-package: it lives with the tests in tests/refimpl.py, as the reference they
-compare these recurrences against.
+variables, and tensor_series on k generators in each of degrees 1 and 2 (the
+free algebra of the quotient model) its two-term one over two, both at one
+multiply per coefficient; _poly_reciprocal, the general 1/poly recurrence,
+serves every other tensor generator set.  The general series arithmetic over
+Fraction (product, reciprocal, logarithm) is not part of the package: it
+lives with the tests in tests/refimpl.py, as the reference they compare these
+recurrences against.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _poly_reciprocal(poly: Sequence[int], N: int) -> list:
     """Coefficients 0..N of 1/poly for an integer polynomial with poly[0] = 1.
 
     r_0 = 1 and r_n = -sum_{i=1..min(n, deg poly)} poly[i] r_{n-i}.  Only
-    tensor_series on a generator of degree >= 3 calls it.
+    tensor_series on generators other than m_1 = m_2 calls it.
     """
     terms = [(-i, -c) for i, c in enumerate(poly) if i and c]
     d = -terms[-1][0] if terms else 0  # r_n sits at out[d + n], r_{<0} = 0
@@ -171,22 +172,23 @@ def tensor_series(dims: Mapping[int, int], N: int) -> TruncatedSeries:
     """Hilbert series 1/(1 - sum_i dims[i] t^i) of the free associative algebra.
 
     The n-th coefficient counts words over the graded alphabet with total
-    degree n (one letter of each listed multiplicity per degree).  With every
-    generator in degree <= 2 it is a_n = m_1 a_{n-1} + m_2 a_{n-2} over two
-    locals; a generator of degree >= 3 takes the general _poly_reciprocal.
+    degree n (one letter of each listed multiplicity per degree).  With k
+    generators in degree 1 and k in degree 2 and no others it is
+    a_n = k (a_{n-1} + a_{n-2}) over two locals, one multiply per coefficient;
+    any other generator set takes the general _poly_reciprocal.
 
     >>> tensor_series({1: 2, 2: 2}, 3).as_int_list()
     [1, 2, 6, 16]
     """
     by_deg = _dims_by_degree(dims)
-    if max(by_deg, default=0) > 2:
+    k = by_deg.get(1, 0)
+    if by_deg.get(2, 0) != k or max(by_deg, default=0) > 2:
         den = [1] + [-by_deg.get(i, 0) for i in range(1, N + 1)]
         return TruncatedSeries(_poly_reciprocal(den, N), N)
-    m1, m2 = by_deg.get(1, 0), by_deg.get(2, 0)
     out = [1]
     prev, cur = 0, 1  # a_{n-2}, a_{n-1}
     for _ in range(N):
-        prev, cur = cur, m1 * cur + m2 * prev
+        prev, cur = cur, k * (cur + prev)
         out.append(cur)
     return TruncatedSeries(out, N)
 

@@ -5,14 +5,18 @@ import pytest
 
 @pytest.fixture
 def empty_rank_store():
-    """The rank prefix store, emptied before and after the test.
+    """The prefix stores (ranks and both check flags), emptied before and after.
 
     A test that monkeypatches _necklace or homotopy_ranks takes this, so that
-    no table computed or skipped under the patch reaches another test and no
-    outcome depends on which test ran first.
+    no table or check outcome computed or skipped under the patch reaches
+    another test and no outcome depends on which test ran first.  It yields
+    the rank store.
     """
-    from fourfold.ranks import _store
+    from fourfold.ranks import _bound_store, _pbw_store, _store
 
-    _store.clear()
+    stores = (_store, _bound_store, _pbw_store)
+    for store in stores:
+        store.clear()
     yield _store
-    _store.clear()
+    for store in stores:
+        store.clear()

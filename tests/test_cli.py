@@ -443,6 +443,27 @@ def test_verify_at_degree_zero_passes(capsys, betti):
     assert err == ""
 
 
+def test_verify_at_a_huge_betti_reads_the_leading_monomial_in_constant_time():
+    """Listing the relation's 2k words at k = 10**12 would not finish."""
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fourfold.cli", "verify", "--betti", "1000000000000",
+         "--max-degree", "0", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=30, preexec_fn=limit_memory,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["koszul"] == {
+        "ok": True, "leading_monomial": "y1000000000000*x1000000000000"
+    }
+
+
 def test_verify_json_check_map(capsys):
     code, out, _ = run(
         capsys, "verify", "--betti", "3", "--max-degree", "5", "--format", "json"

@@ -23,14 +23,18 @@ from fourfold import (
     pbw_identity_check,
     rank_polynomial_checks,
 )
+from fourfold import ranks as ranks_module
 from fourfold.cli import cmd_growth, cmd_ranks
 from fourfold.ranks import (
     RankTable,
+    _bound_store,
     _closed_form,
     _growth_lemma_holds,
     _lucas,
     _necklace,
     _newton_sums,
+    _pbw_store,
+    _PrefixStore,
 )
 from refimpl import moebius, newton_sums, pbw_product, series_log, series_reciprocal
 
@@ -271,6 +275,7 @@ def test_pbw_check_matches_product_series_on_mutated_tables(monkeypatch, empty_r
         ranks[rng.randrange(N)] += rng.choice((-2, -1, 1, 2))
         table = RankTable(k, tuple(ranks))
         monkeypatch.setattr("fourfold.ranks.homotopy_ranks", lambda betti, n: table)
+        _pbw_store.clear()  # else an outcome stored for another table answers
         chk = pbw_identity_check(k, N)
         assert (chk.status, chk.first_failure) == _pbw_reference(k, ranks, N), (k, ranks)
         statuses.append(chk.status)
@@ -363,7 +368,8 @@ def _cumulative_bound_reference(table, k, n_max):
 @example(3, 1, 0)
 @example(12, 150, 2**150 - 1)
 # empty_rank_store is emptied once per test, not per example: the patched
-# homotopy_ranks below never reads or fills the store
+# homotopy_ranks below never reads or fills the rank store, and the bound
+# store is emptied around the patched call
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -384,7 +390,9 @@ def test_cumulative_bound_matches_direct_reference(empty_rank_store, k, n_max, m
     assert _cumulative_bound_reference(edge, k, n_max) == expected
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("fourfold.ranks.homotopy_ranks", lambda betti, n: edge)
+        _bound_store.clear()  # else the flags of the true table answer
         assert cumulative_bound_check(k, n_max) == expected
+    _bound_store.clear()  # nor may the edge table's flags answer the next example
 
 
 def test_cumulative_bound_is_exact_rational():
@@ -425,6 +433,32 @@ def test_store_answers_equal_the_fresh_sieve_in_any_call_order(empty_rank_store)
         N[k] = min(400, max(1, N[k] + rng.choice((-1, 1)) * rng.randint(1, 150)))
         assert homotopy_ranks(k, N[k]).ranks == tuple(_necklace(k, N[k])), (k, N[k])
     assert set(empty_rank_store.entries) == set(range(2, 21))
+
+
+def _with_empty_stores(check, *args):
+    """check(*args) computed in full: all three stores swapped for empty ones."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_store", "_bound_store", "_pbw_store"):
+            mp.setattr(ranks_module, name, _PrefixStore())
+        return check(*args)
+
+
+def test_check_stores_answer_as_fresh_computations_in_any_call_order(empty_rank_store):
+    rng = random.Random(20)
+    N = {k: rng.randint(1, 300) for k in range(2, 13)}
+    for _ in range(300):
+        k = rng.randint(2, 12)
+        # each b2's degree walks up and down, so calls both hit and extend
+        N[k] = min(300, max(1, N[k] + rng.choice((-1, 1)) * rng.randint(1, 120)))
+        check = rng.choice((cumulative_bound_check, pbw_identity_check, growth_report))
+        if check is cumulative_bound_check and k < 3:
+            continue
+        assert check(k, N[k]) == _with_empty_stores(check, k, N[k]), (check, k, N[k])
+        if check is cumulative_bound_check:
+            table = RankTable(k, tuple(_necklace(k, 2 * N[k])))
+            assert check(k, N[k]) == _cumulative_bound_reference(table, k, N[k])
+    assert set(_bound_store.entries) == set(range(3, 13))
+    assert set(_pbw_store.entries) == set(range(2, 13))
 
 
 def test_a_check_that_raises_stores_nothing(monkeypatch, empty_rank_store):
@@ -476,15 +510,24 @@ def test_threads_share_the_store_and_get_the_fresh_answers(monkeypatch, empty_ra
     # a cap of a few tables, so that threads evict each other's entries
     monkeypatch.setattr("fourfold.ranks.RANK_STORE_BYTES", 40_000)
     rng = random.Random(8)
-    calls = [[(rng.randint(2, 9), rng.randint(1, 250)) for _ in range(150)] for _ in range(4)]
-    fresh = {kN: tuple(_necklace(*kN)) for thread in calls for kN in thread}
+    entry_points = (homotopy_ranks, pbw_identity_check, cumulative_bound_check)
+    calls = []
+    for _ in range(4):
+        thread_calls = []
+        for _ in range(150):
+            k = rng.randint(2, 9)
+            # the cumulative bound is defined from b2 = 3
+            entry_point = rng.choice(entry_points[: 2 + (k > 2)])
+            thread_calls.append((entry_point, k, rng.randint(1, 250)))
+        calls.append(thread_calls)
+    fresh = {call: _with_empty_stores(*call) for thread in calls for call in thread}
     wrong, errors = [], []
 
     def work(thread_calls):
         try:
-            for k, N in thread_calls:
-                if homotopy_ranks(k, N).ranks != fresh[k, N]:
-                    wrong.append((k, N))
+            for call in thread_calls:
+                if call[0](*call[1:]) != fresh[call]:
+                    wrong.append(call)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -500,24 +543,39 @@ def test_threads_share_the_store_and_get_the_fresh_answers(monkeypatch, empty_ra
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert (wrong, errors) == ([], [])
-    _assert_store_consistent(empty_rank_store, 40_000)
+    for store in (empty_rank_store, _bound_store, _pbw_store):
+        _assert_store_consistent(store, 40_000)
 
 
 def test_entry_points_slice_one_stored_table(monkeypatch, empty_rank_store):
-    calls = []
+    calls, loops = [], []
     necklace = _necklace
 
     def counting(k, N):
         calls.append((k, N))
         return necklace(k, N)
 
+    def counted(compute):
+        def wrapper(k, N):
+            loops.append((compute.__name__, k, N))
+            return compute(k, N)
+        return wrapper
+
     monkeypatch.setattr("fourfold.ranks._necklace", counting)
+    for name in ("_bound_flags", "_pbw_agreement"):
+        monkeypatch.setattr(ranks_module, name, counted(getattr(ranks_module, name)))
     homotopy_ranks(3, 600)
     for n in (1, 2, 300, 599, 600):
         homotopy_ranks(3, n)
-    growth_report(3, 500)
-    cumulative_bound_check(3, 250)
-    pbw_identity_check(3, 45)
+    # the bound and PBW loops run once each, for the longest request first
+    for _ in range(3):
+        growth_report(3, 500)
+        cumulative_bound_check(3, 250)
+        cumulative_bound_check(3, 7)
+        pbw_identity_check(3, 45)
+        pbw_identity_check(3, 0)
+        pbw_identity_check(3, 12)
     assert calls == [(3, 600)]
+    assert loops == [("_bound_flags", 3, 250), ("_pbw_agreement", 3, 45)]
     homotopy_ranks(3, 601)
     assert calls == [(3, 600), (3, 601)]

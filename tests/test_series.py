@@ -163,20 +163,32 @@ def test_poly_reciprocal_matches_fraction_reference(tail, N):
     st.sampled_from([(), (1,), (2,), (1, 2)]),
     st.integers(0, 12),
     st.integers(0, 12),
+    st.booleans(),
     st.integers(min_value=0, max_value=1000),
 )
-@example((), 0, 0, 1000)
-@example((1,), 5, 0, 1000)
-@example((2,), 5, 0, 1000)
-@example((1, 2), 3, 7, 1000)  # m_1 != m_2
-@example((1, 2), 0, 4, 3)  # a zero multiplicity
-@example((1, 2), 0, 0, 2)
+@example((), 0, 0, False, 1000)
+@example((1,), 5, 0, False, 1000)
+@example((2,), 5, 0, False, 1000)
+@example((1, 2), 3, 7, False, 1000)  # m_1 != m_2
+@example((1, 2), 0, 4, False, 3)  # a zero multiplicity
+@example((1, 2), 0, 0, False, 2)
+@example((1, 2), 12, 12, True, 1000)  # m_1 == m_2
+@example((1, 2), 1, 1, True, 0)
+@example((1, 2), 5, 5, True, 1)
 @settings(max_examples=40, deadline=None)
-def test_tensor_series_low_degree_loop_matches_poly_reciprocal(degrees, a, b, N):
-    """Generators of degree <= 2 take the two-term loop; it agrees with 1/poly."""
-    dims = dict(zip(degrees, (a, b)))
+def test_tensor_series_low_degree_loop_matches_poly_reciprocal(degrees, a, b, same, N):
+    """Generators of degree <= 2 agree with 1/poly: m_1 == m_2 (drawn when
+    `same` and both degrees are listed) takes the one-multiply loop, any
+    other set _poly_reciprocal itself."""
+    dims = dict(zip(degrees, (a, a if same else b)))
     den = [1, -dims.get(1, 0), -dims.get(2, 0)]
     assert tensor_series(dims, N).as_int_list() == _poly_reciprocal(den, N)
+
+
+@pytest.mark.parametrize("k", range(13))
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 299, 1000])
+def test_tensor_series_loop_at_equal_multiplicities_matches_poly_reciprocal(k, N):
+    assert tensor_series({1: k, 2: k}, N).as_int_list() == _poly_reciprocal([1, -k, -k], N)
 
 
 @pytest.mark.parametrize("k", range(1, 13))
