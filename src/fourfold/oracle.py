@@ -19,8 +19,9 @@ degree n or is found by walking down the blocks (subtract the block offset,
 go down deg(c)) until a degree below 3.  Nothing is copied, and
 rank_n = k rank_{n-1} + k rank_{n-2} + (pivots of degree n).  Which columns
 hold a pivot is a flag per column: k copies of degree n-1's flags, then k of
-degree n-2's, then the leads of degree n's rows r * v; a walk starts only at
-a column known to hold one.
+degree n-2's.  Degree n reads its lead window off them, then sets it to 1; a
+walk starts at any column but a template's lead, and ends in None where no
+lower pivot holds the column.
 
 Right multiplication.  Appending a letter c is linear and injective; it maps
 a row u * r * w to the row u * r * w c, and keeps the lex order of two words
@@ -42,13 +43,12 @@ dimension per word containing y_k x_k, and the shifted lower pivots (leads
 containing it past the first letter) with the templates (leads y_k x_k * v, v
 free of it) already span it.  The oracle checks rather than assumes this: it
 builds the other rows and raises InternalInconsistency at one that does not
-vanish.  So a degree keeps its lead window's first column top, its template,
-and a flag per row r * v, 0 at each template and 1 at each row skipped or
-reduced to zero; no pivot is stored.  After the degree every lead holds a
-pivot: a template's by its placement, a built row's by the lower pivot that
-made it built, a skipped row's because a dependent row's max column is a
-pivot column of the rows before it, and this degree's earlier rows lead left
-of it.
+vanish.  A row is a template exactly where no lower pivot holds its lead: a
+built row's is held, which is why it is built, and a skipped row's too, as a
+dependent row's max column is a pivot column of the rows before it and this
+degree's earlier rows lead left of it.  So a degree keeps its window's first
+column top, its template and its lower-pivot window, a flag per row r * v, 0
+at each template; no pivot is stored.  After it every lead holds a pivot.
 
 Rank policy: one elimination over the integers, pivoting on the max column.
 Every pivot, own or shifted, is a template leading with -1, so multipliers
@@ -182,34 +182,34 @@ def _reduce_row(row: dict, pivot_at) -> bool:
     return True
 
 
-def _degree_pivots(k: int, n: int, widths: list, degrees: list, has, dep) -> tuple:
+def _degree_pivots(k: int, n: int, widths: list, degrees: list, has, skip) -> tuple:
     """Degree n's (top, flags, template): its lead window starts at column
-    top, and flags is dep, 0 at each template pivot after the call.
+    top, and flags is has[top:top + W(n-3)], its lower-pivot window, read
+    once: 1 where a lower degree's pivot holds the lead, 0 at each template.
 
-    The rows r * v go in lex order of v, skipping those flagged in dep.
-    has[col] says whether a lower degree's pivot holds col (widths and
-    degrees as for _inherited_pivot).  The lead of r * v is its -1 at
-    y_k x_k * v, column top + pos for v at pos: a row whose lead no lower
-    pivot holds is a template pivot and needs no work; any other row is
-    built, must reduce to zero, and is flagged.  Then every lead of the
-    window holds a pivot (module docstring), and has says so.
+    The rows r * v go in lex order of v, skipping those flagged in skip.
+    The lead of r * v is its -1 at y_k x_k * v, column top + pos for v at
+    pos: a template pivot needs no work; any other row is built and must
+    reduce to zero.  widths and degrees are as for _inherited_pivot; no
+    argument is written.
     """
     mids = [(_word_offset(k, w, n), c) for c, w in _relation_terms(k)]
     top, lead = max(mids)  # lead -1 is its own inverse
     template = tuple((m - top, c) for m, c in mids if m != top), lead
+    w = len(skip)
+    flags = has[top:top + w]
 
     def pivot_at(col):
-        if has[col]:
-            return _inherited_pivot(k, widths, degrees, n, col)
-        # left of the row's lead: an earlier row's, a pivot if a template
+        # a window column flagged 0 is an earlier row's lead: a template
         pos = col - top
-        return template if pos >= 0 and not dep[pos] else None
+        if pos >= 0 and not flags[pos]:
+            return template
+        return _inherited_pivot(k, widths, degrees, n, col)
 
     # 1 at each row not skipped whose lead a lower pivot holds: flags are
     # bytes of 0 and 1, so one int AND over the window finds them all
-    w = len(dep)
-    below = int.from_bytes(has[top:top + w], "little")
-    built = (below & ~int.from_bytes(dep, "little")).to_bytes(w, "little")
+    below = int.from_bytes(flags, "little")
+    built = (below & ~int.from_bytes(skip, "little")).to_bytes(w, "little")
     pos = built.find(1)
     while pos >= 0:
         if not _reduce_row({pos + m: c for m, c in mids}, pivot_at):
@@ -217,10 +217,8 @@ def _degree_pivots(k: int, n: int, widths: list, degrees: list, has, dep) -> tup
                 f"row r * v at position {pos} of degree {n}, k={k}, "
                 "does not reduce to zero"
             )
-        dep[pos] = 1
         pos = built.find(1, pos + 1)
-    has[top:top + w] = b"\x01" * w
-    return top, dep, template
+    return top, flags, template
 
 
 def _ideal_ranks(k: int, N: int) -> list:
@@ -240,13 +238,14 @@ def _ideal_ranks(k: int, N: int) -> list:
         has = held[1] * k
         has += held[0] * k
         # r * v' dependent makes r * v' c dependent (right multiplication)
-        dep = bytearray(1) if n == 3 else bytearray(
+        skip = bytes(1) if n == 3 else bytes(
             map((degrees[n - 1][1] + degrees[n - 2][1]).__getitem__, next(prefixes))
         )
-        state = _degree_pivots(k, n, widths, degrees, has, dep)
+        top, flags, _ = state = _degree_pivots(k, n, widths, degrees, has, skip)
         degrees.append(state)
+        has[top:top + len(flags)] = b"\x01" * len(flags)  # every lead is held
         held = [held[1], has]
-        out.append(k * out[-1] + k * out[-2] + dep.count(0))
+        out.append(k * out[-1] + k * out[-2] + flags.count(0))
     return out[2:]
 
 

@@ -59,28 +59,29 @@ def top_degree(k, columns):
     return top
 
 
-def record_degrees(monkeypatch, k, N):
-    """Run _ideal_ranks(k, N) and record, per degree 3..N (the first with a
-    row r * v), what its elimination starts from and what it makes: the skip
-    flags, a lookup of the lower degrees' pivots by column, its pivots by
-    column (the template at each flag left 0), and the rows it builds."""
+def record_degrees(monkeypatch, k, N, rel=None):
+    """Run _ideal_ranks(k, N), with the relation rel in place of r if given,
+    and record, per degree 3..N (the first with a row r * v), what its
+    elimination starts from and what it makes: the skip flags, a lookup of
+    the lower degrees' pivots by column, its row flags and top, its pivots by
+    column (the template at each flag 0), and the rows it builds.  The step
+    must leave its column flags and skip flags as it found them."""
     degrees = []
     step, reduce_row = oracle._degree_pivots, oracle._reduce_row
 
-    def recording_step(k, n, widths, lower, has, dep):
+    def recording_step(k, n, widths, lower, has, skip):
         assert n == len(degrees) + 3
-        held = bytes(has)
+        held, skipped = bytes(has), bytes(skip)
         degrees.append({
-            "skipped": bytes(dep),
-            "below": lambda col: (
-                _inherited_pivot(k, widths, lower, n, col) if held[col] else None
-            ),
+            "skipped": skipped,
+            "below": lambda col: _inherited_pivot(k, widths, lower, n, col),
             "built": [],
         })
-        top, flags, template = state = step(k, n, widths, lower, has, dep)
-        degrees[-1]["new"] = {
+        top, flags, template = state = step(k, n, widths, lower, has, skip)
+        assert (bytes(has), bytes(skip)) == (held, skipped), (k, n)
+        degrees[-1].update(top=top, flags=bytes(flags), new={
             top + pos: template for pos, flag in enumerate(flags) if not flag
-        }
+        })
         return state
 
     def recording_reduce(row, pivot_at):
@@ -89,6 +90,8 @@ def record_degrees(monkeypatch, k, N):
 
     monkeypatch.setattr(oracle, "_degree_pivots", recording_step)
     monkeypatch.setattr(oracle, "_reduce_row", recording_reduce)
+    if rel:
+        monkeypatch.setattr(oracle, "_relation_terms", lambda k: rel)
     _ideal_ranks(k, N)
     monkeypatch.undo()
     assert len(degrees) == N - 2
@@ -233,6 +236,22 @@ def test_relation_whose_lead_overlaps_itself_is_refused(monkeypatch):
     assert _ideal_ranks(2, 4) == [0, 0, 0, 1, 4]
     ranks = [len(eliminate(full_relation_rows(2, n, rel))[0]) for n in (5, 6, 7)]
     assert ranks == [16, 55, 182]
+
+
+def test_row_flags_are_the_lower_pivot_window(monkeypatch):
+    # flag 1 exactly at the rows r * v whose lead is a pivot column of the
+    # rows u * r * v with u nonempty, eliminated in full; also for a relation
+    # whose lead overlaps itself, in the degrees before the oracle refuses it
+    overlapping = ((1, (1, 0, 1)), (-1, (0, 0, 0)))
+    cases = [(k, min(12, top_degree(k, 20_000)), None) for k in range(1, 7)]
+    for k, N, rel in cases + [(2, 4, overlapping)]:
+        for n, degree in enumerate(record_degrees(monkeypatch, k, N, rel), start=3):
+            rows = full_relation_rows(k, n, rel)
+            leads = [max(row) for row in islice(rows, _word_count(k, n - 3))]
+            lower, _, _ = eliminate(rows)  # the rest of the stream
+            assert leads == list(range(degree["top"], degree["top"] + len(leads)))
+            flags = [int(lead in lower) for lead in leads]
+            assert list(degree["flags"]) == flags, (k, n, rel)
 
 
 def test_prefix_tables_locate_each_word_without_its_last_letter():
