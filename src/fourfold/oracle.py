@@ -17,11 +17,17 @@ lower degrees' pivot rows, shifted, as an echelon basis (max columns stay
 distinct).  Degree n streams only its W(n-3) rows r * v; a pivot is one of
 degree n or is found by walking down the blocks (subtract the block offset,
 go down deg(c)) until a degree below 3.  Nothing is copied, and
-rank_n = k rank_{n-1} + k rank_{n-2} + (pivots of degree n).  Which columns
-hold a pivot is a flag per column: k copies of degree n-1's flags, then k of
-degree n-2's.  Degree n reads its lead window off them, then sets it to 1; a
-walk starts at any column but a template's lead, and ends in None where no
-lower pivot holds the column.
+rank_n = k rank_{n-1} + k rank_{n-2} + (pivots of degree n).  A walk starts
+at any column but a template's lead, and ends in None where no lower pivot
+holds the column.  A degree's pivot columns are its words that contain the
+lead L = y_k x_k (see Pivots are templates), so a lower pivot holds the lead
+L * v of r * v where L occurs in it past the first letter: where v contains
+L, or starts with the rest of L after a border (a proper suffix of L that is
+also its prefix).  y_k x_k has no border, so degree n's row flags are
+has_{n-3}, 1 at the degree n-3 words that contain L; the border step serves
+a relation whose lead overlaps itself.  Only degrees n-3 and n-4 are kept:
+has_m is k copies of has_{m-1}, then k of has_{m-2}, with 1 over degree m's
+window L * w.
 
 Right multiplication.  Appending a letter c is linear and injective; it maps
 a row u * r * w to the row u * r * w c, and keeps the lex order of two words
@@ -30,8 +36,12 @@ zero in its degree, it is a combination of the rows r * v'' with v'' < v and
 of the rows with u nonempty, so r * v c is the same combination of the rows
 r * v'' c, with v'' c < v c, and of rows with u nonempty: it is dependent
 before its turn.  The elimination would reduce it to zero and change no pivot,
-so it is skipped and never built; degree n reads its skips off the row flags
-(below) of degrees n-1 and n-2 through a table from each word v to v[:-1].
+so it is skipped and never built.  Degree n skips pre_{n-3}, 1 at the v with
+L in v[:-1]: built as has is, with degree m's window set from m = 4 on.  It
+is sound for any relation: L in v[:-1] is L in L * v[:-1] past its first
+letter, so a lower pivot held the lead of r * v[:-1], which was then built
+and vanished, or was skipped.  At y_k x_k it skips exactly the rows
+r * v[:-1] that were no template; with a border it may skip fewer.
 
 Pivots are templates.  Every row r * v has the same entries relative to its
 lead, the -1 at y_k x_k * v, and the rows come in increasing lead column.  A
@@ -128,34 +138,6 @@ def _inherited_pivot(k: int, widths: list, degrees: list, n: int, col: int):
     return None
 
 
-def _prefix_tables(k: int):
-    """Yield, for word degrees d = 1, 2, ..., a list that maps the position
-    of each degree-d word v to where v[:-1] sits in the degree d-1 words
-    followed by the degree d-2 words: its position when v ends in an x,
-    W(d-1) + its position when v ends in a y.  Degree d is built from d-1
-    and d-2 by first-letter blocks: for v = a * w, v[:-1] is a * w[:-1]."""
-    older = [0] * k  # x_a -> the empty word, at 0
-    # x_a x_b -> x_a, at a; y_b -> the empty word, at W(1) + 0
-    old = [a for a in range(k) for _ in range(k)] + [k] * k
-    yield older
-    yield old
-    d = 3
-    while True:
-        table = []
-        for a in range(2 * k):
-            e = d - 1 if a < k else d - 2  # degree of w
-            # w's entry p < W(e-1) puts w[:-1] at p (w ends in an x), else at
-            # p - W(e-1); a * w[:-1] is then a's block offset further on
-            split = _word_count(k, e - 1)
-            to_x = _word_offset(k, (a,), d - 1)
-            to_y = _word_count(k, d - 1) - split + _word_offset(k, (a,), d - 2)
-            below = old if a < k else older
-            table += [p + to_x if p < split else p + to_y for p in below]
-        yield table
-        older, old = old, table
-        d += 1
-
-
 def _reduce_row(row: dict, pivot_at) -> bool:
     """Reduce row, a {column: nonzero int} dict, in place from its max column
     down by pivot_at(col), the pivot that holds col or None; whether the row
@@ -182,22 +164,39 @@ def _reduce_row(row: dict, pivot_at) -> bool:
     return True
 
 
-def _degree_pivots(k: int, n: int, widths: list, degrees: list, has, skip) -> tuple:
+def _mark(k: int, flags: bytearray, words, m: int) -> bytearray:
+    """flags, one per degree-m word, set to 1 at the words that start with one
+    of words (at none for a word of degree above m)."""
+    for word in words:
+        top = _word_offset(k, word, m)
+        w = _word_count(k, m - len(word) - sum(c >= k for c in word))
+        flags[top:top + w] = b"\x01" * w
+    return flags
+
+
+def _containing(k: int, m: int, older: bytearray, old: bytearray, words) -> bytearray:
+    """Degree m's flags by first letter, k copies of degree m-1's (old) and
+    then k of degree m-2's (older), marked at the words that start with words."""
+    flags = old * k
+    flags += older * k
+    return _mark(k, flags, words, m)
+
+
+def _degree_pivots(k: int, n: int, widths: list, degrees: list, flags, skip) -> tuple:
     """Degree n's (top, flags, template): its lead window starts at column
-    top, and flags is has[top:top + W(n-3)], its lower-pivot window, read
-    once: 1 where a lower degree's pivot holds the lead, 0 at each template.
+    top.  flags and skip have one entry per row r * v, v at pos among the
+    degree n-3 words: flags, its lower-pivot window, is 1 where a lower
+    degree's pivot holds the row's lead and 0 at each template; skip is 1 at
+    the rows that right multiplication shows dependent (module docstring).
 
     The rows r * v go in lex order of v, skipping those flagged in skip.
-    The lead of r * v is its -1 at y_k x_k * v, column top + pos for v at
-    pos: a template pivot needs no work; any other row is built and must
-    reduce to zero.  widths and degrees are as for _inherited_pivot; no
-    argument is written.
+    The lead of r * v is its -1 at y_k x_k * v, column top + pos: a template
+    pivot needs no work; any other row is built and must reduce to zero.
+    widths and degrees are as for _inherited_pivot; no argument is written.
     """
     mids = [(_word_offset(k, w, n), c) for c, w in _relation_terms(k)]
     top, lead = max(mids)  # lead -1 is its own inverse
     template = tuple((m - top, c) for m, c in mids if m != top), lead
-    w = len(skip)
-    flags = has[top:top + w]
 
     def pivot_at(col):
         # a window column flagged 0 is an earlier row's lead: a template
@@ -209,7 +208,7 @@ def _degree_pivots(k: int, n: int, widths: list, degrees: list, has, skip) -> tu
     # 1 at each row not skipped whose lead a lower pivot holds: flags are
     # bytes of 0 and 1, so one int AND over the window finds them all
     below = int.from_bytes(flags, "little")
-    built = (below & ~int.from_bytes(skip, "little")).to_bytes(w, "little")
+    built = (below & ~int.from_bytes(skip, "little")).to_bytes(len(skip), "little")
     pos = built.find(1)
     while pos >= 0:
         if not _reduce_row({pos + m: c for m, c in mids}, pivot_at):
@@ -223,28 +222,27 @@ def _degree_pivots(k: int, n: int, widths: list, degrees: list, has, skip) -> tu
 
 def _ideal_ranks(k: int, N: int) -> list:
     """Ranks of the ideal slices of degrees 0..N.  No row r * v exists below
-    degree 3, so degrees 0..2 have rank 0 and an empty window; their column
-    flags, all 0, are no wider than degree 3, whose width the budget checks."""
+    degree 3, so degrees 0..2 have rank 0, an empty window and no flags."""
     if N < 3:
         return [0] * (N + 1)
     widths = [_word_count(k, m) for m in range(N + 1)]
+    lead = max(w for _, w in _relation_terms(k))
+    # the rest of the lead after each border, a proper suffix also its prefix
+    rests = [lead[b:] for b in range(1, len(lead)) if lead[-b:] == lead[:b]]
     degrees = [(0, b"", None)] * 3
     out = [0] * 5  # degrees -2..2
-    # degrees n-2, n-1: 1 at each column holding a pivot
-    held = [bytearray(widths[1]), bytearray(widths[2])]
-    prefixes = _prefix_tables(k)
+    # words of degrees m-1, m = n-3: 1 where the word contains the lead (has),
+    # and where it does without its last letter (pre); the empty word does not
+    has = pre = (bytearray(0), bytearray(1))
     for n in range(3, N + 1):
-        # column blocks by first letter: k of degree n-1, then k of n-2
-        has = held[1] * k
-        has += held[0] * k
-        # r * v' dependent makes r * v' c dependent (right multiplication)
-        skip = bytes(1) if n == 3 else bytes(
-            map((degrees[n - 1][1] + degrees[n - 2][1]).__getitem__, next(prefixes))
-        )
-        top, flags, _ = state = _degree_pivots(k, n, widths, degrees, has, skip)
-        degrees.append(state)
-        has[top:top + len(flags)] = b"\x01" * len(flags)  # every lead is held
-        held = [held[1], has]
+        m = n - 3
+        if m:  # degree m's window, lead * w, is empty below degree 3
+            has = has[1], _containing(k, m, *has, [lead])
+            pre = pre[1], _containing(k, m, *pre, [lead] if m >= 4 else [])
+        # lead * v holds the lead past its first letter where v does, or where
+        # v starts with the rest of the lead after a border
+        flags = _mark(k, bytearray(has[1]), rests, m) if rests else has[1]
+        degrees.append(_degree_pivots(k, n, widths, degrees, flags, pre[1]))
         out.append(k * out[-1] + k * out[-2] + flags.count(0))
     return out[2:]
 

@@ -74,7 +74,10 @@ class GradedDims(Record):
     """Degreewise dimensions of a graded vector space, indexed 0..N."""
 
     def __init__(self, dims: tuple):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(dims)
+        for d in dims:
+            if not isinstance(d, int):
+                raise DomainError(f"dimension {d!r} is not an int")
         if any(d < 0 for d in dims):
             raise DomainError(f"negative dimension in {dims}")
         self.__dict__.update(dims=dims)

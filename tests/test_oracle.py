@@ -1,5 +1,7 @@
 """Brute-force graded-algebra oracle: word bases, relation rows, exact ranks."""
 
+import random
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -21,7 +23,6 @@ from fourfold.oracle import (
     DEFAULT_COLUMN_BUDGET,
     _ideal_ranks,
     _inherited_pivot,
-    _prefix_tables,
     _word_count,
     _word_offset,
 )
@@ -65,20 +66,20 @@ def record_degrees(monkeypatch, k, N, rel=None):
     elimination starts from and what it makes: the skip flags, a lookup of
     the lower degrees' pivots by column, its row flags and top, its pivots by
     column (the template at each flag 0), and the rows it builds.  The step
-    must leave its column flags and skip flags as it found them."""
+    must leave its row flags and skip flags as it found them."""
     degrees = []
     step, reduce_row = oracle._degree_pivots, oracle._reduce_row
 
-    def recording_step(k, n, widths, lower, has, skip):
+    def recording_step(k, n, widths, lower, window, skip):
         assert n == len(degrees) + 3
-        held, skipped = bytes(has), bytes(skip)
+        given, skipped = bytes(window), bytes(skip)
         degrees.append({
             "skipped": skipped,
             "below": lambda col: _inherited_pivot(k, widths, lower, n, col),
             "built": [],
         })
-        top, flags, template = state = step(k, n, widths, lower, has, skip)
-        assert (bytes(has), bytes(skip)) == (held, skipped), (k, n)
+        top, flags, template = state = step(k, n, widths, lower, window, skip)
+        assert (bytes(window), bytes(skip)) == (given, skipped), (k, n)
         degrees[-1].update(top=top, flags=bytes(flags), new={
             top + pos: template for pos, flag in enumerate(flags) if not flag
         })
@@ -254,14 +255,48 @@ def test_row_flags_are_the_lower_pivot_window(monkeypatch):
             assert list(degree["flags"]) == flags, (k, n, rel)
 
 
-def test_prefix_tables_locate_each_word_without_its_last_letter():
+def occurs(lead, word):
+    return any(word[i:i + len(lead)] == lead for i in range(len(word)))
+
+
+def test_row_and_skip_flags_find_the_lead_in_v_and_in_v_without_its_last_letter(
+    monkeypatch,
+):
+    # the two recursions kept three degrees back, against the words v of
+    # degree n - 3: the row flags mark y_k x_k in v, the skips in v[:-1]
     for k in range(1, 5):
-        tables = _prefix_tables(k)
-        for d in range(1, 8):
-            # degree d-1 words, then degree d-2 words
-            below = [w for m in (d - 1, d - 2) for w in enumerate_words(k, m)]
-            prefixes = [below[p] for p in next(tables)]
-            assert prefixes == [w[:-1] for w in enumerate_words(k, d)], (k, d)
+        lead = (2 * k - 1, k - 1)
+        for n, degree in enumerate(record_degrees(monkeypatch, k, 8), start=3):
+            words = list(enumerate_words(k, n - 3))
+            assert list(degree["flags"]) == [occurs(lead, v) for v in words], (k, n)
+            assert list(degree["skipped"]) == [occurs(lead, v[:-1]) for v in words], (k, n)
+
+
+def test_random_relations_get_exact_ranks_until_the_oracle_refuses(monkeypatch):
+    # any degree-3 relation with a lead of +-1: each rank the oracle returns is
+    # the full elimination's.  Every other lead is x_a x_b x_a, which overlaps
+    # itself (a border), so the border step is reached; where {r} is then no
+    # Groebner basis, the oracle raises at the first built row that stays.
+    rng = random.Random(3)
+    bordered = refused = 0
+    for trial in range(40):
+        k = 1 + trial % 3
+        pool = list(enumerate_words(k, 3))
+        a, b = rng.randrange(k), rng.randrange(k)
+        lead = rng.choice(pool) if trial % 2 else (a, b, a)
+        below = [w for w in pool if w < lead]
+        words = rng.sample(below, rng.randint(0, min(3, len(below))))
+        rel = ((rng.choice((1, -1)), lead), *((rng.choice((1, -1, 2, -3)), w) for w in words))
+        monkeypatch.setattr(oracle, "_relation_terms", lambda k: rel)
+        for N in range(3, top_degree(k, 600) + 1):
+            try:
+                rank = _ideal_ranks(k, N)[N]
+            except InternalInconsistency:
+                refused += 1
+                break
+            assert rank == len(eliminate(full_relation_rows(k, N, rel))[0]), (rel, N)
+            bordered += N > 3 and lead[0] == lead[-1] and len(lead) == 3
+    assert bordered and refused, (bordered, refused)
 
 
 def test_rows_skipped_by_right_multiplication_reduce_to_zero(monkeypatch):
@@ -446,13 +481,26 @@ def test_no_work_below_degree_three(monkeypatch):
     def refuse(*args):
         raise AssertionError("work below degree 3")
 
-    for name in ("_degree_pivots", "_word_offset", "_prefix_tables"):
+    for name in ("_degree_pivots", "_word_offset", "_containing"):
         monkeypatch.setattr(oracle, name, refuse)
     monkeypatch.setattr(oracle, "bytearray", refuse, raising=False)
     for k in (1, 3, 10**6):
         assert [_ideal_ranks(k, N) for N in range(3)] == [[0], [0, 0], [0, 0, 0]]
     # at b2 = 10**5, degree 2 would have taken 10**10 bytes of flags
     assert quotient_dims_oracle(10**5, 2, budget=1).ideal_dims.dims == (0, 0, 0)
+
+
+def test_oracle_state_is_a_few_bytes_per_row():
+    # no table per row and no flag per column: the oracle's traced peak stays
+    # within a few copies of the W(N-3) row flags of its last degree
+    for k, N in ((2, 12), (3, 11), (4, 9)):
+        tracemalloc.start()
+        try:
+            _ideal_ranks(k, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * _word_count(k, N - 3), (k, N, peak)
 
 
 def test_budget_is_checked_before_any_elimination(monkeypatch):

@@ -279,6 +279,8 @@ def test_record_defaults():
     "build, error, message",
     [
         (lambda: GradedDims((-1,)), DomainError, "negative dimension in (-1,)"),
+        (lambda: GradedDims((1.9, 2)), DomainError, "dimension 1.9 is not an int"),
+        (lambda: GradedDims(("3",)), DomainError, "dimension '3' is not an int"),
         (lambda: FinAbGroup(0, (6,)), DomainError, "torsion order 6 is not a prime power"),
         (lambda: FinAbGroup(-1), DomainError, "negative free rank -1"),
         (lambda: TruncatedSeries((1, 0.5), 1), DomainError, "coefficient 0.5 is not an int"),
