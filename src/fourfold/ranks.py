@@ -28,15 +28,15 @@ nonnegative; else it is a bug and raises.  The rank checks are exact:
 The ranks at one b2 form one infinite sequence, and a table of N of them is
 its prefix.  So do the outcomes of two rank checks: flag n of the cumulative
 bound reads only m_1..m_2n, and flag n of PBW identity 1 (power sum c_n
-against p_n of 1/(1 - k t + t^2)) only m_1..m_n.  Three stores keep, per
-b2 >= 2, the longest prefix computed of each sequence (ranks, bound flags,
-PBW agreement flags), and only one that passed every check above (a check
-that raises stores nothing); a shorter request is a slice of it, so repeated
-calls at one b2 run each loop once.  Each store holds at most
-RANK_STORE_BYTES of objects: the least recently used b2 goes first, and a
-prefix larger than the cap is returned but not kept.  Every entry point that
-reads ranks goes through homotopy_ranks; _necklace itself, which the
-polynomial checks call at b2 = 0..2, keeps nothing.
+against L_n, the power sum of 1/(1 - k t + t^2)) only m_1..m_n.  One store
+keeps, per b2 >= 2, the longest prefix computed of each sequence (ranks,
+bound flags, PBW agreement flags), and only one that passed every check above
+(a check that raises stores nothing); a shorter request is a slice of it, so
+repeated calls at one b2 run each loop once.  All of its entries together
+hold at most RANK_STORE_BYTES of objects: the least recently used (sequence,
+b2) goes first, and a prefix larger than the cap is returned but not kept.
+Every entry point that reads ranks goes through homotopy_ranks; _necklace
+itself, which the polynomial checks call at b2 = 0..2, keeps nothing.
 
 Growth lemma.  For k >= 3, m_n >= L_n / (2n) > beta^n / (2n) for every n,
 as L_n = beta^n + beta^-n.  In n m_n = sum_{d|n} +-mu(d) L_{n/d} the terms
@@ -75,13 +75,20 @@ if TYPE_CHECKING:  # decimal is imported only where growth is computed
 #: check probes n = 60 against a 1e-6 tolerance; 50+ digits leaves headroom.
 GROWTH_PRECISION = 60
 
-#: Bytes of tuples (tuple and item objects) each prefix store may keep,
-#: summed over every b2.
+#: Bytes of tuples (tuple and item objects) the prefix store may keep, summed
+#: over every sequence and b2.
 RANK_STORE_BYTES = 8 << 20
 
 
 def _lucas(k: int, N: int) -> list:
-    """L_0..L_N with L_0 = 2, L_1 = k, L_n = k L_{n-1} - L_{n-2}."""
+    """L_0..L_N with L_0 = 2, L_1 = k, L_n = k L_{n-1} - L_{n-2} (L_0, L_1 if N < 1).
+
+    L_n = beta^n + beta^-n for beta, 1/beta the roots of t^2 - k t + 1, so
+    L_1..L_N are also the power sums of 1/(1 - k t + t^2).
+
+    >>> _lucas(3, 4)
+    [2, 3, 7, 18, 47]
+    """
     lucas = [2, k]
     for _ in range(2, N + 1):
         lucas.append(k * lucas[-1] - lucas[-2])
@@ -113,10 +120,10 @@ _ELLIPTIC_B2_1 = (1, 0, 0, 1)
 
 
 class _PrefixStore:
-    """Prefixes s_1..s_M of one sequence per b2, least recently used first.
+    """Prefixes s_1..s_M of sequences, one per key, least recently used first.
 
-    entries maps b2 to (prefix, bytes) and nbytes is the sum of those bytes;
-    the lock keeps the two consistent across threads.
+    entries maps a key to (prefix, bytes) and nbytes is the sum of those
+    bytes; the lock keeps the two consistent across threads.
     """
 
     def __init__(self):
@@ -128,43 +135,44 @@ class _PrefixStore:
             self.entries = {}
             self.nbytes = 0
 
-    def get(self, k: int, N: int) -> Optional[tuple]:
-        """s_1..s_N at b2 = k if a prefix that long is kept, else None."""
+    def get(self, key, N: int) -> Optional[tuple]:
+        """s_1..s_N of the sequence at key if a prefix that long is kept, else None."""
         with self._lock:
-            entry = self.entries.pop(k, None)
+            entry = self.entries.pop(key, None)
             if entry is None:
                 return None
-            self.entries[k] = entry  # now the most recently used
+            self.entries[key] = entry  # now the most recently used
         seq = entry[0]
         return seq[:N] if len(seq) >= N else None
 
-    def put(self, k: int, seq: tuple):
+    def put(self, key, seq: tuple):
         size = sys.getsizeof(seq) + sum(map(sys.getsizeof, seq))
         if size > RANK_STORE_BYTES:
             return
         with self._lock:
-            old = self.entries.pop(k, None)
+            old = self.entries.pop(key, None)
             if old is not None:
                 self.nbytes -= old[1]
                 if len(old[0]) > len(seq):  # another thread stored a longer one
                     seq, size = old
-            self.entries[k] = (seq, size)
+            self.entries[key] = (seq, size)
             self.nbytes += size
             while self.nbytes > RANK_STORE_BYTES:
                 self.nbytes -= self.entries.pop(next(iter(self.entries)))[1]
 
 
-_store = _PrefixStore()  # m_1..m_N
-_bound_store = _PrefixStore()  # cumulative bound flags, n = 1..n_max
-_pbw_store = _PrefixStore()  # PBW identity 1 agreement flags, orders 1..N
+# keyed by (compute, b2): m_1..m_N (_checked_ranks), cumulative bound flags
+# n = 1..n_max (_bound_flags), PBW identity 1 agreement flags (_pbw_agreement)
+_store = _PrefixStore()
 
 
-def _prefix(store: _PrefixStore, k: int, N: int, compute) -> tuple:
-    """s_1..s_N at b2 = k: a slice of store, else compute(k, N), then kept."""
-    seq = store.get(k, N)
+def _prefix(k: int, N: int, compute) -> tuple:
+    """s_1..s_N at b2 = k: a slice of the store, else compute(k, N), then kept."""
+    key = compute, k
+    seq = _store.get(key, N)
     if seq is None:
         seq = compute(k, N)
-        store.put(k, seq)
+        _store.put(key, seq)
     return seq
 
 
@@ -186,7 +194,7 @@ def homotopy_ranks(betti: int, N: int) -> RankTable:
     if betti == 1:
         ranks = tuple(_ELLIPTIC_B2_1[n - 1] if n <= 4 else 0 for n in range(1, N + 1))
         return RankTable(betti=1, ranks=ranks)
-    return RankTable(betti=betti, ranks=_prefix(_store, betti, N, _checked_ranks))
+    return RankTable(betti=betti, ranks=_prefix(betti, N, _checked_ranks))
 
 
 def _checked_ranks(k: int, N: int) -> tuple:
@@ -268,27 +276,6 @@ class PbwCheck(Record):
         self.__dict__.update(status=status, first_failure=first_failure)
 
 
-def _newton_sums(poly: list, N: int) -> list:
-    """[0, p_1..p_N]: power sums of 1/poly (poly[0] = 1, degree <= 2) by Newton's
-    identities, p_n = -n a_n - a_1 p_{n-1} - a_2 p_{n-2} with a_i = poly[i],
-    0 past its end, rolled over two locals.  The PBW check passes a quadratic;
-    a longer polynomial raises DomainError.
-
-    >>> _newton_sums([1, -3, 1], 4)
-    [0, 3, 7, 18, 47]
-    """
-    if len(poly) > 3:
-        raise DomainError(f"Newton sums take a polynomial of degree <= 2, got {poly}")
-    _, a1, a2 = list(poly) + [0] * (3 - len(poly))
-    head = [-a1, -2 * a2]  # the -n a_n terms, n = 1, 2
-    p = [0]
-    y = z = 0  # p_{n-2}, p_{n-1}
-    for n in range(1, N + 1):
-        y, z = z, (head[n - 1] if n <= 2 else 0) - a1 * z - a2 * y
-        p.append(z)
-    return p
-
-
 def pbw_identity_check(betti: int, N: int) -> PbwCheck:
     """Check both product-series identities for the computed rank table.
 
@@ -299,14 +286,14 @@ def pbw_identity_check(betti: int, N: int) -> PbwCheck:
     connected sum of k - 1 summands) gives the quotient algebra series
     at parameter k - 1, 1/(1 - (k-1) t - (k-1) t^2 + t^3).
 
-    Identity 1 is checked on power sums, the ranks' against the polynomial's;
-    first_failure is the first order where the series differ.  Identity 2
-    holds or fails at that same order, so it needs no pass of its own: if
-    m_1 != k, identity 1 fails at order 1 (c_1 = m_1, p_1 = k).  Else m_1 = k
-    becoming k - 1 divides the product by (1 + t) = (1 - t^2) / (1 - t), and
-    1 - (k-1) t - (k-1) t^2 + t^3 = (1 + t)(1 - k t + t^2).  1/(1 + t) has
-    power sums (-1)^j, so both sides of identity 2 exceed identity 1's by
-    (-1)^j at every order j.
+    Identity 1 is checked on power sums: the ranks' against the right side's,
+    which are the Lucas numbers L_n (_lucas); first_failure is the first order
+    where the series differ.  Identity 2 holds or fails at that same order, so
+    it needs no pass of its own: if m_1 != k, identity 1 fails at order 1
+    (c_1 = m_1, L_1 = k).  Else m_1 = k becoming k - 1 divides the product by
+    (1 + t) = (1 - t^2) / (1 - t), and 1 - (k-1) t - (k-1) t^2 + t^3 =
+    (1 + t)(1 - k t + t^2).  1/(1 + t) has power sums (-1)^j, so both sides of
+    identity 2 exceed identity 1's by (-1)^j at every order j.
 
     Not applicable at b2 = 1: identity 1's right side 1/(1 - t + t^2) has
     negative coefficients there, and identity 2's parameter would be 0.
@@ -317,18 +304,18 @@ def pbw_identity_check(betti: int, N: int) -> PbwCheck:
         raise DomainError(f"max degree must be >= 0, got {N}")
     if betti == 1:
         return PbwCheck(status=PBW_NOT_APPLICABLE)
-    agree = _prefix(_pbw_store, betti, N, _pbw_agreement)
+    agree = _prefix(betti, N, _pbw_agreement)
     if False in agree:
         return PbwCheck(status=PBW_FAIL, first_failure=agree.index(False) + 1)
     return PbwCheck(status=PBW_PASS)
 
 
 def _pbw_agreement(k: int, N: int) -> tuple:
-    """(c_n == p_n for n = 1..N): the ranks' power sums against 1/(1 - k t + t^2)'s."""
+    """(c_n == L_n for n = 1..N): the ranks' power sums against 1/(1 - k t + t^2)'s."""
     # both identities hold trivially at order 0; the table needs degree 1
     table = homotopy_ranks(k, max(N, 1))
     lhs = _power_sums(dict(enumerate(table.ranks, start=1)), N)
-    rhs = _newton_sums([1, -k, 1], N)
+    rhs = _lucas(k, N)
     return tuple(lhs[n] == rhs[n] for n in range(1, N + 1))
 
 
@@ -463,7 +450,7 @@ def cumulative_bound_check(betti: int, n_max: int) -> dict:
         raise DomainError(f"cumulative bound needs b2 >= 3, got {betti}")
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    return dict(zip(range(1, n_max + 1), _prefix(_bound_store, betti, n_max, _bound_flags)))
+    return dict(zip(range(1, n_max + 1), _prefix(betti, n_max, _bound_flags)))
 
 
 def _bound_flags(k: int, n_max: int) -> tuple:

@@ -5,18 +5,15 @@ import pytest
 
 @pytest.fixture
 def empty_rank_store():
-    """The prefix stores (ranks and both check flags), emptied before and after.
+    """The prefix store (ranks and both check flags), emptied before and after.
 
     A test that monkeypatches _necklace or homotopy_ranks takes this, so that
     no table or check outcome computed or skipped under the patch reaches
     another test and no outcome depends on which test ran first.  It yields
-    the rank store.
+    the store.
     """
-    from fourfold.ranks import _bound_store, _pbw_store, _store
+    from fourfold.ranks import _store
 
-    stores = (_store, _bound_store, _pbw_store)
-    for store in stores:
-        store.clear()
+    _store.clear()
     yield _store
-    for store in stores:
-        store.clear()
+    _store.clear()

@@ -5,7 +5,6 @@ import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -27,13 +26,13 @@ from fourfold import ranks as ranks_module
 from fourfold.cli import cmd_growth, cmd_ranks
 from fourfold.ranks import (
     RankTable,
-    _bound_store,
+    _bound_flags,
+    _checked_ranks,
     _closed_form,
     _growth_lemma_holds,
     _lucas,
     _necklace,
-    _newton_sums,
-    _pbw_store,
+    _pbw_agreement,
     _PrefixStore,
 )
 from refimpl import moebius, newton_sums, pbw_product, series_log, series_reciprocal
@@ -239,19 +238,12 @@ def test_pbw_identities_pass_for_hyperbolic_range():
             assert chk.status == PBW_PASS, (k, n, chk)
 
 
-def test_newton_sums_match_the_generic_identities_up_to_degree_two():
-    # every polynomial 1 + a_1 t + .. of degree <= 2 with a_i in -6..6, as a
-    # list of each length; each order 0..60 is a prefix at some polynomial
-    polys = [[1]] + [[1, *tail] for d in (1, 2) for tail in product(range(-6, 7), repeat=d)]
-    for i, poly in enumerate(polys):
-        want = newton_sums(poly, 60)
-        assert _newton_sums(poly, 60) == want, poly
-        assert _newton_sums(poly, i % 61) == want[: i % 61 + 1], poly
-
-
-def test_newton_sums_reject_degree_three():
-    with pytest.raises(DomainError, match="degree <= 2"):
-        _newton_sums([1, 0, 0, 1], 5)
+def test_lucas_numbers_are_the_power_sums_of_the_pbw_quadratic():
+    # PBW identity 1 reads L_1..L_N as the power sums of 1/(1 - k t + t^2);
+    # negative k too, as the sieve calls _lucas(-k, N)
+    for k in range(-12, 13):
+        for N in range(61):
+            assert _lucas(k, N)[1 : N + 1] == newton_sums([1, -k, 1], N)[1:], (k, N)
 
 
 def _pbw_reference(k, ranks, N):
@@ -275,7 +267,7 @@ def test_pbw_check_matches_product_series_on_mutated_tables(monkeypatch, empty_r
         ranks[rng.randrange(N)] += rng.choice((-2, -1, 1, 2))
         table = RankTable(k, tuple(ranks))
         monkeypatch.setattr("fourfold.ranks.homotopy_ranks", lambda betti, n: table)
-        _pbw_store.clear()  # else an outcome stored for another table answers
+        empty_rank_store.clear()  # else an outcome stored for another table answers
         chk = pbw_identity_check(k, N)
         assert (chk.status, chk.first_failure) == _pbw_reference(k, ranks, N), (k, ranks)
         statuses.append(chk.status)
@@ -368,8 +360,8 @@ def _cumulative_bound_reference(table, k, n_max):
 @example(3, 1, 0)
 @example(12, 150, 2**150 - 1)
 # empty_rank_store is emptied once per test, not per example: the patched
-# homotopy_ranks below never reads or fills the rank store, and the bound
-# store is emptied around the patched call
+# homotopy_ranks below never reads or fills the store's ranks, and the store
+# is emptied around the patched call
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -390,9 +382,9 @@ def test_cumulative_bound_matches_direct_reference(empty_rank_store, k, n_max, m
     assert _cumulative_bound_reference(edge, k, n_max) == expected
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("fourfold.ranks.homotopy_ranks", lambda betti, n: edge)
-        _bound_store.clear()  # else the flags of the true table answer
+        empty_rank_store.clear()  # else the flags of the true table answer
         assert cumulative_bound_check(k, n_max) == expected
-    _bound_store.clear()  # nor may the edge table's flags answer the next example
+    empty_rank_store.clear()  # nor may the edge table's flags answer the next example
 
 
 def test_cumulative_bound_is_exact_rational():
@@ -424,6 +416,11 @@ def _assert_store_consistent(store, cap):
     assert store.nbytes <= cap
 
 
+def _kept(store, compute):
+    """The b2 at which store keeps a prefix of compute's sequence."""
+    return {k for kept, k in store.entries if kept is compute}
+
+
 def test_store_answers_equal_the_fresh_sieve_in_any_call_order(empty_rank_store):
     rng = random.Random(14)
     N = {k: rng.randint(1, 400) for k in range(2, 21)}
@@ -432,14 +429,13 @@ def test_store_answers_equal_the_fresh_sieve_in_any_call_order(empty_rank_store)
         # each b2's degree walks up and down, so calls both hit and extend
         N[k] = min(400, max(1, N[k] + rng.choice((-1, 1)) * rng.randint(1, 150)))
         assert homotopy_ranks(k, N[k]).ranks == tuple(_necklace(k, N[k])), (k, N[k])
-    assert set(empty_rank_store.entries) == set(range(2, 21))
+    assert set(empty_rank_store.entries) == {(_checked_ranks, k) for k in range(2, 21)}
 
 
-def _with_empty_stores(check, *args):
-    """check(*args) computed in full: all three stores swapped for empty ones."""
+def _with_empty_store(check, *args):
+    """check(*args) computed in full: the store swapped for an empty one."""
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_store", "_bound_store", "_pbw_store"):
-            mp.setattr(ranks_module, name, _PrefixStore())
+        mp.setattr(ranks_module, "_store", _PrefixStore())
         return check(*args)
 
 
@@ -453,12 +449,12 @@ def test_check_stores_answer_as_fresh_computations_in_any_call_order(empty_rank_
         check = rng.choice((cumulative_bound_check, pbw_identity_check, growth_report))
         if check is cumulative_bound_check and k < 3:
             continue
-        assert check(k, N[k]) == _with_empty_stores(check, k, N[k]), (check, k, N[k])
+        assert check(k, N[k]) == _with_empty_store(check, k, N[k]), (check, k, N[k])
         if check is cumulative_bound_check:
             table = RankTable(k, tuple(_necklace(k, 2 * N[k])))
             assert check(k, N[k]) == _cumulative_bound_reference(table, k, N[k])
-    assert set(_bound_store.entries) == set(range(3, 13))
-    assert set(_pbw_store.entries) == set(range(2, 13))
+    assert _kept(empty_rank_store, _bound_flags) == set(range(3, 13))
+    assert _kept(empty_rank_store, _pbw_agreement) == set(range(2, 13))
 
 
 def test_a_check_that_raises_stores_nothing(monkeypatch, empty_rank_store):
@@ -490,10 +486,13 @@ def test_store_keeps_to_its_cap_and_evicts_the_least_recently_used(
     cap = store.nbytes
     monkeypatch.setattr("fourfold.ranks.RANK_STORE_BYTES", cap)
     homotopy_ranks(3, 10)  # a hit makes b2 = 3 the most recently used
-    assert list(store.entries) == [4, 5, 3]
+    assert list(store.entries) == [(_checked_ranks, k) for k in (4, 5, 3)]
     homotopy_ranks(6, 60)
-    assert 4 not in store.entries and {3, 6} <= set(store.entries)
-    assert list(store.entries) == [k for k in (4, 5, 3, 6) if k in store.entries]
+    assert (_checked_ranks, 4) not in store.entries
+    assert {(_checked_ranks, 3), (_checked_ranks, 6)} <= set(store.entries)
+    assert list(store.entries) == [
+        (_checked_ranks, k) for k in (4, 5, 3, 6) if (_checked_ranks, k) in store.entries
+    ]
     _assert_store_consistent(store, cap)
     # a table larger than the whole cap is returned but not kept
     kept = dict(store.entries)
@@ -520,7 +519,7 @@ def test_threads_share_the_store_and_get_the_fresh_answers(monkeypatch, empty_ra
             entry_point = rng.choice(entry_points[: 2 + (k > 2)])
             thread_calls.append((entry_point, k, rng.randint(1, 250)))
         calls.append(thread_calls)
-    fresh = {call: _with_empty_stores(*call) for thread in calls for call in thread}
+    fresh = {call: _with_empty_store(*call) for thread in calls for call in thread}
     wrong, errors = [], []
 
     def work(thread_calls):
@@ -543,8 +542,34 @@ def test_threads_share_the_store_and_get_the_fresh_answers(monkeypatch, empty_ra
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert (wrong, errors) == ([], [])
-    for store in (empty_rank_store, _bound_store, _pbw_store):
-        _assert_store_consistent(store, 40_000)
+    _assert_store_consistent(empty_rank_store, 40_000)
+
+
+def test_one_cap_bounds_every_sequence_kept(monkeypatch, empty_rank_store):
+    # a cap of a few tables, so that each sequence's entries evict the others'
+    store, cap = empty_rank_store, 40_000
+    monkeypatch.setattr("fourfold.ranks.RANK_STORE_BYTES", cap)
+    fills = {
+        homotopy_ranks: {_checked_ranks},
+        cumulative_bound_check: {_checked_ranks, _bound_flags},
+        growth_report: {_checked_ranks, _bound_flags},
+        pbw_identity_check: {_checked_ranks, _pbw_agreement},
+    }
+    rng = random.Random(23)
+    crossed = 0
+    for _ in range(300):
+        k, N = rng.randint(2, 9), rng.randint(1, 250)
+        # the cumulative bound is defined from b2 = 3
+        entry_point = rng.choice([f for f in fills if k > 2 or f is not cumulative_bound_check])
+        before = set(store.entries)
+        assert entry_point(k, N) == _with_empty_store(entry_point, k, N), (entry_point, k, N)
+        _assert_store_consistent(store, cap)
+        for (compute, b2), (seq, _) in store.entries.items():
+            assert seq == _with_empty_store(compute, b2, len(seq)), (compute, b2)
+        # an entry of a sequence this call cannot store was evicted by one it did
+        evicted = {compute for compute, _ in before - set(store.entries)}
+        crossed += bool(evicted - fills[entry_point])
+    assert crossed
 
 
 def test_entry_points_slice_one_stored_table(monkeypatch, empty_rank_store):
