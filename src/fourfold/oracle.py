@@ -23,11 +23,13 @@ holds the column.  A degree's pivot columns are its words that contain the
 lead L = y_k x_k (see Pivots are templates), so a lower pivot holds the lead
 L * v of r * v where L occurs in it past the first letter: where v contains
 L, or starts with the rest of L after a border (a proper suffix of L that is
-also its prefix).  y_k x_k has no border, so degree n's row flags are
-has_{n-3}, 1 at the degree n-3 words that contain L; the border step serves
-a relation whose lead overlaps itself.  Only degrees n-3 and n-4 are kept:
-has_m is k copies of has_{m-1}, then k of has_{m-2}, with 1 over degree m's
-window L * w.
+also its prefix).  A word's state is 0 where it is free of L, 1 where it
+contains L but not without its last letter, 2 where it does without it too
+(L in v[:-1] is L in v).  y_k x_k has no border, so degree n's row flags are
+the degree n-3 states; the border step, for a lead that overlaps itself,
+raises 0 to 1 on a copy.  Only degrees n-3 and n-4 are kept: degree m's
+states are k copies of degree m-1's, then k of m-2's, raised over degree m's
+window L * w to 1 at m = 3 and to 2 from m = 4 on.
 
 Right multiplication.  Appending a letter c is linear and injective; it maps
 a row u * r * w to the row u * r * w c, and keeps the lex order of two words
@@ -36,12 +38,12 @@ zero in its degree, it is a combination of the rows r * v'' with v'' < v and
 of the rows with u nonempty, so r * v c is the same combination of the rows
 r * v'' c, with v'' c < v c, and of rows with u nonempty: it is dependent
 before its turn.  The elimination would reduce it to zero and change no pivot,
-so it is skipped and never built.  Degree n skips pre_{n-3}, 1 at the v with
-L in v[:-1]: built as has is, with degree m's window set from m = 4 on.  It
-is sound for any relation: L in v[:-1] is L in L * v[:-1] past its first
-letter, so a lower pivot held the lead of r * v[:-1], which was then built
-and vanished, or was skipped.  At y_k x_k it skips exactly the rows
-r * v[:-1] that were no template; with a border it may skip fewer.
+so it is skipped and never built: degree n skips the rows flagged 2, the v
+with L in v[:-1].  It is sound for any relation: L in v[:-1] is L in
+L * v[:-1] past its first letter, so a lower pivot held the lead of
+r * v[:-1], which was then built and vanished, or was skipped.  At y_k x_k it
+skips exactly the rows r * v[:-1] that were no template; with a border it
+may skip fewer.
 
 Pivots are templates.  Every row r * v has the same entries relative to its
 lead, the -1 at y_k x_k * v, and the rows come in increasing lead column.  A
@@ -164,34 +166,36 @@ def _reduce_row(row: dict, pivot_at) -> bool:
     return True
 
 
-def _mark(k: int, flags: bytearray, words, m: int) -> bytearray:
-    """flags, one per degree-m word, set to 1 at the words that start with one
-    of words (at none for a word of degree above m)."""
+def _mark(k: int, states: bytearray, words, m: int, state: int) -> bytearray:
+    """states, one per degree-m word, raised to at least state at the words
+    that start with one of words (at none for a word of degree above m)."""
+    floor = bytes(max(b, state) for b in range(256))
     for word in words:
         top = _word_offset(k, word, m)
         w = _word_count(k, m - len(word) - sum(c >= k for c in word))
-        flags[top:top + w] = b"\x01" * w
-    return flags
+        states[top:top + w] = states[top:top + w].translate(floor)
+    return states
 
 
-def _containing(k: int, m: int, older: bytearray, old: bytearray, words) -> bytearray:
-    """Degree m's flags by first letter, k copies of degree m-1's (old) and
-    then k of degree m-2's (older), marked at the words that start with words."""
-    flags = old * k
-    flags += older * k
-    return _mark(k, flags, words, m)
+def _containing(k: int, m: int, older: bytearray, old: bytearray, lead) -> bytearray:
+    """Degree m's states by first letter, k copies of degree m-1's (old) and
+    then k of degree m-2's (older), with degree m's window lead * w raised to
+    1 at m = 3 (w empty) and to 2 from m = 4 on."""
+    states = old * k
+    states += older * k
+    return _mark(k, states, [lead], m, 2 if m >= 4 else 1)
 
 
-def _degree_pivots(k: int, n: int, widths: list, degrees: list, flags, skip) -> tuple:
+def _degree_pivots(k: int, n: int, widths: list, degrees: list, flags) -> tuple:
     """Degree n's (top, flags, template): its lead window starts at column
-    top.  flags and skip have one entry per row r * v, v at pos among the
-    degree n-3 words: flags, its lower-pivot window, is 1 where a lower
-    degree's pivot holds the row's lead and 0 at each template; skip is 1 at
-    the rows that right multiplication shows dependent (module docstring).
+    top.  flags has one entry per row r * v, v at pos among the degree n-3
+    words: 0 at each template, 1 where a lower degree's pivot holds the row's
+    lead, 2 where one does and right multiplication shows the row dependent
+    (module docstring); the nonzero flags are its lower-pivot window.
 
-    The rows r * v go in lex order of v, skipping those flagged in skip.
-    The lead of r * v is its -1 at y_k x_k * v, column top + pos: a template
-    pivot needs no work; any other row is built and must reduce to zero.
+    The rows r * v go in lex order of v, skipping those flagged 2.  The lead
+    of r * v is its -1 at y_k x_k * v, column top + pos: a template pivot
+    needs no work; a row flagged 1 is built and must reduce to zero.
     widths and degrees are as for _inherited_pivot; no argument is written.
     """
     mids = [(_word_offset(k, w, n), c) for c, w in _relation_terms(k)]
@@ -205,18 +209,14 @@ def _degree_pivots(k: int, n: int, widths: list, degrees: list, flags, skip) -> 
             return template
         return _inherited_pivot(k, widths, degrees, n, col)
 
-    # 1 at each row not skipped whose lead a lower pivot holds: flags are
-    # bytes of 0 and 1, so one int AND over the window finds them all
-    below = int.from_bytes(flags, "little")
-    built = (below & ~int.from_bytes(skip, "little")).to_bytes(len(skip), "little")
-    pos = built.find(1)
+    pos = flags.find(1)
     while pos >= 0:
         if not _reduce_row({pos + m: c for m, c in mids}, pivot_at):
             raise InternalInconsistency(
                 f"row r * v at position {pos} of degree {n}, k={k}, "
                 "does not reduce to zero"
             )
-        pos = built.find(1, pos + 1)
+        pos = flags.find(1, pos + 1)
     return top, flags, template
 
 
@@ -231,18 +231,17 @@ def _ideal_ranks(k: int, N: int) -> list:
     rests = [lead[b:] for b in range(1, len(lead)) if lead[-b:] == lead[:b]]
     degrees = [(0, b"", None)] * 3
     out = [0] * 5  # degrees -2..2
-    # words of degrees m-1, m = n-3: 1 where the word contains the lead (has),
-    # and where it does without its last letter (pre); the empty word does not
-    has = pre = (bytearray(0), bytearray(1))
+    # the states of the words of degrees m-1 and m = n-3 (module docstring);
+    # the empty word is free of the lead
+    states = bytearray(0), bytearray(1)
     for n in range(3, N + 1):
         m = n - 3
         if m:  # degree m's window, lead * w, is empty below degree 3
-            has = has[1], _containing(k, m, *has, [lead])
-            pre = pre[1], _containing(k, m, *pre, [lead] if m >= 4 else [])
+            states = states[1], _containing(k, m, *states, lead)
         # lead * v holds the lead past its first letter where v does, or where
-        # v starts with the rest of the lead after a border
-        flags = _mark(k, bytearray(has[1]), rests, m) if rests else has[1]
-        degrees.append(_degree_pivots(k, n, widths, degrees, flags, pre[1]))
+        # v starts with the rest of the lead after a border: raise 0 to 1 there
+        flags = _mark(k, bytearray(states[1]), rests, m, 1) if rests else states[1]
+        degrees.append(_degree_pivots(k, n, widths, degrees, flags))
         out.append(k * out[-1] + k * out[-2] + flags.count(0))
     return out[2:]
 

@@ -90,12 +90,18 @@ class GradedDims(Record):
 def _dims_by_degree(dims: Mapping[int, int]) -> dict:
     """Generators as {degree: multiplicity}, nonzero entries only, validated.
 
-    Every generator set passes through here: degrees must be >= 1
-    (UngradedGenerator for degree 0) and multiplicities >= 0.
+    Every generator set passes through here: degrees and multiplicities must
+    be ints, degrees >= 1 (UngradedGenerator for degree 0) and multiplicities
+    >= 0.
     """
     if not isinstance(dims, Mapping):
         raise TypeError(f"generators must be a mapping, not {type(dims).__name__}")
-    by_deg = {int(i): int(d) for i, d in dims.items() if d}
+    for deg, mult in dims.items():
+        if not isinstance(deg, int):
+            raise DomainError(f"degree {deg!r} is not an int")
+        if not isinstance(mult, int):
+            raise DomainError(f"multiplicity {mult!r} in degree {deg} is not an int")
+    by_deg = {i: d for i, d in dims.items() if d}
     for deg, mult in by_deg.items():
         if deg == 0:
             raise UngradedGenerator("degree-0 generators are not allowed")

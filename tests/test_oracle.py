@@ -63,24 +63,25 @@ def top_degree(k, columns):
 def record_degrees(monkeypatch, k, N, rel=None):
     """Run _ideal_ranks(k, N), with the relation rel in place of r if given,
     and record, per degree 3..N (the first with a row r * v), what its
-    elimination starts from and what it makes: the skip flags, a lookup of
-    the lower degrees' pivots by column, its row flags and top, its pivots by
-    column (the template at each flag 0), and the rows it builds.  The step
-    must leave its row flags and skip flags as it found them."""
+    elimination starts from and what it makes: the skip flags (1 where the
+    step's state is 2), a lookup of the lower degrees' pivots by column, its
+    row flags (1 where the state is nonzero) and top, its pivots by column
+    (the template at each state 0), and the rows it builds.  The step must
+    leave its states as it found them."""
     degrees = []
     step, reduce_row = oracle._degree_pivots, oracle._reduce_row
 
-    def recording_step(k, n, widths, lower, window, skip):
+    def recording_step(k, n, widths, lower, states):
         assert n == len(degrees) + 3
-        given, skipped = bytes(window), bytes(skip)
+        given = bytes(states)
         degrees.append({
-            "skipped": skipped,
+            "skipped": bytes(state == 2 for state in given),
             "below": lambda col: _inherited_pivot(k, widths, lower, n, col),
             "built": [],
         })
-        top, flags, template = state = step(k, n, widths, lower, window, skip)
-        assert (bytes(window), bytes(skip)) == (given, skipped), (k, n)
-        degrees[-1].update(top=top, flags=bytes(flags), new={
+        top, flags, template = state = step(k, n, widths, lower, states)
+        assert bytes(states) == given, (k, n)
+        degrees[-1].update(top=top, flags=bytes(map(bool, flags)), new={
             top + pos: template for pos, flag in enumerate(flags) if not flag
         })
         return state
@@ -262,14 +263,22 @@ def occurs(lead, word):
 def test_row_and_skip_flags_find_the_lead_in_v_and_in_v_without_its_last_letter(
     monkeypatch,
 ):
-    # the two recursions kept three degrees back, against the words v of
-    # degree n - 3: the row flags mark y_k x_k in v, the skips in v[:-1]
+    # the states kept three degrees back, against the words v of degree
+    # n - 3: the row flags mark y_k x_k in v, the skips in v[:-1]
     for k in range(1, 5):
         lead = (2 * k - 1, k - 1)
         for n, degree in enumerate(record_degrees(monkeypatch, k, 8), start=3):
             words = list(enumerate_words(k, n - 3))
             assert list(degree["flags"]) == [occurs(lead, v) for v in words], (k, n)
             assert list(degree["skipped"]) == [occurs(lead, v[:-1]) for v in words], (k, n)
+    # x1 x1 x1 overlaps itself, and as a monomial no row of it is refused: the
+    # border step flags the lead in L * v past its first letter, and leaves
+    # the skips at the lead in v[:-1]
+    lead = (0, 0, 0)
+    for n, degree in enumerate(record_degrees(monkeypatch, 2, 9, ((1, lead),)), start=3):
+        words = list(enumerate_words(2, n - 3))
+        assert list(degree["flags"]) == [occurs(lead, (lead + v)[1:]) for v in words], n
+        assert list(degree["skipped"]) == [occurs(lead, v[:-1]) for v in words], n
 
 
 def test_random_relations_get_exact_ranks_until_the_oracle_refuses(monkeypatch):
@@ -500,7 +509,7 @@ def test_oracle_state_is_a_few_bytes_per_row():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * _word_count(k, N - 3), (k, N, peak)
+        assert peak < 4 * _word_count(k, N - 3), (k, N, peak)
 
 
 def test_budget_is_checked_before_any_elimination(monkeypatch):

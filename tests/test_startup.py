@@ -21,7 +21,7 @@ from fourfold.cli import CommandResult
 from fourfold.errors import DomainError, InternalInconsistency, ValidationError
 from fourfold.oracle import OracleReport
 from fourfold.ranks import GrowthReport, PbwCheck, RankTable
-from fourfold.series import GradedDims, TruncatedSeries
+from fourfold.series import GradedDims, TruncatedSeries, free_comm_series, tensor_series
 from fourfold.stable import FinAbGroup, StemsTable
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -281,6 +281,12 @@ def test_record_defaults():
         (lambda: GradedDims((-1,)), DomainError, "negative dimension in (-1,)"),
         (lambda: GradedDims((1.9, 2)), DomainError, "dimension 1.9 is not an int"),
         (lambda: GradedDims(("3",)), DomainError, "dimension '3' is not an int"),
+        (lambda: free_comm_series({1: 1.9}, 3), DomainError,
+         "multiplicity 1.9 in degree 1 is not an int"),
+        (lambda: tensor_series({1.7: 2}, 3), DomainError, "degree 1.7 is not an int"),
+        (lambda: tensor_series({"1": "2"}, 3), DomainError, "degree '1' is not an int"),
+        (lambda: free_comm_series({1: "x"}, 3), DomainError,
+         "multiplicity 'x' in degree 1 is not an int"),
         (lambda: FinAbGroup(0, (6,)), DomainError, "torsion order 6 is not a prime power"),
         (lambda: FinAbGroup(-1), DomainError, "negative free rank -1"),
         (lambda: TruncatedSeries((1, 0.5), 1), DomainError, "coefficient 0.5 is not an int"),
