@@ -32,11 +32,14 @@ against L_n, the power sum of 1/(1 - k t + t^2)) only m_1..m_n.  One store
 keeps, per b2 >= 2, the longest prefix computed of each sequence (ranks,
 bound flags, PBW agreement flags), and only one that passed every check above
 (a check that raises stores nothing); a shorter request is a slice of it, so
-repeated calls at one b2 run each loop once.  All of its entries together
-hold at most RANK_STORE_BYTES of objects: the least recently used (sequence,
-b2) goes first, and a prefix larger than the cap is returned but not kept.
-Every entry point that reads ranks goes through homotopy_ranks; _necklace
-itself, which the polynomial checks call at b2 = 0..2, keeps nothing.
+repeated calls at one b2 run each loop once.  The growth base beta, which
+depends on b2 alone, is kept beside them as a sequence of one.  All of its
+entries together hold at most RANK_STORE_BYTES of objects: the least
+recently used (sequence, b2) goes first, and a prefix larger than the cap is
+returned but not kept.  Every entry point that reads ranks reads them from
+the store's checked prefix (homotopy_ranks, or growth_report, which needs
+m_N alone); _necklace itself, which the polynomial checks call at
+b2 = 0..2, keeps nothing.
 
 Growth lemma.  For k >= 3, m_n >= L_n / (2n) > beta^n / (2n) for every n,
 as L_n = beta^n + beta^-n.  In n m_n = sum_{d|n} +-mu(d) L_{n/d} the terms
@@ -162,7 +165,8 @@ class _PrefixStore:
 
 
 # keyed by (compute, b2): m_1..m_N (_checked_ranks), cumulative bound flags
-# n = 1..n_max (_bound_flags), PBW identity 1 agreement flags (_pbw_agreement)
+# n = 1..n_max (_bound_flags), PBW identity 1 agreement flags (_pbw_agreement),
+# and the growth base as a sequence of one (_growth_base)
 _store = _PrefixStore()
 
 
@@ -367,6 +371,11 @@ def growth_base(betti: int) -> Decimal:
         return +((k + (k * k - 4).sqrt()) / 2)
 
 
+def _growth_base(k: int, N: int) -> tuple:
+    """(beta,) at b2 = k >= 3, whatever N: growth_base kept as a prefix of one."""
+    return (growth_base(k),)
+
+
 def _growth_lemma_holds(k: int) -> bool:
     """The growth lemma's hypotheses at b2 = k (module docstring), in integers."""
     L_1, L_2 = _lucas(k, 2)[1:]
@@ -375,6 +384,9 @@ def _growth_lemma_holds(k: int) -> bool:
 
 def growth_report(betti: int, N: int = 60) -> GrowthReport:
     """Classify the rank sequence and probe its growth out to degree N.
+
+    beta depends on b2 alone, so it is computed once per b2 and then read,
+    like m_N and the cumulative bound flags, from the prefix store.
 
     >>> growth_report(2, 10).classification
     'elliptic'
@@ -397,11 +409,11 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
 
     from decimal import Decimal, localcontext
 
-    table = homotopy_ranks(betti, N)
-    beta = growth_base(betti)
+    m_N = _prefix(betti, N, _checked_ranks)[-1]
+    beta = _prefix(betti, 1, _growth_base)[0]
     with localcontext() as ctx:
         ctx.prec = GROWTH_PRECISION
-        residual = abs(Decimal(N) * Decimal(table.rank(N)) / beta**N - 1)
+        residual = abs(Decimal(N) * Decimal(m_N) / beta**N - 1)
         residual = +residual
     bounds = cumulative_bound_check(betti, max(1, N // 2))
     return GrowthReport(

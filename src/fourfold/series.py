@@ -1,9 +1,13 @@
 """Exact truncated formal power series and the generating-series constructors.
 
 Everything here is a polynomial in t truncated at an explicit order N, with
-int coefficients: a TruncatedSeries accepts nothing else, so neither a float
-nor a Fraction gets in.  Each named constructor computes its coefficients by
-one integer recurrence.  quotient_series rolls its cubic one over three local
+int coefficients: the public TruncatedSeries(...) checks every coefficient
+and accepts nothing else, so neither a float nor a Fraction gets in.  Each
+named constructor instead checks its scalar inputs before any work (an int
+k, N >= 0, generators through _dims_by_degree) and computes its coefficients
+by one integer recurrence, which on those inputs yields ints by
+construction; it builds its result through _series, which does not check
+them again.  quotient_series rolls its cubic one over three local
 variables, and tensor_series on k generators in each of degrees 1 and 2 (the
 free algebra of the quotient model) its two-term one over two, both at one
 multiply per coefficient; _poly_reciprocal, the general 1/poly recurrence,
@@ -24,6 +28,11 @@ if TYPE_CHECKING:  # ranks imports this module, so pbw_series imports it late
     from .ranks import RankTable
 
 
+def _check_order(N: int):
+    if N < 0:
+        raise DomainError("truncation order must be >= 0")
+
+
 class TruncatedSeries(Record):
     """A power series known exactly up to (and including) t^truncation_order.
 
@@ -35,8 +44,7 @@ class TruncatedSeries(Record):
     """
 
     def __init__(self, coeffs: tuple, truncation_order: int):
-        if truncation_order < 0:
-            raise DomainError("truncation order must be >= 0")
+        _check_order(truncation_order)
         coeffs = tuple(coeffs)
         if len(coeffs) != truncation_order + 1:
             raise DomainError(
@@ -68,6 +76,17 @@ class TruncatedSeries(Record):
                 parts.append(f"{c}*t^{i}" if c != 1 else f"t^{i}")
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(t^{self.truncation_order + 1})"
+
+
+def _series(coeffs: list, N: int) -> TruncatedSeries:
+    """TruncatedSeries(coeffs, N) without the per-coefficient check.
+
+    Only the named constructors call it, after checking their own inputs:
+    their integer recurrences on int inputs yield N + 1 ints by construction.
+    """
+    series = object.__new__(TruncatedSeries)
+    series.__dict__.update(coeffs=tuple(coeffs), truncation_order=N)
+    return series
 
 
 class GradedDims(Record):
@@ -167,14 +186,16 @@ def free_comm_series(dims: Mapping[int, int], N: int) -> TruncatedSeries:
     >>> free_comm_series({1: 1}, 3).as_int_list()
     [1, 1, 0, 0]
     """
-    c = _power_sums(_dims_by_degree(dims), N)
+    by_deg = _dims_by_degree(dims)
+    _check_order(N)
+    c = _power_sums(by_deg, N)
     # n a_n = sum_{j=1..n} c_j a_{n-j}
     a = [1] + [0] * N
     for n in range(1, N + 1):
         a[n], rem = divmod(sum(c[j] * a[n - j] for j in range(1, n + 1)), n)
         if rem:
             raise InternalInconsistency(f"product series coefficient {n} is not integral")
-    return TruncatedSeries(a, N)
+    return _series(a, N)
 
 
 def tensor_series(dims: Mapping[int, int], N: int) -> TruncatedSeries:
@@ -190,16 +211,17 @@ def tensor_series(dims: Mapping[int, int], N: int) -> TruncatedSeries:
     [1, 2, 6, 16]
     """
     by_deg = _dims_by_degree(dims)
+    _check_order(N)
     k = by_deg.get(1, 0)
     if by_deg.get(2, 0) != k or max(by_deg, default=0) > 2:
         den = [1] + [-by_deg.get(i, 0) for i in range(1, N + 1)]
-        return TruncatedSeries(_poly_reciprocal(den, N), N)
+        return _series(_poly_reciprocal(den, N), N)
     out = [1]
     prev, cur = 0, 1  # a_{n-2}, a_{n-1}
     for _ in range(N):
         prev, cur = cur, k * (cur + prev)
         out.append(cur)
-    return TruncatedSeries(out, N)
+    return _series(out, N)
 
 
 def quotient_series(k: int, N: int) -> TruncatedSeries:
@@ -219,17 +241,20 @@ def quotient_series(k: int, N: int) -> TruncatedSeries:
     >>> quotient_series(2, 5).as_int_list()
     [1, 2, 6, 15, 40, 104]
     """
+    if not isinstance(k, int):
+        raise DomainError(f"k must be an int, got {k!r}")
     if k < 1:
         raise DomainError(
             "k must be >= 1: the quotient model needs at least one summand, "
             "and at k = 0 the series 1/(1 + t^3) has negative coefficients"
         )
+    _check_order(N)
     out = [1]
     x, y, z = 0, 0, 1  # a_{n-3}, a_{n-2}, a_{n-1}
     for _ in range(N):
         x, y, z = y, z, k * (y + z) - x
         out.append(z)
-    return TruncatedSeries(out, N)
+    return _series(out, N)
 
 
 def pbw_series(table: RankTable, N: int) -> TruncatedSeries:

@@ -29,6 +29,7 @@ from fourfold.ranks import (
     _bound_flags,
     _checked_ranks,
     _closed_form,
+    _growth_base,
     _growth_lemma_holds,
     _lucas,
     _necklace,
@@ -302,6 +303,27 @@ def test_growth_base_needs_hyperbolic_betti():
         growth_base(2)
 
 
+def test_growth_base_is_computed_once_per_b2(monkeypatch, empty_rank_store):
+    calls = []
+
+    def counting(betti):
+        calls.append(betti)
+        return growth_base(betti)
+
+    monkeypatch.setattr(ranks_module, "growth_base", counting)
+    for k in range(3, 7):
+        for N in (60, 1, 200, 5, 60):
+            assert growth_report(k, N).growth_base == growth_base(k)
+    assert calls == [3, 4, 5, 6]
+    # each b2 gains one entry, a sequence of one
+    kept = {key: seq for key, (seq, _) in empty_rank_store.entries.items()}
+    assert {k for compute, k in kept if compute is _growth_base} == {3, 4, 5, 6}
+    assert all(len(kept[_growth_base, k]) == 1 for k in range(3, 7))
+    empty_rank_store.clear()
+    assert growth_report(4, 60).growth_base == growth_base(4)
+    assert calls == [3, 4, 5, 6, 4]
+
+
 def test_growth_report_elliptic():
     rep = growth_report(2, 10)
     assert rep.classification == "elliptic"
@@ -552,7 +574,7 @@ def test_one_cap_bounds_every_sequence_kept(monkeypatch, empty_rank_store):
     fills = {
         homotopy_ranks: {_checked_ranks},
         cumulative_bound_check: {_checked_ranks, _bound_flags},
-        growth_report: {_checked_ranks, _bound_flags},
+        growth_report: {_checked_ranks, _bound_flags, _growth_base},
         pbw_identity_check: {_checked_ranks, _pbw_agreement},
     }
     rng = random.Random(23)

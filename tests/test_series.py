@@ -17,9 +17,9 @@ from fourfold import (
     tensor_series,
 )
 from fourfold.cli import cmd_series
-from fourfold.ranks import RankTable
+from fourfold.ranks import RankTable, homotopy_ranks
 from fourfold.series import _poly_reciprocal
-from refimpl import series_log, series_mul, series_reciprocal
+from refimpl import pbw_product, series_log, series_mul, series_reciprocal
 
 coeff_lists = st.lists(
     st.fractions(min_value=-50, max_value=50, max_denominator=8),
@@ -207,6 +207,46 @@ def test_constructors_reject_bad_generators(constructor):
         constructor({0: 1}, 3)
     with pytest.raises(TypeError):
         constructor([0, 2], 3)  # a bare sequence is not a generator set
+
+
+#: name: (build(k, N), reference(k, N)), the reference from tests/refimpl.py
+NAMED_CONSTRUCTORS = {
+    "quotient": (
+        quotient_series,
+        lambda k, N: series_reciprocal([1, -k, -k, 1] + [0] * N)[: N + 1],
+    ),
+    "tensor-two-term": (
+        lambda k, N: tensor_series({1: k, 2: k}, N),
+        lambda k, N: series_reciprocal([1, -k, -k] + [0] * N)[: N + 1],
+    ),
+    "tensor-general": (
+        lambda k, N: tensor_series({1: k, 3: k}, N),
+        lambda k, N: series_reciprocal([1, -k, 0, -k] + [0] * N)[: N + 1],
+    ),
+    "free-comm": (
+        lambda k, N: free_comm_series({1: k, 2: k}, N),
+        lambda k, N: pbw_product({1: k, 2: k}, N),
+    ),
+    "pbw": (
+        lambda k, N: pbw_series(homotopy_ranks(k, max(N, 1)), N),
+        lambda k, N: pbw_product(dict(enumerate(homotopy_ranks(k, N).ranks, 1)), N),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NAMED_CONSTRUCTORS)
+def test_named_constructors_hand_out_only_what_the_checked_constructor_accepts(name):
+    """The named constructors skip TruncatedSeries' per-coefficient check:
+    each result is one the checked constructor builds equal, of exact ints,
+    and the reference series."""
+    build, reference = NAMED_CONSTRUCTORS[name]
+    for k in range(1, 13):
+        expected = reference(k, 60)  # the series at N is its prefix
+        for N in range(61):
+            s = build(k, N)
+            assert s == TruncatedSeries(s.coeffs, s.truncation_order), (k, N)
+            assert all(type(c) is int for c in s.coeffs), (k, N)
+            assert s.as_int_list() == expected[: N + 1], (k, N)
 
 
 def test_graded_dims_is_zero_past_its_end_and_no_generator_set():

@@ -21,7 +21,13 @@ from fourfold.cli import CommandResult
 from fourfold.errors import DomainError, InternalInconsistency, ValidationError
 from fourfold.oracle import OracleReport
 from fourfold.ranks import GrowthReport, PbwCheck, RankTable
-from fourfold.series import GradedDims, TruncatedSeries, free_comm_series, tensor_series
+from fourfold.series import (
+    GradedDims,
+    TruncatedSeries,
+    free_comm_series,
+    quotient_series,
+    tensor_series,
+)
 from fourfold.stable import FinAbGroup, StemsTable
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -287,6 +293,16 @@ def test_record_defaults():
         (lambda: tensor_series({"1": "2"}, 3), DomainError, "degree '1' is not an int"),
         (lambda: free_comm_series({1: "x"}, 3), DomainError,
          "multiplicity 'x' in degree 1 is not an int"),
+        (lambda: quotient_series(3.0, 5), DomainError, "k must be an int, got 3.0"),
+        # the named constructors check N before their loops; ids keep the rows apart
+        pytest.param(lambda: quotient_series(3, -1), DomainError,
+                     "truncation order must be >= 0", id="quotient_series-N=-1"),
+        pytest.param(lambda: tensor_series({1: 2, 2: 2}, -1), DomainError,
+                     "truncation order must be >= 0", id="tensor_series-two-term-N=-1"),
+        pytest.param(lambda: tensor_series({1: 2}, -1), DomainError,
+                     "truncation order must be >= 0", id="tensor_series-general-N=-1"),
+        pytest.param(lambda: free_comm_series({2: 1}, -1), DomainError,
+                     "truncation order must be >= 0", id="free_comm_series-N=-1"),
         (lambda: FinAbGroup(0, (6,)), DomainError, "torsion order 6 is not a prime power"),
         (lambda: FinAbGroup(-1), DomainError, "negative free rank -1"),
         (lambda: TruncatedSeries((1, 0.5), 1), DomainError, "coefficient 0.5 is not an int"),
