@@ -25,7 +25,14 @@ import os
 import sys
 
 from ._record import Record
-from .errors import DomainError, FourfoldError, ParseError, ResourceLimit, ValidationError
+from .errors import (
+    DomainError,
+    FourfoldError,
+    ParseError,
+    ResourceLimit,
+    ValidationError,
+    _int_arg,
+)
 from .oracle import (
     DEFAULT_COLUMN_BUDGET,
     koszul_leading_monomial_check,
@@ -106,8 +113,8 @@ def cmd_ranks(betti: int, max_degree: int) -> CommandResult:
 def cmd_series(kind: str, betti: int, terms: int, dims_spec: str = "") -> CommandResult:
     if dims_spec and kind != "free-comm":
         raise DomainError(f"--dims applies only to --kind free-comm, not {kind}")
-    if betti < 1 and not dims_spec:  # with --dims, --betti is not used
-        raise DomainError(f"second Betti number must be >= 1, got {betti}")
+    if not dims_spec:  # with --dims, --betti is not used
+        _int_arg("second Betti number", betti, 1)
     payload = {"kind": kind, "betti": betti}
     source = f"parameter {betti}"
     if kind == "tensor":
@@ -226,8 +233,7 @@ def cmd_growth(betti: int, probe: int) -> CommandResult:
 
 
 def cmd_verify(betti: int, max_degree: int, budget=None) -> CommandResult:
-    if betti < 1:
-        raise DomainError(f"second Betti number must be >= 1, got {betti}")
+    _int_arg("second Betti number", betti, 1)
     checks = {}
     payload = {"betti": betti, "max_degree": max_degree}
     lines = [f"verification at b2 = {betti}, oracle degree {max_degree}"]
@@ -376,8 +382,7 @@ def _resolve_budget(args) -> int | None:
         except ValueError:
             raise DomainError(f"{BUDGET_ENV_VAR}={env!r} is not an integer") from None
         source = BUDGET_ENV_VAR
-    if budget < 1:
-        raise DomainError(f"{source} must be >= 1, got {budget}")
+    _int_arg(source, budget, 1)
     return budget
 
 

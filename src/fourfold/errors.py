@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by all fourfold modules."""
+"""Exception hierarchy shared by all fourfold modules, and the one check of
+integer arguments.
+
+Every public function and constructor passes each of its integer arguments
+to _int_arg before any work, so what counts as a valid integer (an int, not
+a bool, a float or a numeric string, at or above a minimum) is decided here
+alone.
+"""
 
 
 class FourfoldError(Exception):
@@ -7,6 +14,14 @@ class FourfoldError(Exception):
 
 class DomainError(FourfoldError):
     """Input outside the mathematical domain of the requested operation."""
+
+
+def _int_arg(name: str, value, minimum: int):
+    """DomainError unless value is an int (a bool is not) and >= minimum."""
+    if value.__class__ is not int:
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
 
 
 class UngradedGenerator(DomainError):

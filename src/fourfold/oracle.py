@@ -74,7 +74,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ._record import Record
-from .errors import DomainError, InternalInconsistency, ResourceLimit
+from .errors import InternalInconsistency, ResourceLimit, _int_arg
 from .series import GradedDims, quotient_series
 
 #: Largest admissible matrix width (= number of words in one degree).
@@ -303,11 +303,10 @@ def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> Oracle
     >>> quotient_dims_oracle(2, 5).ideal_dims.dims
     (0, 0, 0, 1, 4, 16)
     """
-    if k < 1:
-        raise DomainError(f"alphabet parameter must be >= 1, got {k}")
-    if N < 0:
-        raise DomainError(f"max degree must be >= 0, got {N}")
+    _int_arg("alphabet parameter", k, 1)
+    _int_arg("max degree", N, 0)
     budget = DEFAULT_COLUMN_BUDGET if budget is None else budget
+    _int_arg("budget", budget, 1)
 
     tensor = [_columns(k, n, budget) if n >= 3 else _word_count(k, n) for n in range(N + 1)]
     ideal = _ideal_ranks(k, N)
@@ -340,8 +339,7 @@ def koszul_leading_monomial_check(k: int) -> tuple:
     >>> koszul_leading_monomial_check(3)
     (True, 'y3*x3')
     """
-    if k < 1:
-        raise DomainError(f"alphabet parameter must be >= 1, got {k}")
+    _int_arg("alphabet parameter", k, 1)
     lead = (2 * k - 1, k - 1)  # the word (k + i, i) at i = k - 1
     # its first letter is above k - 1, the largest that starts an (i, k + i),
     # and above 2k - 2, the largest other k + i

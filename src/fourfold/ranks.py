@@ -68,7 +68,7 @@ import threading
 from typing import TYPE_CHECKING, Optional
 
 from ._record import Record
-from .errors import DomainError, InternalInconsistency
+from .errors import DomainError, InternalInconsistency, _int_arg
 from .series import _power_sums
 
 if TYPE_CHECKING:  # decimal is imported only where growth is computed
@@ -191,10 +191,8 @@ def homotopy_ranks(betti: int, N: int) -> RankTable:
     >>> homotopy_ranks(2, 6).ranks
     (2, 2, 0, 0, 0, 0)
     """
-    if betti < 1:
-        raise DomainError(f"second Betti number must be >= 1, got {betti}")
-    if N < 1:
-        raise DomainError(f"max degree must be >= 1, got {N}")
+    _int_arg("second Betti number", betti, 1)
+    _int_arg("max degree", N, 1)
     if betti == 1:
         ranks = tuple(_ELLIPTIC_B2_1[n - 1] if n <= 4 else 0 for n in range(1, N + 1))
         return RankTable(betti=1, ranks=ranks)
@@ -302,10 +300,8 @@ def pbw_identity_check(betti: int, N: int) -> PbwCheck:
     Not applicable at b2 = 1: identity 1's right side 1/(1 - t + t^2) has
     negative coefficients there, and identity 2's parameter would be 0.
     """
-    if betti < 1:
-        raise DomainError(f"second Betti number must be >= 1, got {betti}")
-    if N < 0:
-        raise DomainError(f"max degree must be >= 0, got {N}")
+    _int_arg("second Betti number", betti, 1)
+    _int_arg("max degree", N, 0)
     if betti == 1:
         return PbwCheck(status=PBW_NOT_APPLICABLE)
     agree = _prefix(betti, N, _pbw_agreement)
@@ -361,10 +357,9 @@ class GrowthReport(Record):
 
 def growth_base(betti: int) -> Decimal:
     """beta = (k + sqrt(k^2 - 4))/2 to GROWTH_PRECISION digits, k >= 3."""
+    _int_arg("second Betti number", betti, 3)
     from decimal import Decimal, localcontext
 
-    if betti < 3:
-        raise DomainError(f"growth base exists only for b2 >= 3, got {betti}")
     with localcontext() as ctx:
         ctx.prec = GROWTH_PRECISION
         k = Decimal(betti)
@@ -391,10 +386,8 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
     >>> growth_report(2, 10).classification
     'elliptic'
     """
-    if betti < 1:
-        raise DomainError(f"second Betti number must be >= 1, got {betti}")
-    if N < 1:
-        raise DomainError(f"probe degree must be >= 1, got {N}")
+    _int_arg("second Betti number", betti, 1)
+    _int_arg("probe degree", N, 1)
     if betti <= 2:
         return GrowthReport(
             betti=betti,
@@ -438,6 +431,7 @@ def rank_polynomial_checks(N: int) -> tuple:
     >>> rank_polynomial_checks(8)
     (True, True)
     """
+    _int_arg("max degree", N, 0)
     divisible = all(
         not any(_necklace(b2, N)[first - 1:]) for b2, first in ((2, 3), (1, 4), (0, 5))
     )
@@ -458,10 +452,8 @@ def cumulative_bound_check(betti: int, n_max: int) -> dict:
     >>> cumulative_bound_check(3, 2)
     {1: True, 2: True}
     """
-    if betti < 3:
-        raise DomainError(f"cumulative bound needs b2 >= 3, got {betti}")
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    _int_arg("second Betti number", betti, 3)
+    _int_arg("n_max", n_max, 1)
     return dict(zip(range(1, n_max + 1), _prefix(betti, n_max, _bound_flags)))
 
 

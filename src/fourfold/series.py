@@ -3,10 +3,10 @@
 Everything here is a polynomial in t truncated at an explicit order N, with
 int coefficients: the public TruncatedSeries(...) checks every coefficient
 and accepts nothing else, so neither a float nor a Fraction gets in.  Each
-named constructor instead checks its scalar inputs before any work (an int
-k, N >= 0, generators through _dims_by_degree) and computes its coefficients
-by one integer recurrence, which on those inputs yields ints by
-construction; it builds its result through _series, which does not check
+named constructor instead checks its scalar inputs before any work (k >= 1
+and N >= 0 through _int_arg, generators through _dims_by_degree) and computes
+its coefficients by one integer recurrence, which on those inputs yields ints
+by construction; it builds its result through _series, which does not check
 them again.  quotient_series rolls its cubic one over three local
 variables, and tensor_series on k generators in each of degrees 1 and 2 (the
 free algebra of the quotient model) its two-term one over two, both at one
@@ -22,15 +22,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._record import Record
-from .errors import DomainError, InternalInconsistency, UngradedGenerator
+from .errors import DomainError, InternalInconsistency, UngradedGenerator, _int_arg
 
 if TYPE_CHECKING:  # ranks imports this module, so pbw_series imports it late
     from .ranks import RankTable
-
-
-def _check_order(N: int):
-    if N < 0:
-        raise DomainError("truncation order must be >= 0")
 
 
 class TruncatedSeries(Record):
@@ -44,7 +39,7 @@ class TruncatedSeries(Record):
     """
 
     def __init__(self, coeffs: tuple, truncation_order: int):
-        _check_order(truncation_order)
+        _int_arg("truncation order", truncation_order, 0)
         coeffs = tuple(coeffs)
         if len(coeffs) != truncation_order + 1:
             raise DomainError(
@@ -187,7 +182,7 @@ def free_comm_series(dims: Mapping[int, int], N: int) -> TruncatedSeries:
     [1, 1, 0, 0]
     """
     by_deg = _dims_by_degree(dims)
-    _check_order(N)
+    _int_arg("truncation order", N, 0)
     c = _power_sums(by_deg, N)
     # n a_n = sum_{j=1..n} c_j a_{n-j}
     a = [1] + [0] * N
@@ -211,7 +206,7 @@ def tensor_series(dims: Mapping[int, int], N: int) -> TruncatedSeries:
     [1, 2, 6, 16]
     """
     by_deg = _dims_by_degree(dims)
-    _check_order(N)
+    _int_arg("truncation order", N, 0)
     k = by_deg.get(1, 0)
     if by_deg.get(2, 0) != k or max(by_deg, default=0) > 2:
         den = [1] + [-by_deg.get(i, 0) for i in range(1, N + 1)]
@@ -236,19 +231,15 @@ def quotient_series(k: int, N: int) -> TruncatedSeries:
         a_n = k (a_{n-1} + a_{n-2}) - a_{n-3}   (a_0 = 1, a_{<0} = 0),
 
     so a_1 = k and a_2 = k^2 + k.  `verify` checks them against the
-    oracle's linear algebra.
+    oracle's linear algebra.  k must be >= 1: the quotient model needs at
+    least one summand, and at k = 0 the series 1/(1 + t^3) has negative
+    coefficients.
 
     >>> quotient_series(2, 5).as_int_list()
     [1, 2, 6, 15, 40, 104]
     """
-    if not isinstance(k, int):
-        raise DomainError(f"k must be an int, got {k!r}")
-    if k < 1:
-        raise DomainError(
-            "k must be >= 1: the quotient model needs at least one summand, "
-            "and at k = 0 the series 1/(1 + t^3) has negative coefficients"
-        )
-    _check_order(N)
+    _int_arg("k", k, 1)
+    _int_arg("truncation order", N, 0)
     out = [1]
     x, y, z = 0, 0, 1  # a_{n-3}, a_{n-2}, a_{n-1}
     for _ in range(N):
@@ -273,4 +264,5 @@ def pbw_series(table: RankTable, N: int) -> TruncatedSeries:
 
     if not isinstance(table, RankTable):
         raise TypeError(f"pbw_series takes a RankTable, not {type(table).__name__}")
+    _int_arg("truncation order", N, 0)
     return free_comm_series(dict(enumerate(table.ranks, start=1)), N)

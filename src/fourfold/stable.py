@@ -32,6 +32,7 @@ from .errors import (
     ParseError,
     ResourceLimit,
     ValidationError,
+    _int_arg,
 )
 
 #: Largest order _factor accepts, so trial division stops by 31623; the
@@ -59,8 +60,6 @@ def _prime_power_key(q: int) -> tuple:
     """(p, e) for a prime power q = p^e > 1; DomainError otherwise.  Cached:
     a group lists each cyclic summand, and large b2 repeats a few orders
     millions of times."""
-    if q < 2:
-        raise DomainError(f"torsion order {q} is not a prime power > 1")
     f = _factor(q)
     if len(f) != 1:
         raise DomainError(f"torsion order {q} is not a prime power")
@@ -81,9 +80,11 @@ class FinAbGroup(Record):
     """
 
     def __init__(self, free_rank: int = 0, torsion: tuple = ()):
-        if free_rank < 0:
-            raise DomainError(f"negative free rank {free_rank}")
-        canon = tuple(sorted((int(q) for q in torsion), key=_prime_power_key))
+        _int_arg("free rank", free_rank, 0)
+        torsion = tuple(torsion)
+        for q in torsion:
+            _int_arg("torsion order", q, 2)
+        canon = tuple(sorted(torsion, key=_prime_power_key))
         self.__dict__.update(free_rank=free_rank, torsion=canon)
 
     @classmethod
@@ -96,12 +97,11 @@ class FinAbGroup(Record):
 
         Order 0 counts as a Z summand, order 1 as nothing.
         """
+        _int_arg("free rank", free_rank, 0)
         rank = free_rank
         torsion = []
         for d in orders:
-            d = int(d)
-            if d < 0:
-                raise DomainError(f"negative cyclic order {d}")
+            _int_arg("cyclic order", d, 0)
             if d == 0:
                 rank += 1
             elif d == 1:
@@ -120,8 +120,7 @@ class FinAbGroup(Record):
     def power(self, e: int) -> "FinAbGroup":
         """The direct sum of e copies; ResourceLimit when its torsion summands
         would not fit in a tuple (more than sys.maxsize)."""
-        if e < 0:
-            raise DomainError(f"negative direct-sum exponent {e}")
+        _int_arg("direct-sum exponent", e, 0)
         if not self.torsion:  # () * e overflows past sys.maxsize too
             return FinAbGroup(self.free_rank * e)
         if len(self.torsion) * e > sys.maxsize:
@@ -173,6 +172,7 @@ class StemsTable(Record):
     """Sphere stems pi_n^s for n = 0..max_index; lower indices are trivial."""
 
     def __init__(self, entries: dict, max_index: int, source_note: str = ""):
+        _int_arg("max index", max_index, 0)
         self.__dict__.update(
             entries=entries,
             max_index=max_index,
@@ -288,12 +288,9 @@ def stable_homotopy_finite_pi1(
     pi2_rank: int, n: int, m: int, stems: StemsTable
 ) -> FinAbGroup:
     """Same assembly for finite fundamental group of order m (m = 1: no change)."""
-    if pi2_rank < 1:
-        raise DomainError(f"rank of pi_2 must be >= 1, got {pi2_rank}")
-    if m < 1:
-        raise DomainError(f"order of the fundamental group must be >= 1, got {m}")
-    if n < 0:
-        raise DomainError(f"stable index must be >= 0, got {n}")
+    _int_arg("rank of pi_2", pi2_rank, 1)
+    _int_arg("order of the fundamental group", m, 1)
+    _int_arg("stable index", n, 0)
     k = pi2_rank
     return _assemble(
         stems, [(n - 2, k), (n - 3, k - 1), (n - 5, 1), (n - 1, m - 1)]
@@ -309,9 +306,8 @@ def integral_low_homotopy(betti: int) -> Tuple[FinAbGroup, FinAbGroup]:
     >>> tuple(str(g) for g in integral_low_homotopy(3))
     ('Z^5', '(Z/2)^4 + Z^5')
     """
+    _int_arg("second Betti number", betti, 3)
     from .ranks import homotopy_ranks  # not loaded with the stems table
 
-    if betti < 3:
-        raise DomainError(f"integral low homotopy needs b2 >= 3, got {betti}")
     _, m_2, m_3 = homotopy_ranks(betti, 3).ranks
     return FinAbGroup(m_2, ()), FinAbGroup(m_3, (2,) * (2 * (betti - 1)))

@@ -177,7 +177,7 @@ def test_series_terms_zero_and_negative(capsys, kind):
     )
     assert code == 2
     assert out == ""
-    assert err == "error: truncation order must be >= 0\n"
+    assert err == "error: truncation order must be >= 0, got -1\n"
 
 
 dims_specs = st.lists(

@@ -499,6 +499,21 @@ def test_a_check_that_raises_stores_nothing(monkeypatch, empty_rank_store):
         assert homotopy_ranks(k, N).ranks == tuple(_necklace(k, N))
 
 
+@pytest.mark.parametrize(
+    "bad_call", [lambda: homotopy_ranks(3.0, 6), lambda: growth_report(3.5, 10)],
+    ids=["homotopy_ranks(3.0, 6)", "growth_report(3.5, 10)"],
+)
+def test_a_non_int_betti_is_refused_before_it_reaches_the_store(bad_call, empty_rank_store):
+    # 3.0 == 3 and hash(3.0) == hash(3): a float b2 kept under its key would
+    # answer every later call at the int b2, with float ranks
+    with pytest.raises(DomainError, match="second Betti number must be an int"):
+        bad_call()
+    ranks = homotopy_ranks(3, 4).ranks
+    assert ranks == (3, 5, 5, 10)  # equal to (3.0, 5.0, 5.0, 10.0) too
+    assert all(type(m) is int for m in ranks)
+    assert all(type(b2) is int for _, b2 in empty_rank_store.entries)
+
+
 def test_store_keeps_to_its_cap_and_evicts_the_least_recently_used(
     monkeypatch, empty_rank_store
 ):

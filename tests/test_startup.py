@@ -1,5 +1,6 @@
-"""Start-up: what each entry point imports, the lazy package exports, and the
-hand-written record classes that replace dataclasses."""
+"""Start-up: what each entry point imports, the lazy package exports, the
+hand-written record classes that replace dataclasses, and the one check that
+every public function and constructor makes of its integer arguments."""
 
 import ast
 import copy
@@ -19,16 +20,35 @@ import pytest
 import fourfold
 from fourfold.cli import CommandResult
 from fourfold.errors import DomainError, InternalInconsistency, ValidationError
-from fourfold.oracle import OracleReport
-from fourfold.ranks import GrowthReport, PbwCheck, RankTable
+from fourfold.oracle import OracleReport, koszul_leading_monomial_check, quotient_dims_oracle
+from fourfold.ranks import (
+    GrowthReport,
+    PbwCheck,
+    RankTable,
+    _checked_ranks,
+    cumulative_bound_check,
+    growth_base,
+    growth_report,
+    homotopy_ranks,
+    pbw_identity_check,
+    rank_polynomial_checks,
+)
 from fourfold.series import (
     GradedDims,
     TruncatedSeries,
     free_comm_series,
+    pbw_series,
     quotient_series,
     tensor_series,
 )
-from fourfold.stable import FinAbGroup, StemsTable
+from fourfold.stable import (
+    FinAbGroup,
+    StemsTable,
+    bundled_stems_table,
+    integral_low_homotopy,
+    stable_homotopy_finite_pi1,
+    stable_homotopy_simply_connected,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -296,24 +316,100 @@ def test_record_defaults():
         (lambda: quotient_series(3.0, 5), DomainError, "k must be an int, got 3.0"),
         # the named constructors check N before their loops; ids keep the rows apart
         pytest.param(lambda: quotient_series(3, -1), DomainError,
-                     "truncation order must be >= 0", id="quotient_series-N=-1"),
+                     "truncation order must be >= 0, got -1", id="quotient_series-N=-1"),
         pytest.param(lambda: tensor_series({1: 2, 2: 2}, -1), DomainError,
-                     "truncation order must be >= 0", id="tensor_series-two-term-N=-1"),
+                     "truncation order must be >= 0, got -1", id="tensor_series-two-term-N=-1"),
         pytest.param(lambda: tensor_series({1: 2}, -1), DomainError,
-                     "truncation order must be >= 0", id="tensor_series-general-N=-1"),
+                     "truncation order must be >= 0, got -1", id="tensor_series-general-N=-1"),
         pytest.param(lambda: free_comm_series({2: 1}, -1), DomainError,
-                     "truncation order must be >= 0", id="free_comm_series-N=-1"),
+                     "truncation order must be >= 0, got -1", id="free_comm_series-N=-1"),
         (lambda: FinAbGroup(0, (6,)), DomainError, "torsion order 6 is not a prime power"),
-        (lambda: FinAbGroup(-1), DomainError, "negative free rank -1"),
+        pytest.param(lambda: FinAbGroup(-1), DomainError, "free rank must be >= 0, got -1",
+                     id="FinAbGroup-free_rank=-1"),
         (lambda: TruncatedSeries((1, 0.5), 1), DomainError, "coefficient 0.5 is not an int"),
         (lambda: TruncatedSeries((1, Fraction(1, 2)), 1), DomainError,
          "coefficient Fraction(1, 2) is not an int"),
-        (lambda: TruncatedSeries((1,), -1), DomainError, "truncation order must be >= 0"),
+        pytest.param(lambda: TruncatedSeries((1,), -1), DomainError,
+                     "truncation order must be >= 0, got -1", id="TruncatedSeries-N=-1"),
         (lambda: TruncatedSeries((1,), 1), DomainError, "need 2 coefficients, got 1"),
         (lambda: OracleReport(**dict(report_fields(), quotient_dims=GradedDims((1, 1, 2, 3)))),
          InternalInconsistency, "quotient dim at degree 3 is not tensor - ideal"),
         (lambda: StemsTable({0: FinAbGroup(1)}, 1), ValidationError, "stems table is missing index 1"),
         (lambda: StemsTable({0: FinAbGroup(0, (2,))}, 0), ValidationError, "stem 0 must be Z, got Z/2"),
+        # every integer argument passes through errors._int_arg before any work:
+        # an int that is not a bool, at or above the argument's minimum
+        *[pytest.param(build, DomainError, message, id=name) for name, build, message in [
+            ("homotopy_ranks-N=5.0", lambda: homotopy_ranks(3, 5.0),
+             "max degree must be an int, got 5.0"),
+            ("homotopy_ranks-b2='3'", lambda: homotopy_ranks("3", 5),
+             "second Betti number must be an int, got '3'"),
+            ("homotopy_ranks-b2=True", lambda: homotopy_ranks(True, 6),
+             "second Betti number must be an int, got True"),
+            ("growth_report-N=60.0", lambda: growth_report(3, 60.0),
+             "probe degree must be an int, got 60.0"),
+            ("growth_report-b2=3.5", lambda: growth_report(3.5, 10),
+             "second Betti number must be an int, got 3.5"),
+            ("growth_base-b2=2", lambda: growth_base(2),
+             "second Betti number must be >= 3, got 2"),
+            ("cumulative_bound_check-b2=3.0", lambda: cumulative_bound_check(3.0, 2),
+             "second Betti number must be an int, got 3.0"),
+            ("cumulative_bound_check-n_max=2.0", lambda: cumulative_bound_check(3, 2.0),
+             "n_max must be an int, got 2.0"),
+            ("cumulative_bound_check-b2=2", lambda: cumulative_bound_check(2, 1),
+             "second Betti number must be >= 3, got 2"),
+            ("rank_polynomial_checks-N=8.0", lambda: rank_polynomial_checks(8.0),
+             "max degree must be an int, got 8.0"),
+            ("rank_polynomial_checks-N=-3", lambda: rank_polynomial_checks(-3),
+             "max degree must be >= 0, got -3"),
+            ("stable_homotopy_finite_pi1-m=2.0",
+             lambda: stable_homotopy_finite_pi1(3, 5, 2.0, StemsTable(STEMS, 1)),
+             "order of the fundamental group must be an int, got 2.0"),
+            ("integral_low_homotopy-b2=3.0", lambda: integral_low_homotopy(3.0),
+             "second Betti number must be an int, got 3.0"),
+            ("integral_low_homotopy-b2=2", lambda: integral_low_homotopy(2),
+             "second Betti number must be >= 3, got 2"),
+            ("quotient_dims_oracle-k=2.0", lambda: quotient_dims_oracle(2.0, 5),
+             "alphabet parameter must be an int, got 2.0"),
+            ("quotient_dims_oracle-budget=0", lambda: quotient_dims_oracle(2, 5, budget=0),
+             "budget must be >= 1, got 0"),
+            ("quotient_dims_oracle-budget='x'", lambda: quotient_dims_oracle(2, 5, budget="x"),
+             "budget must be an int, got 'x'"),
+            ("quotient_dims_oracle-budget=True", lambda: quotient_dims_oracle(2, 4, budget=True),
+             "budget must be an int, got True"),
+            ("koszul_leading_monomial_check-k=3.0", lambda: koszul_leading_monomial_check(3.0),
+             "alphabet parameter must be an int, got 3.0"),
+            ("quotient_series-N=5.0", lambda: quotient_series(3, 5.0),
+             "truncation order must be an int, got 5.0"),
+            ("quotient_series-k=True", lambda: quotient_series(True, 3),
+             "k must be an int, got True"),
+            ("quotient_series-k=0", lambda: quotient_series(0, 3), "k must be >= 1, got 0"),
+            ("tensor_series-N=5.0", lambda: tensor_series({1: 2, 2: 2}, 5.0),
+             "truncation order must be an int, got 5.0"),
+            ("free_comm_series-N=5.0", lambda: free_comm_series({2: 1}, 5.0),
+             "truncation order must be an int, got 5.0"),
+            ("TruncatedSeries-N=1.0", lambda: TruncatedSeries((1, 2), 1.0),
+             "truncation order must be an int, got 1.0"),
+            ("FinAbGroup-free_rank=1.5", lambda: FinAbGroup(1.5),
+             "free rank must be an int, got 1.5"),
+            ("FinAbGroup-torsion=2.9", lambda: FinAbGroup(0, (2.9,)),
+             "torsion order must be an int, got 2.9"),
+            ("FinAbGroup-torsion=1", lambda: FinAbGroup(0, (1,)),
+             "torsion order must be >= 2, got 1"),
+            ("from_orders-order=2.5", lambda: FinAbGroup.from_orders(0, [2.5]),
+             "cyclic order must be an int, got 2.5"),
+            ("from_orders-order='24'", lambda: FinAbGroup.from_orders(0, ["24"]),
+             "cyclic order must be an int, got '24'"),
+            ("from_orders-order=-1", lambda: FinAbGroup.from_orders(0, [-1]),
+             "cyclic order must be >= 0, got -1"),
+            ("from_orders-free_rank=-1", lambda: FinAbGroup.from_orders(-1, [0]),
+             "free rank must be >= 0, got -1"),
+            ("power-e=2.0", lambda: FinAbGroup(1).power(2.0),
+             "direct-sum exponent must be an int, got 2.0"),
+            ("power-e=-1", lambda: FinAbGroup(1).power(-1),
+             "direct-sum exponent must be >= 0, got -1"),
+            ("StemsTable-max_index=1.0", lambda: StemsTable(STEMS, 1.0),
+             "max index must be an int, got 1.0"),
+        ]],
     ],
 )
 def test_record_validation(build, error, message):
@@ -326,3 +422,84 @@ def test_records_normalise_their_fields():
     assert TruncatedSeries([1, 2], 1).coeffs == (1, 2)
     assert GradedDims([1, 2]).dims == (1, 2)
     assert FinAbGroup(0, (3, 8, 2)).torsion == (2, 8, 3)
+
+
+# -- integer arguments ----------------------------------------------------------
+
+#: Each public name that takes an integer: (call, valid arguments, positions of
+#: the integer arguments).  Integers inside a container (a torsion or cyclic
+#: order) and the argument of FinAbGroup.power are reached through a lambda.
+INT_CALLS = {
+    "homotopy_ranks": (homotopy_ranks, (3, 6), (0, 1)),
+    "pbw_identity_check": (pbw_identity_check, (3, 6), (0, 1)),
+    "growth_base": (growth_base, (3,), (0,)),
+    "growth_report": (growth_report, (3, 10), (0, 1)),
+    "cumulative_bound_check": (cumulative_bound_check, (3, 2), (0, 1)),
+    "rank_polynomial_checks": (rank_polynomial_checks, (8,), (0,)),
+    "quotient_series": (quotient_series, (3, 5), (0, 1)),
+    "tensor_series": (lambda N: tensor_series({1: 2, 2: 2}, N), (5,), (0,)),
+    "free_comm_series": (lambda N: free_comm_series({2: 1}, N), (5,), (0,)),
+    "pbw_series": (lambda N: pbw_series(homotopy_ranks(3, 5), N), (5,), (0,)),
+    "TruncatedSeries": (lambda N: TruncatedSeries((1,) * 4, N), (3,), (0,)),
+    "quotient_dims_oracle": (quotient_dims_oracle, (2, 4, 1000), (0, 1, 2)),
+    "koszul_leading_monomial_check": (koszul_leading_monomial_check, (3,), (0,)),
+    "FinAbGroup": (lambda rank, q: FinAbGroup(rank, (q,)), (1, 8), (0, 1)),
+    "FinAbGroup.from_orders": (
+        lambda rank, d: FinAbGroup.from_orders(rank, [d]), (1, 24), (0, 1)
+    ),
+    "FinAbGroup.power": (lambda e: FinAbGroup(1, (2,)).power(e), (3,), (0,)),
+    "StemsTable": (lambda n: StemsTable(STEMS, n), (1,), (0,)),
+    "integral_low_homotopy": (integral_low_homotopy, (3,), (0,)),
+    "stable_homotopy_finite_pi1": (
+        lambda k, n, m: stable_homotopy_finite_pi1(k, n, m, bundled_stems_table()),
+        (3, 5, 2), (0, 1, 2),
+    ),
+    "stable_homotopy_simply_connected": (
+        lambda k, n: stable_homotopy_simply_connected(k, n, bundled_stems_table()),
+        (3, 5), (0, 1),
+    ),
+}
+
+#: Records the package returns; they hold what they are given.
+RESULT_RECORDS = {"GrowthReport", "OracleReport", "PbwCheck", "RankTable"}
+
+NOT_INTS = [3.0, True, "3", None, Fraction(3)]
+
+
+def test_the_integer_argument_table_lists_every_public_name_that_takes_an_int():
+    takes_int = set()
+    for name in fourfold.__all__:
+        obj = getattr(fourfold, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        params = inspect.signature(obj).parameters.values()
+        if any(p.annotation in ("int", "Optional[int]") for p in params):
+            takes_int.add(name)
+    assert takes_int - RESULT_RECORDS == {name.split(".")[0] for name in INT_CALLS}
+
+
+@pytest.mark.parametrize("name", sorted(INT_CALLS))
+def test_every_integer_argument_refuses_what_is_not_an_int(name, empty_rank_store):
+    """Each integer argument in turn, replaced by a float, a bool, a numeric
+    string, None or a Fraction, raises DomainError before any work: no
+    TypeError from deeper down, no answer in floats, and no change to the
+    prefix store, which afterwards holds only int b2 keys and int ranks.
+
+    Only types are varied.  Huge values are left out on purpose: several
+    functions still do work unbounded in the size of their arguments, so a
+    huge value tests a cost bound, not this check.
+    """
+    call, args, positions = INT_CALLS[name]
+    call(*args)  # the valid call answers
+    kept = dict(empty_rank_store.entries)
+    for i in positions:
+        for bad in NOT_INTS:
+            if bad is None and name == "quotient_dims_oracle" and i == 2:
+                continue  # budget=None is the default budget
+            with pytest.raises(DomainError, match=" must be an int, got "):
+                call(*args[:i], bad, *args[i + 1:])
+    assert empty_rank_store.entries == kept
+    for (compute, b2), (seq, _) in kept.items():
+        assert type(b2) is int
+        if compute is _checked_ranks:
+            assert all(type(m) is int for m in seq)
