@@ -1,10 +1,10 @@
 """Exception hierarchy shared by all fourfold modules, and the one check of
 integer arguments.
 
-Every public function and constructor passes each of its integer arguments
-to _int_arg before any work, so what counts as a valid integer (an int, not
-a bool, a float or a numeric string, at or above a minimum) is decided here
-alone.
+Every public function, constructor and method passes each of its integer
+arguments to _int_arg before any work, so what counts as a valid integer (an
+int, not a bool, a float or a numeric string, at or above a minimum where the
+argument has one) is decided here alone.
 """
 
 
@@ -16,11 +16,11 @@ class DomainError(FourfoldError):
     """Input outside the mathematical domain of the requested operation."""
 
 
-def _int_arg(name: str, value, minimum: int):
-    """DomainError unless value is an int (a bool is not) and >= minimum."""
+def _int_arg(name: str, value, minimum=None):
+    """DomainError unless value is an int (a bool is not), >= minimum if given."""
     if value.__class__ is not int:
         raise DomainError(f"{name} must be an int, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
 
 

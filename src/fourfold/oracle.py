@@ -247,7 +247,8 @@ def _ideal_ranks(k: int, N: int) -> list:
 
 
 class OracleReport(Record):
-    """Per-degree comparison of oracle dimensions against the closed form."""
+    """Per-degree comparison of oracle dimensions against the closed form;
+    max_degree and quotient_dims (tensor - ideal) are derived, not stored."""
 
     #: every pivot leads with -1 (module docstring, rank policy)
     field_used = "integer"
@@ -255,27 +256,30 @@ class OracleReport(Record):
     def __init__(
         self,
         betti_param: int,
-        max_degree: int,
         tensor_dims: GradedDims,
         ideal_dims: GradedDims,
-        quotient_dims: GradedDims,
         series_match: tuple,
         euler_ok: tuple,
     ):
+        for n in range(3):
+            if ideal_dims[n] != 0:
+                raise InternalInconsistency(f"nonzero ideal dim at degree {n} < 3")
         self.__dict__.update(
             betti_param=betti_param,
-            max_degree=max_degree,
             tensor_dims=tensor_dims,
             ideal_dims=ideal_dims,
-            quotient_dims=quotient_dims,
             series_match=series_match,
             euler_ok=euler_ok,
         )
-        for n in range(max_degree + 1):
-            if quotient_dims[n] != tensor_dims[n] - ideal_dims[n]:
-                raise InternalInconsistency(f"quotient dim at degree {n} is not tensor - ideal")
-            if n < 3 and ideal_dims[n] != 0:
-                raise InternalInconsistency(f"nonzero ideal dim at degree {n} < 3")
+
+    @property
+    def max_degree(self) -> int:
+        return len(self.tensor_dims.dims) - 1
+
+    @property
+    def quotient_dims(self) -> GradedDims:
+        pairs = zip(self.tensor_dims.dims, self.ideal_dims.dims)
+        return GradedDims(tuple(t - i for t, i in pairs))
 
     @property
     def all_ok(self) -> bool:
@@ -315,10 +319,8 @@ def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> Oracle
     closed = quotient_series(k, N).coeffs
     return OracleReport(
         betti_param=k,
-        max_degree=N,
         tensor_dims=GradedDims(tuple(tensor)),
         ideal_dims=GradedDims(tuple(ideal)),
-        quotient_dims=GradedDims(tuple(quotient)),
         series_match=tuple(q == c for q, c in zip(quotient, closed)),
         euler_ok=_euler_flags(k, quotient),
     )

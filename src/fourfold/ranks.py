@@ -52,8 +52,8 @@ S_j = L_1 + ... + L_j, and it suffices that L_n >= 2 S_{n//2}:
   k - 3/7 >= 7/3.  So S_m <= (7/4) L_m, and with m = n//2 and n - m >= 2,
   L_n >= (49/9) L_m >= 2 S_m.
 The hypotheses are three integer inequalities, L_2 >= 2 L_1, 3 L_2 >= 7 L_1
-and 21 k >= 58, which hold exactly when k >= 3; growth_report decides
-exponential_growth by them, for every degree and not only in its window.
+and 21 k >= 58, which hold exactly when k >= 3, so growth_report sets
+exponential_growth at every b2 >= 3, for every degree and not only its window.
 
 Public parameter convention: every function here takes b2 itself.  The
 closed-form polynomials for low degrees are internally evaluated at b2 - 1;
@@ -110,6 +110,7 @@ class RankTable(Record):
 
     def rank(self, n: int) -> int:
         """m_n for 1 <= n <= max_degree."""
+        _int_arg("degree", n)
         if not 1 <= n <= self.max_degree:
             raise DomainError(f"degree {n} outside 1..{self.max_degree}")
         return self.ranks[n - 1]
@@ -330,6 +331,8 @@ class GrowthReport(Record):
     it defaults to a new empty dict.
     """
 
+    precision = GROWTH_PRECISION
+
     def __init__(
         self,
         betti: int,
@@ -338,7 +341,6 @@ class GrowthReport(Record):
         growth_base: Optional[Decimal],
         limit_residual: Optional[Decimal],
         exponential_growth: bool,
-        precision: int,
         cumulative_bound_ok: Optional[dict] = None,
     ):
         if cumulative_bound_ok is None:
@@ -350,7 +352,6 @@ class GrowthReport(Record):
             growth_base=growth_base,
             limit_residual=limit_residual,
             exponential_growth=exponential_growth,
-            precision=precision,
             cumulative_bound_ok=cumulative_bound_ok,
         )
 
@@ -369,12 +370,6 @@ def growth_base(betti: int) -> Decimal:
 def _growth_base(k: int, N: int) -> tuple:
     """(beta,) at b2 = k >= 3, whatever N: growth_base kept as a prefix of one."""
     return (growth_base(k),)
-
-
-def _growth_lemma_holds(k: int) -> bool:
-    """The growth lemma's hypotheses at b2 = k (module docstring), in integers."""
-    L_1, L_2 = _lucas(k, 2)[1:]
-    return L_2 >= 2 * L_1 and 3 * L_2 >= 7 * L_1 and 21 * k >= 58
 
 
 def growth_report(betti: int, N: int = 60) -> GrowthReport:
@@ -396,7 +391,6 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
             growth_base=None,
             limit_residual=None,
             exponential_growth=False,
-            precision=GROWTH_PRECISION,
             cumulative_bound_ok={},
         )
 
@@ -415,8 +409,8 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
         probe_degree=N,
         growth_base=beta,
         limit_residual=residual,
-        exponential_growth=_growth_lemma_holds(betti),
-        precision=GROWTH_PRECISION,
+        # the growth lemma (module docstring): its hypotheses hold at every b2 >= 3
+        exponential_growth=True,
         cumulative_bound_ok=bounds,
     )
 

@@ -1,12 +1,13 @@
 """Exact truncated formal power series and the generating-series constructors.
 
-Everything here is a polynomial in t truncated at an explicit order N, with
-int coefficients: the public TruncatedSeries(...) checks every coefficient
-and accepts nothing else, so neither a float nor a Fraction gets in.  Each
-named constructor instead checks its scalar inputs before any work (k >= 1
-and N >= 0 through _int_arg, generators through _dims_by_degree) and computes
-its coefficients by one integer recurrence, which on those inputs yields ints
-by construction; it builds its result through _series, which does not check
+Everything here is a polynomial in t truncated at an order N, with N + 1 int
+coefficients, so TruncatedSeries(coeffs) derives N from their number.  The
+public constructor checks every coefficient and accepts nothing else, so
+neither a float, a bool nor a Fraction gets in.  Each named constructor
+instead checks its scalar inputs before any work (k >= 1 and N >= 0 through
+_int_arg, generators through _dims_by_degree) and computes its coefficients
+by one integer recurrence, which on those inputs yields ints by
+construction; it builds its result through _series, which does not check
 them again.  quotient_series rolls its cubic one over three local
 variables, and tensor_series on k generators in each of degrees 1 and 2 (the
 free algebra of the quotient model) its two-term one over two, both at one
@@ -31,26 +32,28 @@ if TYPE_CHECKING:  # ranks imports this module, so pbw_series imports it late
 class TruncatedSeries(Record):
     """A power series known exactly up to (and including) t^truncation_order.
 
-    >>> s = TruncatedSeries((1, 2, 3), 2)
-    >>> s.coefficient(1)
-    2
+    >>> s = TruncatedSeries((1, 2, 3))
+    >>> s.truncation_order, s.coefficient(1)
+    (2, 2)
     >>> str(s)
     '1 + 2*t + 3*t^2 + O(t^3)'
     """
 
-    def __init__(self, coeffs: tuple, truncation_order: int):
-        _int_arg("truncation order", truncation_order, 0)
+    def __init__(self, coeffs: tuple):
         coeffs = tuple(coeffs)
-        if len(coeffs) != truncation_order + 1:
-            raise DomainError(
-                f"need {truncation_order + 1} coefficients, got {len(coeffs)}"
-            )
+        if not coeffs:
+            raise DomainError("need at least 1 coefficient, got 0")
         for c in coeffs:
-            if not isinstance(c, int):
+            if c.__class__ is not int:
                 raise DomainError(f"coefficient {c!r} is not an int")
-        self.__dict__.update(coeffs=coeffs, truncation_order=truncation_order)
+        self.__dict__.update(coeffs=coeffs)
+
+    @property
+    def truncation_order(self) -> int:
+        return len(self.coeffs) - 1
 
     def coefficient(self, i: int) -> int:
+        _int_arg("coefficient index", i)
         if not 0 <= i <= self.truncation_order:
             raise DomainError(f"coefficient index {i} outside 0..{self.truncation_order}")
         return self.coeffs[i]
@@ -73,14 +76,14 @@ class TruncatedSeries(Record):
         return f"{body} + O(t^{self.truncation_order + 1})"
 
 
-def _series(coeffs: list, N: int) -> TruncatedSeries:
-    """TruncatedSeries(coeffs, N) without the per-coefficient check.
+def _series(coeffs: list) -> TruncatedSeries:
+    """TruncatedSeries(coeffs) without the per-coefficient check.
 
     Only the named constructors call it, after checking their own inputs:
     their integer recurrences on int inputs yield N + 1 ints by construction.
     """
     series = object.__new__(TruncatedSeries)
-    series.__dict__.update(coeffs=tuple(coeffs), truncation_order=N)
+    series.__dict__.update(coeffs=tuple(coeffs))
     return series
 
 
@@ -90,7 +93,7 @@ class GradedDims(Record):
     def __init__(self, dims: tuple):
         dims = tuple(dims)
         for d in dims:
-            if not isinstance(d, int):
+            if d.__class__ is not int:
                 raise DomainError(f"dimension {d!r} is not an int")
         if any(d < 0 for d in dims):
             raise DomainError(f"negative dimension in {dims}")
@@ -98,6 +101,7 @@ class GradedDims(Record):
 
     def __getitem__(self, i: int) -> int:
         """Dimension in degree i; 0 past the last listed degree."""
+        _int_arg("degree", i)
         return self.dims[i] if 0 <= i < len(self.dims) else 0
 
 
@@ -105,15 +109,15 @@ def _dims_by_degree(dims: Mapping[int, int]) -> dict:
     """Generators as {degree: multiplicity}, nonzero entries only, validated.
 
     Every generator set passes through here: degrees and multiplicities must
-    be ints, degrees >= 1 (UngradedGenerator for degree 0) and multiplicities
-    >= 0.
+    be ints (a bool is not, as in _int_arg), degrees >= 1 (UngradedGenerator
+    for degree 0) and multiplicities >= 0.
     """
     if not isinstance(dims, Mapping):
         raise TypeError(f"generators must be a mapping, not {type(dims).__name__}")
     for deg, mult in dims.items():
-        if not isinstance(deg, int):
+        if deg.__class__ is not int:
             raise DomainError(f"degree {deg!r} is not an int")
-        if not isinstance(mult, int):
+        if mult.__class__ is not int:
             raise DomainError(f"multiplicity {mult!r} in degree {deg} is not an int")
     by_deg = {i: d for i, d in dims.items() if d}
     for deg, mult in by_deg.items():
@@ -190,7 +194,7 @@ def free_comm_series(dims: Mapping[int, int], N: int) -> TruncatedSeries:
         a[n], rem = divmod(sum(c[j] * a[n - j] for j in range(1, n + 1)), n)
         if rem:
             raise InternalInconsistency(f"product series coefficient {n} is not integral")
-    return _series(a, N)
+    return _series(a)
 
 
 def tensor_series(dims: Mapping[int, int], N: int) -> TruncatedSeries:
@@ -210,13 +214,13 @@ def tensor_series(dims: Mapping[int, int], N: int) -> TruncatedSeries:
     k = by_deg.get(1, 0)
     if by_deg.get(2, 0) != k or max(by_deg, default=0) > 2:
         den = [1] + [-by_deg.get(i, 0) for i in range(1, N + 1)]
-        return _series(_poly_reciprocal(den, N), N)
+        return _series(_poly_reciprocal(den, N))
     out = [1]
     prev, cur = 0, 1  # a_{n-2}, a_{n-1}
     for _ in range(N):
         prev, cur = cur, k * (cur + prev)
         out.append(cur)
-    return _series(out, N)
+    return _series(out)
 
 
 def quotient_series(k: int, N: int) -> TruncatedSeries:
@@ -245,7 +249,7 @@ def quotient_series(k: int, N: int) -> TruncatedSeries:
     for _ in range(N):
         x, y, z = y, z, k * (y + z) - x
         out.append(z)
-    return _series(out, N)
+    return _series(out)
 
 
 def pbw_series(table: RankTable, N: int) -> TruncatedSeries:

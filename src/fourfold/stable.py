@@ -171,21 +171,24 @@ class FinAbGroup(Record):
 class StemsTable(Record):
     """Sphere stems pi_n^s for n = 0..max_index; lower indices are trivial."""
 
-    def __init__(self, entries: dict, max_index: int, source_note: str = ""):
-        _int_arg("max index", max_index, 0)
-        self.__dict__.update(
-            entries=entries,
-            max_index=max_index,
-            source_note=source_note,
-        )
-        for n in range(max_index + 1):
+    def __init__(self, entries: dict, source_note: str = ""):
+        for n in entries:
+            _int_arg("stem index", n, 0)
+        for n in range(max(len(entries), 1)):
             if n not in entries:
                 raise ValidationError(f"stems table is missing index {n}")
         if entries[0] != FinAbGroup(1, ()):
             raise ValidationError(f"stem 0 must be Z, got {entries[0]}")
+        self.__dict__.update(entries=entries, source_note=source_note)
+
+    @property
+    def max_index(self) -> int:
+        # the largest key: distinct keys >= 0, none missing below len, are 0..len - 1
+        return len(self.entries) - 1
 
     def lookup(self, n: int) -> FinAbGroup:
         """Stem n; trivial below 0, error above max_index."""
+        _int_arg("stem index", n)
         if n < 0:
             return FinAbGroup.trivial()
         if n > self.max_index:
@@ -254,8 +257,7 @@ def load_stems_table(source: str, source_note: str = "") -> StemsTable:
             raw[n] = _parse_group_expr(m.group(2), f"line {lineno}")
     if not raw:
         raise ParseError("empty stems document")
-    max_index = max(raw)
-    return StemsTable(entries=raw, max_index=max_index, source_note=source_note)
+    return StemsTable(entries=raw, source_note=source_note)
 
 
 @lru_cache(maxsize=None)

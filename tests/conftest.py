@@ -5,7 +5,8 @@ import pytest
 
 @pytest.fixture
 def empty_rank_store():
-    """The prefix store (ranks and both check flags), emptied before and after.
+    """The prefix store (ranks, both check flags and the growth base beta),
+    emptied before and after.
 
     A test that monkeypatches _necklace or homotopy_ranks takes this, so that
     no table or check outcome computed or skipped under the patch reaches

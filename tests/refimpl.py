@@ -191,7 +191,7 @@ def marker_table():
     entries = {0: FinAbGroup(1, ())}
     for i, p in enumerate(MARKER_PRIMES, start=1):
         entries[i] = FinAbGroup(0, (p,))
-    return StemsTable(entries, len(MARKER_PRIMES), "marker table")
+    return StemsTable(entries, "marker table")
 
 
 def stem_exponents(group):

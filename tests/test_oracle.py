@@ -435,6 +435,18 @@ def test_oracle_report_matches_closed_form():
         assert rep.quotient_dims.dims == tuple(quotient_series(k, N).as_int_list())
 
 
+def test_report_derives_max_degree_and_quotient_dims():
+    # neither is stored: both are read off the tensor and ideal dims
+    for k in range(1, 5):
+        for N in range(9):
+            rep = quotient_dims_oracle(k, N, budget=300_000)  # W(8) = 252,160 at k = 4
+            assert rep.max_degree == N, (k, N)
+            assert rep.quotient_dims.dims == tuple(quotient_series(k, N).coeffs), (k, N)
+            assert set(vars(rep)) == {
+                "betti_param", "tensor_dims", "ideal_dims", "series_match", "euler_ok",
+            }
+
+
 def test_oracle_degenerate_parameter_one():
     # the quotient collapses to the commutative algebra on one x and one y
     rep = quotient_dims_oracle(1, 8)

@@ -25,12 +25,12 @@ from fourfold import (
 from fourfold import ranks as ranks_module
 from fourfold.cli import cmd_growth, cmd_ranks
 from fourfold.ranks import (
+    GROWTH_PRECISION,
     RankTable,
     _bound_flags,
     _checked_ranks,
     _closed_form,
     _growth_base,
-    _growth_lemma_holds,
     _lucas,
     _necklace,
     _pbw_agreement,
@@ -347,7 +347,25 @@ def test_growth_flag_is_exact_at_tiny_probes():
 
 
 def test_growth_lemma_hypotheses_hold_exactly_from_three():
-    assert [k for k in range(-50, 200) if _growth_lemma_holds(k)] == list(range(3, 200))
+    # L_2 >= 2 L_1, 3 L_2 >= 7 L_1 and 21 k >= 58 (the ranks module docstring),
+    # with L_1 = k and L_2 = k^2 - 2: growth_report sets exponential_growth
+    # wherever b2 >= 3 because all three hold there and only there
+    holds = [
+        k for k in range(-50, 200)
+        if k * k - 2 >= 2 * k and 3 * (k * k - 2) >= 7 * k and 21 * k >= 58
+    ]
+    assert holds == list(range(3, 200))
+    assert all(_lucas(k, 2)[1:] == [k, k * k - 2] for k in range(-50, 200))
+
+
+def test_growth_report_keeps_the_fields_perfbench_reads_and_a_fixed_precision():
+    for betti in (2, 3):
+        fields = vars(growth_report(betti, 10))
+        assert set(fields) == {
+            "betti", "classification", "probe_degree", "growth_base",
+            "limit_residual", "exponential_growth", "cumulative_bound_ok",
+        }
+        assert growth_report(betti, 10).precision == GROWTH_PRECISION == 60
 
 
 def test_growth_report_json_is_plain_data():

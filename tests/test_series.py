@@ -29,13 +29,13 @@ coeff_lists = st.lists(
 
 
 def test_construction_keeps_exact_types():
-    s = TruncatedSeries([1, 2, 3], 2)
+    s = TruncatedSeries([1, 2, 3])
     assert all(type(c) is int for c in s.coeffs)
     assert s.coefficient(1) == 2
     with pytest.raises(DomainError):
         s.coefficient(5)  # beyond the truncation order is unknowable, not zero
     with pytest.raises(DomainError):
-        TruncatedSeries([0.5], 0)
+        TruncatedSeries([0.5])
     # the reference arithmetic divides in Fraction, never in float
     r = series_reciprocal([2, 1, 0, 0])
     assert all(type(c) is Fraction for c in r)
@@ -43,8 +43,13 @@ def test_construction_keeps_exact_types():
 
 
 def test_coefficient_list_too_long_rejected():
-    with pytest.raises(Exception):
+    # the truncation order is the list's length less one, so no list is too
+    # long for it: the order is no argument, and only an empty list is refused
+    with pytest.raises(TypeError):
         TruncatedSeries(coeffs=(1, 2, 3), truncation_order=1)
+    assert TruncatedSeries((1, 2, 3)).truncation_order == 2
+    with pytest.raises(DomainError, match="^need at least 1 coefficient, got 0$"):
+        TruncatedSeries([])
 
 
 def test_mul_truncates_to_min_order():
@@ -238,13 +243,14 @@ NAMED_CONSTRUCTORS = {
 def test_named_constructors_hand_out_only_what_the_checked_constructor_accepts(name):
     """The named constructors skip TruncatedSeries' per-coefficient check:
     each result is one the checked constructor builds equal, of exact ints,
-    and the reference series."""
+    truncated at the order asked for, and the reference series."""
     build, reference = NAMED_CONSTRUCTORS[name]
     for k in range(1, 13):
         expected = reference(k, 60)  # the series at N is its prefix
         for N in range(61):
             s = build(k, N)
-            assert s == TruncatedSeries(s.coeffs, s.truncation_order), (k, N)
+            assert s == TruncatedSeries(s.coeffs), (k, N)
+            assert s.truncation_order == N, (k, N)
             assert all(type(c) is int for c in s.coeffs), (k, N)
             assert s.as_int_list() == expected[: N + 1], (k, N)
 
@@ -329,7 +335,7 @@ def test_pbw_series_rejects_anything_but_a_rank_table(table):
 
 
 def test_str_rendering():
-    s = TruncatedSeries((1, 0, 2), 2)
+    s = TruncatedSeries((1, 0, 2))
     assert "t^2" in str(s)
     assert cmd_series("tensor", 2, 2).payload == {
         "kind": "tensor",

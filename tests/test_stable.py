@@ -151,6 +151,24 @@ def test_deeply_nested_json_is_a_parse_error():
         load_stems_table('{"0": ' + "[" * 200_000 + "]" * 200_000 + "}")
 
 
+@given(st.integers(0, 40), st.randoms(use_true_random=False), st.booleans())
+def test_max_index_is_the_largest_key_of_a_loaded_table(top, rng, as_json):
+    # max_index is not stored: it is read off the keys, in whatever order
+    # the document lists them
+    groups = {0: "Z", **{n: rng.choice(["0", "Z", "Z/2", "Z/24 + Z/2"]) for n in range(1, top + 1)}}
+    order = list(groups)
+    rng.shuffle(order)
+    if as_json:
+        text = json.dumps({str(n): groups[n] for n in order})
+    else:
+        text = "".join(f"{n}: {groups[n]}\n" for n in order)
+    t = load_stems_table(text)
+    assert t.max_index == max(t.entries) == top
+    assert str(t.lookup(top)) == groups[top]
+    with pytest.raises(InsufficientStemsData, match=f"table ends at {top}$"):
+        t.lookup(top + 1)
+
+
 def test_parse_rejects_gaps():
     with pytest.raises(ValidationError):
         load_stems_table("0: Z\n2: Z/2\n")

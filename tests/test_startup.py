@@ -208,9 +208,8 @@ STEMS = {0: FinAbGroup(1), 1: FinAbGroup(0, (2,))}
 
 def report_fields():
     return dict(
-        betti_param=1, max_degree=3, tensor_dims=GradedDims((1, 1, 2, 3)),
-        ideal_dims=GradedDims((0, 0, 0, 1)), quotient_dims=GradedDims((1, 1, 2, 2)),
-        series_match=(True,) * 4, euler_ok=(True,) * 4,
+        betti_param=1, tensor_dims=GradedDims((1, 1, 2, 3)),
+        ideal_dims=GradedDims((0, 0, 0, 1)), series_match=(True,) * 4, euler_ok=(True,) * 4,
     )
 
 
@@ -222,12 +221,12 @@ RECORDS = [
     (GrowthReport, dict(
         betti=3, classification="hyperbolic", probe_degree=4,
         growth_base=Decimal("2.6"), limit_residual=Decimal("0.1"),
-        exponential_growth=True, precision=60, cumulative_bound_ok={1: True},
+        exponential_growth=True, cumulative_bound_ok={1: True},
     )),
-    (TruncatedSeries, dict(coeffs=(1, 2, -3), truncation_order=2)),
+    (TruncatedSeries, dict(coeffs=(1, 2, -3))),
     (GradedDims, dict(dims=(1, 0, 2))),
     (FinAbGroup, dict(free_rank=1, torsion=(8, 3))),
-    (StemsTable, dict(entries=STEMS, max_index=1, source_note="two stems")),
+    (StemsTable, dict(entries=STEMS, source_note="two stems")),
     (CommandResult, dict(status="ok", payload={"a": 1}, rendered="r", csv="c")),
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
@@ -273,7 +272,7 @@ def test_record_equality_is_by_class_and_fields(cls, fields):
 @pytest.mark.parametrize(
     "record",
     [RankTable(3, (3, 5)), PbwCheck("pass"),
-     TruncatedSeries((1, 2), 1), GradedDims((1, 2)), FinAbGroup(1, (8, 3))],
+     TruncatedSeries((1, 2)), GradedDims((1, 2)), FinAbGroup(1, (8, 3))],
     ids=lambda r: type(r).__name__,
 )
 def test_hashable_records_hash_by_value(record):
@@ -293,8 +292,8 @@ def test_records_holding_a_dict_are_unhashable():
 def test_record_defaults():
     assert FinAbGroup() == FinAbGroup(0, ()) == FinAbGroup.trivial()
     assert PbwCheck("pass").first_failure is None
-    assert StemsTable(STEMS, 1).source_note == ""
-    growth = [GrowthReport(2, "elliptic", 5, None, None, False, 60) for _ in range(2)]
+    assert StemsTable(STEMS).source_note == ""
+    growth = [GrowthReport(2, "elliptic", 5, None, None, False) for _ in range(2)]
     assert growth[0].cumulative_bound_ok == {}
     assert growth[0].cumulative_bound_ok is not growth[1].cumulative_bound_ok
     assert CommandResult("ok", {}, "r", "c\n").exit_code == 0
@@ -326,16 +325,54 @@ def test_record_defaults():
         (lambda: FinAbGroup(0, (6,)), DomainError, "torsion order 6 is not a prime power"),
         pytest.param(lambda: FinAbGroup(-1), DomainError, "free rank must be >= 0, got -1",
                      id="FinAbGroup-free_rank=-1"),
-        (lambda: TruncatedSeries((1, 0.5), 1), DomainError, "coefficient 0.5 is not an int"),
-        (lambda: TruncatedSeries((1, Fraction(1, 2)), 1), DomainError,
+        (lambda: TruncatedSeries((1, 0.5)), DomainError, "coefficient 0.5 is not an int"),
+        (lambda: TruncatedSeries((1, Fraction(1, 2))), DomainError,
          "coefficient Fraction(1, 2) is not an int"),
-        pytest.param(lambda: TruncatedSeries((1,), -1), DomainError,
-                     "truncation order must be >= 0, got -1", id="TruncatedSeries-N=-1"),
-        (lambda: TruncatedSeries((1,), 1), DomainError, "need 2 coefficients, got 1"),
-        (lambda: OracleReport(**dict(report_fields(), quotient_dims=GradedDims((1, 1, 2, 3)))),
-         InternalInconsistency, "quotient dim at degree 3 is not tensor - ideal"),
-        (lambda: StemsTable({0: FinAbGroup(1)}, 1), ValidationError, "stems table is missing index 1"),
-        (lambda: StemsTable({0: FinAbGroup(0, (2,))}, 0), ValidationError, "stem 0 must be Z, got Z/2"),
+        (lambda: StemsTable({0: FinAbGroup(1), 2: FinAbGroup()}), ValidationError,
+         "stems table is missing index 1"),
+        (lambda: StemsTable({0: FinAbGroup(0, (2,))}), ValidationError, "stem 0 must be Z, got Z/2"),
+        # the derived fields leave one check that reads a value the caller gives
+        pytest.param(lambda: OracleReport(1, GradedDims((1, 1, 2)), GradedDims((0, 1)), (), ()),
+                     InternalInconsistency, "nonzero ideal dim at degree 1 < 3",
+                     id="OracleReport-ideal-below-degree-3"),
+        pytest.param(lambda: StemsTable({}), ValidationError, "stems table is missing index 0",
+                     id="StemsTable-empty"),
+        # elements of a sequence or mapping and the index of a method follow
+        # _int_arg's rule: a bool is not an int
+        *[pytest.param(build, DomainError, message, id=name) for name, build, message in [
+            ("TruncatedSeries-empty", lambda: TruncatedSeries(()),
+             "need at least 1 coefficient, got 0"),
+            ("TruncatedSeries-coefficient=True", lambda: TruncatedSeries((True, 2)),
+             "coefficient True is not an int"),
+            ("GradedDims-dim=True", lambda: GradedDims((True, 2)), "dimension True is not an int"),
+            ("tensor_series-degree=True", lambda: tensor_series({True: 2}, 3),
+             "degree True is not an int"),
+            ("free_comm_series-multiplicity=True", lambda: free_comm_series({1: True}, 3),
+             "multiplicity True in degree 1 is not an int"),
+            ("StemsTable-key=1.0", lambda: StemsTable({0: FinAbGroup(1), 1.0: FinAbGroup()}),
+             "stem index must be an int, got 1.0"),
+            ("StemsTable-key=-1", lambda: StemsTable({0: FinAbGroup(1), -1: FinAbGroup()}),
+             "stem index must be >= 0, got -1"),
+            ("lookup-n=3.0", lambda: bundled_stems_table().lookup(3.0),
+             "stem index must be an int, got 3.0"),
+            ("lookup-n=True", lambda: bundled_stems_table().lookup(True),
+             "stem index must be an int, got True"),
+            ("lookup-n='2'", lambda: bundled_stems_table().lookup("2"),
+             "stem index must be an int, got '2'"),
+            ("rank-n=True", lambda: RankTable(3, (3, 5)).rank(True),
+             "degree must be an int, got True"),
+            ("rank-n=None", lambda: RankTable(3, (3, 5)).rank(None),
+             "degree must be an int, got None"),
+            ("rank-n=0", lambda: RankTable(3, (3, 5)).rank(0), "degree 0 outside 1..2"),
+            ("coefficient-i=True", lambda: TruncatedSeries((1, 2)).coefficient(True),
+             "coefficient index must be an int, got True"),
+            ("coefficient-i=1.0", lambda: TruncatedSeries((1, 2)).coefficient(1.0),
+             "coefficient index must be an int, got 1.0"),
+            ("coefficient-i=-1", lambda: TruncatedSeries((1, 2)).coefficient(-1),
+             "coefficient index -1 outside 0..1"),
+            ("GradedDims-getitem-i=None", lambda: GradedDims((1, 2))[None],
+             "degree must be an int, got None"),
+        ]],
         # every integer argument passes through errors._int_arg before any work:
         # an int that is not a bool, at or above the argument's minimum
         *[pytest.param(build, DomainError, message, id=name) for name, build, message in [
@@ -362,7 +399,7 @@ def test_record_defaults():
             ("rank_polynomial_checks-N=-3", lambda: rank_polynomial_checks(-3),
              "max degree must be >= 0, got -3"),
             ("stable_homotopy_finite_pi1-m=2.0",
-             lambda: stable_homotopy_finite_pi1(3, 5, 2.0, StemsTable(STEMS, 1)),
+             lambda: stable_homotopy_finite_pi1(3, 5, 2.0, StemsTable(STEMS)),
              "order of the fundamental group must be an int, got 2.0"),
             ("integral_low_homotopy-b2=3.0", lambda: integral_low_homotopy(3.0),
              "second Betti number must be an int, got 3.0"),
@@ -387,8 +424,6 @@ def test_record_defaults():
              "truncation order must be an int, got 5.0"),
             ("free_comm_series-N=5.0", lambda: free_comm_series({2: 1}, 5.0),
              "truncation order must be an int, got 5.0"),
-            ("TruncatedSeries-N=1.0", lambda: TruncatedSeries((1, 2), 1.0),
-             "truncation order must be an int, got 1.0"),
             ("FinAbGroup-free_rank=1.5", lambda: FinAbGroup(1.5),
              "free rank must be an int, got 1.5"),
             ("FinAbGroup-torsion=2.9", lambda: FinAbGroup(0, (2.9,)),
@@ -407,8 +442,6 @@ def test_record_defaults():
              "direct-sum exponent must be an int, got 2.0"),
             ("power-e=-1", lambda: FinAbGroup(1).power(-1),
              "direct-sum exponent must be >= 0, got -1"),
-            ("StemsTable-max_index=1.0", lambda: StemsTable(STEMS, 1.0),
-             "max index must be an int, got 1.0"),
         ]],
     ],
 )
@@ -419,16 +452,17 @@ def test_record_validation(build, error, message):
 
 
 def test_records_normalise_their_fields():
-    assert TruncatedSeries([1, 2], 1).coeffs == (1, 2)
+    assert TruncatedSeries([1, 2]).coeffs == (1, 2)
     assert GradedDims([1, 2]).dims == (1, 2)
     assert FinAbGroup(0, (3, 8, 2)).torsion == (2, 8, 3)
 
 
 # -- integer arguments ----------------------------------------------------------
 
-#: Each public name that takes an integer: (call, valid arguments, positions of
-#: the integer arguments).  Integers inside a container (a torsion or cyclic
-#: order) and the argument of FinAbGroup.power are reached through a lambda.
+#: Each public name or method that takes an integer: (call, valid arguments,
+#: positions of the integer arguments).  Integers inside a container (a
+#: torsion or cyclic order, a stems key) and the arguments of methods are
+#: reached through a lambda.
 INT_CALLS = {
     "homotopy_ranks": (homotopy_ranks, (3, 6), (0, 1)),
     "pbw_identity_check": (pbw_identity_check, (3, 6), (0, 1)),
@@ -440,7 +474,9 @@ INT_CALLS = {
     "tensor_series": (lambda N: tensor_series({1: 2, 2: 2}, N), (5,), (0,)),
     "free_comm_series": (lambda N: free_comm_series({2: 1}, N), (5,), (0,)),
     "pbw_series": (lambda N: pbw_series(homotopy_ranks(3, 5), N), (5,), (0,)),
-    "TruncatedSeries": (lambda N: TruncatedSeries((1,) * 4, N), (3,), (0,)),
+    "TruncatedSeries.coefficient": (lambda i: TruncatedSeries((1, 2, 3)).coefficient(i),
+                                    (1,), (0,)),
+    "GradedDims.__getitem__": (lambda i: GradedDims((1, 2))[i], (1,), (0,)),
     "quotient_dims_oracle": (quotient_dims_oracle, (2, 4, 1000), (0, 1, 2)),
     "koszul_leading_monomial_check": (koszul_leading_monomial_check, (3,), (0,)),
     "FinAbGroup": (lambda rank, q: FinAbGroup(rank, (q,)), (1, 8), (0, 1)),
@@ -448,7 +484,9 @@ INT_CALLS = {
         lambda rank, d: FinAbGroup.from_orders(rank, [d]), (1, 24), (0, 1)
     ),
     "FinAbGroup.power": (lambda e: FinAbGroup(1, (2,)).power(e), (3,), (0,)),
-    "StemsTable": (lambda n: StemsTable(STEMS, n), (1,), (0,)),
+    "StemsTable": (lambda n: StemsTable({0: FinAbGroup(1), n: FinAbGroup()}), (1,), (0,)),
+    "StemsTable.lookup": (lambda n: bundled_stems_table().lookup(n), (3,), (0,)),
+    "RankTable.rank": (lambda n: RankTable(3, (3, 5)).rank(n), (2,), (0,)),
     "integral_low_homotopy": (integral_low_homotopy, (3,), (0,)),
     "stable_homotopy_finite_pi1": (
         lambda k, n, m: stable_homotopy_finite_pi1(k, n, m, bundled_stems_table()),
@@ -460,22 +498,39 @@ INT_CALLS = {
     ),
 }
 
-#: Records the package returns; they hold what they are given.
+#: Records the package returns; their constructors hold what they are given.
 RESULT_RECORDS = {"GrowthReport", "OracleReport", "PbwCheck", "RankTable"}
+
+#: Constructors whose integers are all inside a container.
+CONTAINER_ONLY = {"StemsTable"}
 
 NOT_INTS = [3.0, True, "3", None, Fraction(3)]
 
 
-def test_the_integer_argument_table_lists_every_public_name_that_takes_an_int():
-    takes_int = set()
+def public_callables():
+    """(name, callable) for every public function and class, and for every
+    public method (and __getitem__) of a public class, as "Class.method"."""
     for name in fourfold.__all__:
         obj = getattr(fourfold, name)
         if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
             continue
+        yield name, obj
+        if isinstance(obj, type):
+            for attr in vars(obj):
+                member = getattr(obj, attr)
+                if callable(member) and (not attr.startswith("_") or attr == "__getitem__"):
+                    yield f"{name}.{attr}", member
+
+
+def test_the_integer_argument_table_lists_every_public_name_that_takes_an_int():
+    takes_int = set()
+    for name, obj in public_callables():
         params = inspect.signature(obj).parameters.values()
         if any(p.annotation in ("int", "Optional[int]") for p in params):
             takes_int.add(name)
-    assert takes_int - RESULT_RECORDS == {name.split(".")[0] for name in INT_CALLS}
+    # the methods of a result record are public names like any other
+    assert {"RankTable.rank", "StemsTable.lookup", "GradedDims.__getitem__"} <= takes_int
+    assert takes_int - RESULT_RECORDS == set(INT_CALLS) - CONTAINER_ONLY
 
 
 @pytest.mark.parametrize("name", sorted(INT_CALLS))
