@@ -26,20 +26,18 @@ nonnegative; else it is a bug and raises.  The rank checks are exact:
   b2 = 0..j proves a closed form of degree j.
 
 The ranks at one b2 form one infinite sequence, and a table of N of them is
-its prefix.  So do the outcomes of two rank checks: flag n of the cumulative
-bound reads only m_1..m_2n, and flag n of PBW identity 1 (power sum c_n
-against L_n, the power sum of 1/(1 - k t + t^2)) only m_1..m_n.  One store
-keeps, per b2 >= 2, the longest prefix computed of each sequence (ranks,
-bound flags, PBW agreement flags), and only one that passed every check above
-(a check that raises stores nothing); a shorter request is a slice of it, so
-repeated calls at one b2 run each loop once.  The growth base beta, which
-depends on b2 alone, is kept beside them as a sequence of one.  All of its
-entries together hold at most RANK_STORE_BYTES of objects: the least
-recently used (sequence, b2) goes first, and a prefix larger than the cap is
-returned but not kept.  Every entry point that reads ranks reads them from
-the store's checked prefix (homotopy_ranks, or growth_report, which needs
-m_N alone); _necklace itself, which the polynomial checks call at
-b2 = 0..2, keeps nothing.
+its prefix.  So do the outcomes of PBW identity 1 (power sum c_n against L_n,
+the power sum of 1/(1 - k t + t^2)): flag n reads only m_1..m_n.  One store
+keeps, per b2 >= 2, the longest prefix computed of each sequence (ranks, PBW
+agreement flags), and only one that passed every check above (a check that
+raises stores nothing); a shorter request is a slice of it, so repeated calls
+at one b2 run each loop once.  The growth base beta, which depends on b2
+alone, is kept beside them as a sequence of one.  All of its entries together
+hold at most RANK_STORE_BYTES of objects: the least recently used (sequence,
+b2) goes first, and a prefix larger than the cap is returned but not kept.
+Every entry point that reads ranks reads them from the store's checked prefix
+(homotopy_ranks, or growth_report, which needs m_N alone); _necklace itself,
+which the polynomial checks call at b2 = 0..2, keeps nothing.
 
 Growth lemma.  For k >= 3, m_n >= L_n / (2n) > beta^n / (2n) for every n,
 as L_n = beta^n + beta^-n.  In n m_n = sum_{d|n} +-mu(d) L_{n/d} the terms
@@ -54,6 +52,21 @@ S_j = L_1 + ... + L_j, and it suffices that L_n >= 2 S_{n//2}:
 The hypotheses are three integer inequalities, L_2 >= 2 L_1, 3 L_2 >= 7 L_1
 and 21 k >= 58, which hold exactly when k >= 3, so growth_report sets
 exponential_growth at every b2 >= 3, for every degree and not only its window.
+
+Cumulative bound.  For k >= 3 and every n >= 1, 2n sum_{i<=2n} m_i >=
+(k - 1)^(2n), the bound the paper states, so cumulative_bound_check reads no
+rank table.  _power_sums writes the power sums of the product series as
+c_N = sum_{d|N} d e_d with e_d = m_d - m_{d/2} [d/2 odd]:
+1. PBW identity 1 gives c_N = L_N at every N (the necklace formula is its
+   Moebius inversion; pbw_identity_check confirms it).
+2. Every m_i >= 0 (_checked_ranks refuses anything else), so
+   sum_{d|N} d m_d >= c_N = L_N.
+3. The divisors of N are distinct and at most N, so
+   N sum_{i<=N} m_i >= sum_{d|N} d m_d.
+4. L_j >= (k - 1)^j: L_1 = k, and L_j - (k - 1) L_{j-1} = L_{j-1} - L_{j-2} >= 0
+   for j >= 2, as L is nondecreasing (L_1 - L_0 = k - 2 and
+   L_j - L_{j-1} = (k - 2) L_{j-1} + L_{j-1} - L_{j-2}).
+5. With N = 2n: 2n sum_{i<=2n} m_i >= L_{2n} >= (k - 1)^(2n).
 
 Public parameter convention: every function here takes b2 itself.  The
 closed-form polynomials for low degrees are internally evaluated at b2 - 1;
@@ -165,9 +178,8 @@ class _PrefixStore:
                 self.nbytes -= self.entries.pop(next(iter(self.entries)))[1]
 
 
-# keyed by (compute, b2): m_1..m_N (_checked_ranks), cumulative bound flags
-# n = 1..n_max (_bound_flags), PBW identity 1 agreement flags (_pbw_agreement),
-# and the growth base as a sequence of one (_growth_base)
+# keyed by (compute, b2): m_1..m_N (_checked_ranks), PBW identity 1 agreement
+# flags (_pbw_agreement), and the growth base as a sequence of one (_growth_base)
 _store = _PrefixStore()
 
 
@@ -327,8 +339,9 @@ class GrowthReport(Record):
     they are absent (None) in the elliptic case b2 <= 2.  exponential_growth
     is decided by the growth lemma (module docstring), so it holds in every
     degree when b2 >= 3.  cumulative_bound_ok is the paper's stated bound
-    sum_{i<=2n} m_i >= (b2 - 1)^(2n) / (2n) for each n of the probe window;
-    it defaults to a new empty dict.
+    sum_{i<=2n} m_i >= (b2 - 1)^(2n) / (2n) for each n of the probe window,
+    proved for every n when b2 >= 3 (cumulative_bound_check); it defaults to a
+    new empty dict.
     """
 
     precision = GROWTH_PRECISION
@@ -376,7 +389,7 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
     """Classify the rank sequence and probe its growth out to degree N.
 
     beta depends on b2 alone, so it is computed once per b2 and then read,
-    like m_N and the cumulative bound flags, from the prefix store.
+    like m_N, from the prefix store.
 
     >>> growth_report(2, 10).classification
     'elliptic'
@@ -391,7 +404,6 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
             growth_base=None,
             limit_residual=None,
             exponential_growth=False,
-            cumulative_bound_ok={},
         )
 
     from decimal import Decimal, localcontext
@@ -440,26 +452,13 @@ def rank_polynomial_checks(N: int) -> tuple:
 def cumulative_bound_check(betti: int, n_max: int) -> dict:
     """Check sum_{i=1}^{2n} m_i(b2) >= (b2 - 1)^(2n) / (2n) for n = 1..n_max.
 
-    The left side is the total rank of pi_2..pi_{2n+1}.  The comparison is
-    made exactly, in integers, as 2n * sum >= (b2 - 1)^(2n).  Returns {n: bool}.
+    The left side is the total rank of pi_2..pi_{2n+1}.  For b2 >= 3 the bound
+    holds for every n >= 1 (proved in the module docstring), so every flag is
+    True and no rank table is read.  Returns {n: bool}.
 
     >>> cumulative_bound_check(3, 2)
     {1: True, 2: True}
     """
     _int_arg("second Betti number", betti, 3)
     _int_arg("n_max", n_max, 1)
-    return dict(zip(range(1, n_max + 1), _prefix(betti, n_max, _bound_flags)))
-
-
-def _bound_flags(k: int, n_max: int) -> tuple:
-    """(2n sum_{i<=2n} m_i >= (k - 1)^(2n) for n = 1..n_max), in integers."""
-    ranks = homotopy_ranks(k, 2 * n_max).ranks
-    step = (k - 1) ** 2
-    flags = []
-    partial = 0
-    power = 1  # (k - 1)^(2n)
-    for n in range(1, n_max + 1):
-        partial += ranks[2 * n - 2] + ranks[2 * n - 1]
-        power *= step
-        flags.append(2 * n * partial >= power)
-    return tuple(flags)
+    return dict.fromkeys(range(1, n_max + 1), True)

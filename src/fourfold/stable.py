@@ -233,10 +233,11 @@ def load_stems_table(source: str, source_note: str = "") -> StemsTable:
         import json
 
         try:
-            doc = json.loads(source)
+            # (key, value) pairs, so that a repeated key reaches the check below
+            doc = json.loads(source, object_pairs_hook=list)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"bad JSON stems document: {exc}") from exc
-        for key, val in doc.items():
+        for key, val in doc:
             if not str(key).isdecimal():
                 raise ParseError(f"entry {key!r}: index must be a nonnegative integer")
             n = int(key)

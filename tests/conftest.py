@@ -5,7 +5,7 @@ import pytest
 
 @pytest.fixture
 def empty_rank_store():
-    """The prefix store (ranks, both check flags and the growth base beta),
+    """The prefix store (ranks, PBW agreement flags and the growth base beta),
     emptied before and after.
 
     A test that monkeypatches _necklace or homotopy_ranks takes this, so that

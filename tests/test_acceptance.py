@@ -118,9 +118,15 @@ def test_criterion_07_growth_limit():
 
 
 def test_criterion_08_cumulative_lower_bound():
-    ok = all(
-        all(cumulative_bound_check(betti, 15).values()) for betti in range(3, 8)
-    )
+    # the paper's bound from the ranks themselves, in integers:
+    # 2n * (m_1 + ... + m_2n) >= (b2 - 1)^(2n); the package answers the same
+    ok = True
+    for betti in range(3, 8):
+        ranks = homotopy_ranks(betti, 30).ranks
+        holds = {
+            n: 2 * n * sum(ranks[: 2 * n]) >= (betti - 1) ** (2 * n) for n in range(1, 16)
+        }
+        ok = ok and all(holds.values()) and cumulative_bound_check(betti, 15) == holds
     _report(8, ok, "cumulative bound holds exactly for b2=3..7, n=1..15")
 
 

@@ -7,7 +7,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourfold import (
@@ -27,7 +27,6 @@ from fourfold.cli import cmd_growth, cmd_ranks
 from fourfold.ranks import (
     GROWTH_PRECISION,
     RankTable,
-    _bound_flags,
     _checked_ranks,
     _closed_form,
     _growth_base,
@@ -36,6 +35,7 @@ from fourfold.ranks import (
     _pbw_agreement,
     _PrefixStore,
 )
+from fourfold.series import _power_sums
 from refimpl import moebius, newton_sums, pbw_product, series_log, series_reciprocal
 
 
@@ -392,39 +392,49 @@ def _cumulative_bound_reference(table, k, n_max):
     return {n: 2 * n * sums[2 * n] >= (k - 1) ** (2 * n) for n in range(1, n_max + 1)}
 
 
-@given(
-    st.integers(min_value=3, max_value=12),
-    st.integers(min_value=1, max_value=150),
-    st.integers(min_value=0, max_value=2**150 - 1),
-)
-@example(3, 1, 0)
-@example(12, 150, 2**150 - 1)
-# empty_rank_store is emptied once per test, not per example: the patched
-# homotopy_ranks below never reads or fills the store's ranks, and the store
-# is emptied around the patched call
-@settings(
-    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
-def test_cumulative_bound_matches_direct_reference(empty_rank_store, k, n_max, misses):
+@given(st.integers(min_value=3, max_value=12), st.integers(min_value=1, max_value=150))
+@example(3, 1)
+@example(12, 150)
+@settings(max_examples=40, deadline=None)
+def test_cumulative_bound_matches_direct_reference(k, n_max):
     table = homotopy_ranks(k, 2 * n_max)
     assert cumulative_bound_check(k, n_max) == _cumulative_bound_reference(table, k, n_max)
-    # the true ranks clear every bound by far, so also try a table whose
-    # partial sums sit one below (bit n - 1 of misses set) or exactly on
-    # ceil((k - 1)^(2n) / (2n))
-    ranks, total = [], 0
-    for n in range(1, n_max + 1):
-        target = ((k - 1) ** (2 * n) + 2 * n - 1) // (2 * n) - (misses >> (n - 1) & 1)
-        step = target - total
-        ranks += [step // 3, step - step // 3]
-        total = target
-    edge = RankTable(betti=k, ranks=tuple(ranks))
-    expected = {n: not misses >> (n - 1) & 1 for n in range(1, n_max + 1)}
-    assert _cumulative_bound_reference(edge, k, n_max) == expected
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("fourfold.ranks.homotopy_ranks", lambda betti, n: edge)
-        empty_rank_store.clear()  # else the flags of the true table answer
-        assert cumulative_bound_check(k, n_max) == expected
-    empty_rank_store.clear()  # nor may the edge table's flags answer the next example
+
+
+def test_the_cumulative_bound_proof_holds_step_by_step():
+    # steps 1, 2 and 4 of the proof in the ranks module docstring, checked on
+    # the numbers, and the flags against the ranks, for k 3..200
+    for k in range(3, 201):
+        N = 300 if k <= 40 else 120
+        table = homotopy_ranks(k, N)
+        m = (0,) + table.ranks  # m[i] = m_i
+        e = [0] + [m[d] - (m[d // 2] if d % 4 == 2 else 0) for d in range(1, N + 1)]
+        c, weighted = [0] * (N + 1), [0] * (N + 1)  # sum_{d|n} d e_d, sum_{d|n} d m_d
+        for d in range(1, N + 1):
+            for n in range(d, N + 1, d):
+                c[n] += d * e[d]
+                weighted[n] += d * m[d]
+        assert c == _power_sums(dict(enumerate(table.ranks, start=1)), N), k
+        L = _lucas(k, N)
+        assert c[1:] == L[1:], k  # step 1
+        assert all(w >= cn for w, cn in zip(weighted, c)), k  # step 2
+        assert L[1] == k  # step 4
+        for j in range(2, N + 1):
+            assert L[j] - (k - 1) * L[j - 1] == L[j - 1] - L[j - 2] >= 0, (k, j)
+            assert L[j] >= (k - 1) ** j, (k, j)
+        n_max = N // 2
+        assert cumulative_bound_check(k, n_max) == _cumulative_bound_reference(table, k, n_max)
+
+
+def test_cumulative_bound_check_reads_no_rank_table(monkeypatch, empty_rank_store):
+    def unreachable(*args):
+        raise AssertionError("the cumulative bound read a rank table")
+
+    monkeypatch.setattr("fourfold.ranks._necklace", unreachable)
+    monkeypatch.setattr("fourfold.ranks.homotopy_ranks", unreachable)
+    for k, n_max in ((3, 1), (3, 250), (12, 7), (10**30, 40)):
+        assert cumulative_bound_check(k, n_max) == dict.fromkeys(range(1, n_max + 1), True)
+    assert not empty_rank_store.entries
 
 
 def test_cumulative_bound_is_exact_rational():
@@ -486,15 +496,11 @@ def test_check_stores_answer_as_fresh_computations_in_any_call_order(empty_rank_
         k = rng.randint(2, 12)
         # each b2's degree walks up and down, so calls both hit and extend
         N[k] = min(300, max(1, N[k] + rng.choice((-1, 1)) * rng.randint(1, 120)))
-        check = rng.choice((cumulative_bound_check, pbw_identity_check, growth_report))
-        if check is cumulative_bound_check and k < 3:
-            continue
+        check = rng.choice((pbw_identity_check, growth_report))
         assert check(k, N[k]) == _with_empty_store(check, k, N[k]), (check, k, N[k])
-        if check is cumulative_bound_check:
-            table = RankTable(k, tuple(_necklace(k, 2 * N[k])))
-            assert check(k, N[k]) == _cumulative_bound_reference(table, k, N[k])
-    assert _kept(empty_rank_store, _bound_flags) == set(range(3, 13))
+    assert _kept(empty_rank_store, _checked_ranks) == set(range(2, 13))
     assert _kept(empty_rank_store, _pbw_agreement) == set(range(2, 13))
+    assert _kept(empty_rank_store, _growth_base) == set(range(3, 13))
 
 
 def test_a_check_that_raises_stores_nothing(monkeypatch, empty_rank_store):
@@ -564,15 +570,13 @@ def test_threads_share_the_store_and_get_the_fresh_answers(monkeypatch, empty_ra
     # a cap of a few tables, so that threads evict each other's entries
     monkeypatch.setattr("fourfold.ranks.RANK_STORE_BYTES", 40_000)
     rng = random.Random(8)
-    entry_points = (homotopy_ranks, pbw_identity_check, cumulative_bound_check)
+    entry_points = (homotopy_ranks, pbw_identity_check, growth_report)
     calls = []
     for _ in range(4):
         thread_calls = []
         for _ in range(150):
             k = rng.randint(2, 9)
-            # the cumulative bound is defined from b2 = 3
-            entry_point = rng.choice(entry_points[: 2 + (k > 2)])
-            thread_calls.append((entry_point, k, rng.randint(1, 250)))
+            thread_calls.append((rng.choice(entry_points), k, rng.randint(1, 250)))
         calls.append(thread_calls)
     fresh = {call: _with_empty_store(*call) for thread in calls for call in thread}
     wrong, errors = [], []
@@ -606,16 +610,14 @@ def test_one_cap_bounds_every_sequence_kept(monkeypatch, empty_rank_store):
     monkeypatch.setattr("fourfold.ranks.RANK_STORE_BYTES", cap)
     fills = {
         homotopy_ranks: {_checked_ranks},
-        cumulative_bound_check: {_checked_ranks, _bound_flags},
-        growth_report: {_checked_ranks, _bound_flags, _growth_base},
+        growth_report: {_checked_ranks, _growth_base},
         pbw_identity_check: {_checked_ranks, _pbw_agreement},
     }
     rng = random.Random(23)
     crossed = 0
     for _ in range(300):
         k, N = rng.randint(2, 9), rng.randint(1, 250)
-        # the cumulative bound is defined from b2 = 3
-        entry_point = rng.choice([f for f in fills if k > 2 or f is not cumulative_bound_check])
+        entry_point = rng.choice(list(fills))
         before = set(store.entries)
         assert entry_point(k, N) == _with_empty_store(entry_point, k, N), (entry_point, k, N)
         _assert_store_consistent(store, cap)
@@ -642,12 +644,13 @@ def test_entry_points_slice_one_stored_table(monkeypatch, empty_rank_store):
         return wrapper
 
     monkeypatch.setattr("fourfold.ranks._necklace", counting)
-    for name in ("_bound_flags", "_pbw_agreement"):
+    for name in ("_growth_base", "_pbw_agreement"):
         monkeypatch.setattr(ranks_module, name, counted(getattr(ranks_module, name)))
     homotopy_ranks(3, 600)
     for n in (1, 2, 300, 599, 600):
         homotopy_ranks(3, n)
-    # the bound and PBW loops run once each, for the longest request first
+    # beta and the PBW loop are computed once each, for the longest request
+    # first; the cumulative bound computes nothing
     for _ in range(3):
         growth_report(3, 500)
         cumulative_bound_check(3, 250)
@@ -656,6 +659,6 @@ def test_entry_points_slice_one_stored_table(monkeypatch, empty_rank_store):
         pbw_identity_check(3, 0)
         pbw_identity_check(3, 12)
     assert calls == [(3, 600)]
-    assert loops == [("_bound_flags", 3, 250), ("_pbw_agreement", 3, 45)]
+    assert loops == [("_growth_base", 3, 1), ("_pbw_agreement", 3, 45)]
     homotopy_ranks(3, 601)
     assert calls == [(3, 600), (3, 601)]
