@@ -32,6 +32,7 @@ from .errors import (
     ResourceLimit,
     ValidationError,
     _int_arg,
+    _numeral,
 )
 from .oracle import (
     DEFAULT_COLUMN_BUDGET,
@@ -150,10 +151,11 @@ def _parse_dims(spec: str) -> dict:
     """--dims '1:2,2:2' -> {1: 2, 2: 2}; a repeated degree adds up."""
     out = {}
     for part in spec.split(","):
-        deg, sep, mult = part.partition(":")
-        if not sep or not deg.strip().isdecimal() or not mult.strip().isdecimal():
+        deg, sep, mult = (s.strip() for s in part.partition(":"))
+        if not sep or not deg.isdecimal() or not mult.isdecimal():
             raise DomainError(f"bad --dims entry {part!r}; expected degree:multiplicity")
-        out[int(deg)] = out.get(int(deg), 0) + int(mult)
+        deg = _numeral("a --dims degree", deg)
+        out[deg] = out.get(deg, 0) + _numeral("a --dims multiplicity", mult)
     return out
 
 
@@ -236,17 +238,19 @@ def cmd_verify(betti: int, max_degree: int, budget=None) -> CommandResult:
     lines = [f"verification at b2 = {betti}, oracle degree {max_degree}"]
 
     report = quotient_dims_oracle(betti, max_degree, budget)
-    quotient = report.quotient_dims.dims  # derived from tensor and ideal on each read
-    checks["oracle-series-match"] = all(report.series_match)
-    checks["euler-identity"] = all(report.euler_ok)
+    # each is derived from the tensor and ideal dims on every read
+    quotient = report.quotient_dims.dims
+    series_match, euler_ok = report.series_match, report.euler_ok
+    checks["oracle-series-match"] = all(series_match)
+    checks["euler-identity"] = all(euler_ok)
     payload["oracle"] = {
         "betti_param": report.betti_param,
         "max_degree": report.max_degree,
         "tensor_dims": list(report.tensor_dims.dims),
         "ideal_dims": list(report.ideal_dims.dims),
         "quotient_dims": list(quotient),
-        "series_match": list(report.series_match),
-        "euler_ok": list(report.euler_ok),
+        "series_match": list(series_match),
+        "euler_ok": list(euler_ok),
         "field_used": report.field_used,
     }
 
@@ -265,7 +269,7 @@ def cmd_verify(betti: int, max_degree: int, budget=None) -> CommandResult:
 
     rows = list(zip(
         range(max_degree + 1), report.tensor_dims.dims, report.ideal_dims.dims,
-        quotient, report.series_match, report.euler_ok,
+        quotient, series_match, euler_ok,
     ))
     flag = {True: "ok", False: "MISMATCH"}
     lines.append(
@@ -417,8 +421,8 @@ def _main(argv) -> int:
 
 def _output(args) -> tuple:
     """(text to print, less its final newline; exit code) of the parsed
-    command.  A value past Python's limit on int to str conversion is a
-    ResourceLimit."""
+    command.  An output value past Python's limit on int to str conversion
+    is a ResourceLimit; the parsers refuse an input numeral past it."""
     try:
         if args.command == "ranks":
             result = cmd_ranks(args.betti, args.max_degree)

@@ -1,11 +1,14 @@
-"""Exception hierarchy shared by all fourfold modules, and the one check of
-integer arguments.
+"""Exception hierarchy shared by all fourfold modules, the one check of
+integer arguments, and the one reading of a decimal numeral.
 
 Every public function, constructor and method passes each of its integer
 arguments to _int_arg before any work, so what counts as a valid integer (an
 int, not a bool, a float or a numeric string, at or above a minimum where the
-argument has one) is decided here alone.
+argument has one) is decided here alone.  Every parser of the package's text
+inputs reads a numeral with _numeral, which refuses one too long for int().
 """
+
+import sys
 
 
 class FourfoldError(Exception):
@@ -56,3 +59,22 @@ class ParseError(FourfoldError):
 
 class ValidationError(FourfoldError):
     """Well-formed stems-table document with invalid content."""
+
+
+def _numeral(name: str, text: str, error=DomainError) -> int:
+    """The int a decimal numeral spells (text.isdecimal() holds).
+
+    error "NAME has more than LIMIT digits" where its digits, leading zeros
+    skipped, are more than int() converts from text
+    (sys.get_int_max_str_digits()): the numeral is refused without being
+    converted, so the message cannot fail printing it.
+    """
+    try:
+        return int(text)
+    except ValueError:  # the limit counts leading zeros too
+        first = next((i for i, c in enumerate(text) if int(c)), len(text) - 1)
+        try:
+            return int(text[first:])
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise error(f"{name} has more than {limit} digits") from None

@@ -246,30 +246,34 @@ def _ideal_ranks(k: int, N: int) -> list:
     return out[2:]
 
 
+def _euler_flags(k: int, qdims) -> tuple:
+    """dim A_n - k dim A_{n-1} - k dim A_{n-2} + dim A_{n-3} == [n == 0]."""
+    q = [0, 0, 0, *qdims]  # q[n + 3] = dim A_n, zero below degree 0
+    return tuple(
+        q[n + 3] - k * q[n + 2] - k * q[n + 1] + q[n] == int(n == 0)
+        for n in range(len(qdims))
+    )
+
+
 class OracleReport(Record):
-    """Per-degree comparison of oracle dimensions against the closed form;
-    max_degree and quotient_dims (tensor - ideal) are derived, not stored."""
+    """Per-degree comparison of oracle dimensions against the closed form.
+
+    Only the oracle's own dims are stored.  max_degree, quotient_dims
+    (tensor - ideal) and the flags are derived from them on each read:
+    series_match[n] compares quotient_dims against the closed-form quotient
+    series, euler_ok[n] checks the cubic Euler identity on quotient_dims
+    alone, and all_ok is both together.
+    """
 
     #: every pivot leads with -1 (module docstring, rank policy)
     field_used = "integer"
 
-    def __init__(
-        self,
-        betti_param: int,
-        tensor_dims: GradedDims,
-        ideal_dims: GradedDims,
-        series_match: tuple,
-        euler_ok: tuple,
-    ):
+    def __init__(self, betti_param: int, tensor_dims: GradedDims, ideal_dims: GradedDims):
         for n in range(3):
             if ideal_dims[n] != 0:
                 raise InternalInconsistency(f"nonzero ideal dim at degree {n} < 3")
         self.__dict__.update(
-            betti_param=betti_param,
-            tensor_dims=tensor_dims,
-            ideal_dims=ideal_dims,
-            series_match=series_match,
-            euler_ok=euler_ok,
+            betti_param=betti_param, tensor_dims=tensor_dims, ideal_dims=ideal_dims
         )
 
     @property
@@ -282,27 +286,26 @@ class OracleReport(Record):
         return GradedDims(tuple(t - i for t, i in pairs))
 
     @property
+    def series_match(self) -> tuple:
+        closed = quotient_series(self.betti_param, self.max_degree).coeffs
+        return tuple(q == c for q, c in zip(self.quotient_dims.dims, closed))
+
+    @property
+    def euler_ok(self) -> tuple:
+        return _euler_flags(self.betti_param, self.quotient_dims.dims)
+
+    @property
     def all_ok(self) -> bool:
         return all(self.series_match) and all(self.euler_ok)
 
 
-def _euler_flags(k: int, qdims) -> tuple:
-    """dim A_n - k dim A_{n-1} - k dim A_{n-2} + dim A_{n-3} == [n == 0]."""
-    q = [0, 0, 0, *qdims]  # q[n + 3] = dim A_n, zero below degree 0
-    return tuple(
-        q[n + 3] - k * q[n + 2] - k * q[n + 1] + q[n] == int(n == 0)
-        for n in range(len(qdims))
-    )
-
-
 def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> OracleReport:
-    """Compute quotient dimensions to degree N by rank alone and compare.
+    """Compute quotient dimensions to degree N by rank alone.
 
-    series_match[n] compares against the closed-form quotient series;
-    euler_ok[n] checks the cubic Euler identity using oracle dims only.
-    Every degree from the relation's degree 3 up, where a matrix is built,
-    has its width checked against the column budget (default
-    DEFAULT_COLUMN_BUDGET) before any elimination.
+    The report compares them with the closed form (OracleReport).  Every
+    degree from the relation's degree 3 up, where a matrix is built, has its
+    width checked against the column budget (default DEFAULT_COLUMN_BUDGET)
+    before any elimination.
 
     >>> quotient_dims_oracle(2, 5).ideal_dims.dims
     (0, 0, 0, 1, 4, 16)
@@ -313,17 +316,7 @@ def quotient_dims_oracle(k: int, N: int, budget: Optional[int] = None) -> Oracle
     _int_arg("budget", budget, 1)
 
     tensor = [_columns(k, n, budget) if n >= 3 else _word_count(k, n) for n in range(N + 1)]
-    ideal = _ideal_ranks(k, N)
-    quotient = [t - i for t, i in zip(tensor, ideal)]
-
-    closed = quotient_series(k, N).coeffs
-    return OracleReport(
-        betti_param=k,
-        tensor_dims=GradedDims(tuple(tensor)),
-        ideal_dims=GradedDims(tuple(ideal)),
-        series_match=tuple(q == c for q, c in zip(quotient, closed)),
-        euler_ok=_euler_flags(k, quotient),
-    )
+    return OracleReport(k, GradedDims(tuple(tensor)), GradedDims(tuple(_ideal_ranks(k, N))))
 
 
 def koszul_leading_monomial_check(k: int) -> tuple:

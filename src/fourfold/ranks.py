@@ -50,7 +50,7 @@ S_j = L_1 + ... + L_j, and it suffices that L_n >= 2 S_{n//2}:
   k - 3/7 >= 7/3.  So S_m <= (7/4) L_m, and with m = n//2 and n - m >= 2,
   L_n >= (49/9) L_m >= 2 S_m.
 The hypotheses are three integer inequalities, L_2 >= 2 L_1, 3 L_2 >= 7 L_1
-and 21 k >= 58, which hold exactly when k >= 3, so growth_report sets
+and 21 k >= 58, which hold exactly when k >= 3, so GrowthReport sets
 exponential_growth at every b2 >= 3, for every degree and not only its window.
 
 Cumulative bound.  For k >= 3 and every n >= 1, 2n sum_{i<=2n} m_i >=
@@ -335,13 +335,15 @@ def _pbw_agreement(k: int, N: int) -> tuple:
 class GrowthReport(Record):
     """Growth classification of the rank sequence at a given Betti number.
 
-    growth_base and limit_residual are Decimals carrying `precision` digits;
-    they are absent (None) in the elliptic case b2 <= 2.  exponential_growth
-    is decided by the growth lemma (module docstring), so it holds in every
-    degree when b2 >= 3.  cumulative_bound_ok is the paper's stated bound
-    sum_{i<=2n} m_i >= (b2 - 1)^(2n) / (2n) for each n of the probe window,
-    proved for every n when b2 >= 3 (cumulative_bound_check); it defaults to a
-    new empty dict.
+    classification ("hyperbolic" at b2 >= 3, else "elliptic") and
+    exponential_growth (b2 >= 3, by the growth lemma of the module docstring,
+    so it holds in every degree) are derived from betti in __init__ and
+    stored as fields, in the order vars() lists them.  growth_base and
+    limit_residual are Decimals carrying `precision` digits; they are absent
+    (None) in the elliptic case b2 <= 2.  cumulative_bound_ok is the paper's
+    stated bound sum_{i<=2n} m_i >= (b2 - 1)^(2n) / (2n) for each n of the
+    probe window, proved for every n when b2 >= 3 (cumulative_bound_check);
+    it defaults to a new empty dict.
     """
 
     precision = GROWTH_PRECISION
@@ -349,22 +351,21 @@ class GrowthReport(Record):
     def __init__(
         self,
         betti: int,
-        classification: str,  # "elliptic" | "hyperbolic"
         probe_degree: int,
         growth_base: Optional[Decimal],
         limit_residual: Optional[Decimal],
-        exponential_growth: bool,
         cumulative_bound_ok: Optional[dict] = None,
     ):
         if cumulative_bound_ok is None:
             cumulative_bound_ok = {}
+        hyperbolic = betti >= 3
         self.__dict__.update(
             betti=betti,
-            classification=classification,
+            classification="hyperbolic" if hyperbolic else "elliptic",
             probe_degree=probe_degree,
             growth_base=growth_base,
             limit_residual=limit_residual,
-            exponential_growth=exponential_growth,
+            exponential_growth=hyperbolic,
             cumulative_bound_ok=cumulative_bound_ok,
         )
 
@@ -397,14 +398,7 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
     _int_arg("second Betti number", betti, 1)
     _int_arg("probe degree", N, 1)
     if betti <= 2:
-        return GrowthReport(
-            betti=betti,
-            classification="elliptic",
-            probe_degree=N,
-            growth_base=None,
-            limit_residual=None,
-            exponential_growth=False,
-        )
+        return GrowthReport(betti, N, None, None)
 
     from decimal import Decimal, localcontext
 
@@ -415,16 +409,7 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
         residual = abs(Decimal(N) * Decimal(m_N) / beta**N - 1)
         residual = +residual
     bounds = cumulative_bound_check(betti, max(1, N // 2))
-    return GrowthReport(
-        betti=betti,
-        classification="hyperbolic",
-        probe_degree=N,
-        growth_base=beta,
-        limit_residual=residual,
-        # the growth lemma (module docstring): its hypotheses hold at every b2 >= 3
-        exponential_growth=True,
-        cumulative_bound_ok=bounds,
-    )
+    return GrowthReport(betti, N, beta, residual, bounds)
 
 
 def rank_polynomial_checks(N: int) -> tuple:

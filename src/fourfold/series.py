@@ -44,8 +44,7 @@ class TruncatedSeries(Record):
         if not coeffs:
             raise DomainError("need at least 1 coefficient, got 0")
         for c in coeffs:
-            if c.__class__ is not int:
-                raise DomainError(f"coefficient {c!r} is not an int")
+            _int_arg("coefficient", c)
         self.__dict__.update(coeffs=coeffs)
 
     @property
@@ -93,10 +92,7 @@ class GradedDims(Record):
     def __init__(self, dims: tuple):
         dims = tuple(dims)
         for d in dims:
-            if d.__class__ is not int:
-                raise DomainError(f"dimension {d!r} is not an int")
-        if any(d < 0 for d in dims):
-            raise DomainError(f"negative dimension in {dims}")
+            _int_arg("dimension", d, 0)
         self.__dict__.update(dims=dims)
 
     def __getitem__(self, i: int) -> int:
@@ -108,25 +104,22 @@ class GradedDims(Record):
 def _dims_by_degree(dims: Mapping[int, int]) -> dict:
     """Generators as {degree: multiplicity}, nonzero entries only, validated.
 
-    Every generator set passes through here: degrees and multiplicities must
-    be ints (a bool is not, as in _int_arg), degrees >= 1 (UngradedGenerator
-    for degree 0) and multiplicities >= 0.
+    Every generator set passes through here: degrees and multiplicities pass
+    _int_arg, multiplicities >= 0, and a degree with a nonzero multiplicity
+    must be >= 1 (UngradedGenerator for degree 0).
     """
     if not isinstance(dims, Mapping):
         raise TypeError(f"generators must be a mapping, not {type(dims).__name__}")
+    by_deg = {}
     for deg, mult in dims.items():
-        if deg.__class__ is not int:
-            raise DomainError(f"degree {deg!r} is not an int")
-        if mult.__class__ is not int:
-            raise DomainError(f"multiplicity {mult!r} in degree {deg} is not an int")
-    by_deg = {i: d for i, d in dims.items() if d}
-    for deg, mult in by_deg.items():
-        if deg == 0:
-            raise UngradedGenerator("degree-0 generators are not allowed")
-        if deg < 0:
-            raise DomainError(f"negative degree {deg}")
-        if mult < 0:
-            raise DomainError(f"negative multiplicity {mult} in degree {deg}")
+        _int_arg("degree", deg)
+        _int_arg("multiplicity", mult, 0)
+        if mult:
+            if deg == 0:
+                raise UngradedGenerator("degree-0 generators are not allowed")
+            if deg < 0:
+                raise DomainError(f"negative degree {deg}")
+            by_deg[deg] = mult
     return by_deg
 
 

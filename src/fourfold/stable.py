@@ -33,6 +33,7 @@ from .errors import (
     ResourceLimit,
     ValidationError,
     _int_arg,
+    _numeral,
 )
 
 #: Largest order _factor accepts, so trial division stops by 31623; the
@@ -172,8 +173,10 @@ class StemsTable(Record):
     """Sphere stems pi_n^s for n = 0..max_index; lower indices are trivial."""
 
     def __init__(self, entries: dict, source_note: str = ""):
-        for n in entries:
+        for n, group in entries.items():
             _int_arg("stem index", n, 0)
+            if not isinstance(group, FinAbGroup):
+                raise ValidationError(f"stem {n} must be a FinAbGroup, got {group!r}")
         for n in range(max(len(entries), 1)):
             if n not in entries:
                 raise ValidationError(f"stems table is missing index {n}")
@@ -212,9 +215,13 @@ def _parse_group_expr(expr: str, where: str) -> FinAbGroup:
             free += 1
         elif term.startswith("Z/"):
             body = term[2:].strip()
-            if not body.isdecimal() or int(body) < 1:
+            # a numeral too long for int() is above 10**9: a resource limit
+            order = (
+                _numeral(f"{where}: cyclic order", body, ResourceLimit) if body.isdecimal() else 0
+            )
+            if order < 1:
                 raise ParseError(f"{where}: bad cyclic order in {term!r}")
-            orders.append(int(body))
+            orders.append(order)
         else:
             raise ParseError(f"{where}: unrecognized term {term!r}")
     return FinAbGroup.from_orders(free, orders)
@@ -233,14 +240,15 @@ def load_stems_table(source: str, source_note: str = "") -> StemsTable:
         import json
 
         try:
-            # (key, value) pairs, so that a repeated key reaches the check below
-            doc = json.loads(source, object_pairs_hook=list)
+            # (key, value) pairs, so that a repeated key reaches the check
+            # below; an integer value is kept as its text, never converted
+            doc = json.loads(source, object_pairs_hook=list, parse_int=str)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"bad JSON stems document: {exc}") from exc
         for key, val in doc:
-            if not str(key).isdecimal():
+            if not key.isdecimal():
                 raise ParseError(f"entry {key!r}: index must be a nonnegative integer")
-            n = int(key)
+            n = _numeral("a JSON entry's index", key, ParseError)
             if n in raw:
                 raise ParseError(f"entry {key!r}: duplicate index")
             raw[n] = _parse_group_expr(str(val), f"entry {key!r}")
@@ -252,7 +260,7 @@ def load_stems_table(source: str, source_note: str = "") -> StemsTable:
             m = _LINE_RE.match(line)
             if not m:
                 raise ParseError(f"line {lineno}: expected `n: group`, got {line!r}")
-            n = int(m.group(1))
+            n = _numeral(f"line {lineno}: index", m.group(1), ParseError)
             if n in raw:
                 raise ParseError(f"line {lineno}: duplicate index {n}")
             raw[n] = _parse_group_expr(m.group(2), f"line {lineno}")

@@ -664,6 +664,58 @@ def test_value_past_the_int_digit_limit_is_a_resource_limit(capsys, argv, fmt):
     )
 
 
+#: A numeral past the digits int() converts from text (0 where unlimited).
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * (LIMIT + 700)
+STABLE = ("stable", "--betti", "2", "--n", "5", "--stems-file")
+FREE_COMM = ("series", "--kind", "free-comm", "--betti", "1", "--dims")
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python converts numerals of any length")
+@pytest.mark.parametrize(
+    "stems, argv, code, message",
+    [
+        (f"0: Z\n{LONG}: Z/2\n", STABLE, 2, f"line 2: index has more than {LIMIT} digits"),
+        (f'{{"0": "Z", "{LONG}": "Z/2"}}', STABLE, 2,
+         f"a JSON entry's index has more than {LIMIT} digits"),
+        # past int() is past 10**9 too: the cyclic order is a resource limit
+        (f"0: Z\n1: Z/{LONG}\n", STABLE, 1,
+         f"line 2: cyclic order has more than {LIMIT} digits"),
+        (None, (*FREE_COMM, f"{LONG}:1"), 2, f"a --dims degree has more than {LIMIT} digits"),
+        (None, (*FREE_COMM, f"1:{LONG}"), 2,
+         f"a --dims multiplicity has more than {LIMIT} digits"),
+    ],
+    ids=["line-index", "json-key", "cyclic-order", "dims-degree", "dims-multiplicity"],
+)
+def test_input_numeral_past_the_int_digit_limit_is_refused_by_its_parser(
+    capsys, tmp_path, stems, argv, code, message
+):
+    if stems is not None:
+        f = tmp_path / "stems.txt"
+        f.write_text(stems, encoding="utf-8")
+        argv = (*argv, str(f))
+    assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python converts numerals of any length")
+def test_input_numeral_past_the_limit_only_by_leading_zeros_is_read(capsys, tmp_path):
+    f = tmp_path / "stems.txt"
+    f.write_text(f"0: Z\n{'0' * LIMIT}1: Z/{'0' * LIMIT}2\n", encoding="utf-8")
+    code, out, err = run(capsys, "stable", "--betti", "1", "--n", "3", "--stems-file", str(f))
+    assert (code, err) == (0, "")
+    assert out.startswith("pi_3^s = Z/2\n")
+
+
+@pytest.mark.skipif(not LIMIT, reason="this Python converts numerals of any length")
+def test_json_number_value_is_a_bad_term_not_a_conversion(capsys, tmp_path):
+    # the JSON parser keeps a number as its text: no grammar term reads a long one
+    f = tmp_path / "stems.json"
+    f.write_text(f'{{"0": "Z", "1": {LONG}}}', encoding="utf-8")
+    code, out, err = run(capsys, "stable", "--betti", "1", "--n", "3", "--stems-file", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: entry '1': unrecognized term '111") and err.count("\n") == 1
+
+
 RAISED = [
     (errors.FourfoldError("a bug"), 1),
     (errors.InternalInconsistency("two computations disagree"), 1),

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from fourfold import (
     DomainError,
+    GradedDims,
     InternalInconsistency,
+    OracleReport,
     ResourceLimit,
     koszul_leading_monomial_check,
     quotient_dims_oracle,
@@ -442,9 +444,40 @@ def test_report_derives_max_degree_and_quotient_dims():
             rep = quotient_dims_oracle(k, N, budget=300_000)  # W(8) = 252,160 at k = 4
             assert rep.max_degree == N, (k, N)
             assert rep.quotient_dims.dims == tuple(quotient_series(k, N).coeffs), (k, N)
-            assert set(vars(rep)) == {
-                "betti_param", "tensor_dims", "ideal_dims", "series_match", "euler_ok",
-            }
+            assert set(vars(rep)) == {"betti_param", "tensor_dims", "ideal_dims"}
+
+
+def _flags_from_dims(rep):
+    """(series_match, euler_ok), recomputed from the report's dims alone."""
+    k, N, q = rep.betti_param, rep.max_degree, rep.quotient_dims
+    closed = quotient_series(k, N)
+    series = tuple(q[n] == closed.coefficient(n) for n in range(N + 1))
+    euler = tuple(
+        q[n] - k * q[n - 1] - k * q[n - 2] + q[n - 3] == (n == 0) for n in range(N + 1)
+    )
+    return series, euler
+
+
+def test_report_derives_its_flags_from_its_dims():
+    # no report can carry flags that contradict its dims: they are read off them
+    reports = [
+        quotient_dims_oracle(k, N, budget=300_000) for k in range(1, 5) for N in range(9)
+    ]
+    good = quotient_dims_oracle(2, 6)
+    ideal = list(good.ideal_dims.dims)
+    ideal[5] += 1  # one dimension too many in degree 5
+    altered = OracleReport(2, good.tensor_dims, GradedDims(tuple(ideal)))
+    for rep in [*reports, altered]:
+        series, euler = _flags_from_dims(rep)
+        assert rep.series_match == series and rep.euler_ok == euler, rep
+        assert rep.all_ok == (all(series) and all(euler))
+        for name in ("series_match", "euler_ok", "all_ok"):
+            with pytest.raises(AttributeError):
+                setattr(rep, name, True)
+    assert all(rep.all_ok for rep in reports)
+    # degree 5 breaks the series there and the Euler identity at 5 and 6
+    assert altered.series_match == (True,) * 5 + (False, True)
+    assert altered.euler_ok == (True,) * 5 + (False, False)
 
 
 def test_oracle_degenerate_parameter_one():

@@ -359,12 +359,17 @@ def test_growth_lemma_hypotheses_hold_exactly_from_three():
 
 
 def test_growth_report_keeps_the_fields_perfbench_reads_and_a_fixed_precision():
-    for betti in (2, 3):
+    # perfbench reads vars(): the keys in this order, with classification and
+    # exponential_growth derived from b2 (the growth lemma holds from 3 on)
+    for betti in range(1, 13):
         fields = vars(growth_report(betti, 10))
-        assert set(fields) == {
+        assert list(fields) == [
             "betti", "classification", "probe_degree", "growth_base",
             "limit_residual", "exponential_growth", "cumulative_bound_ok",
-        }
+        ]
+        hyperbolic = betti >= 3
+        assert fields["classification"] == ("hyperbolic" if hyperbolic else "elliptic")
+        assert fields["exponential_growth"] is hyperbolic
         assert growth_report(betti, 10).precision == GROWTH_PRECISION == 60
 
 
