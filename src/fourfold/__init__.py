@@ -43,13 +43,13 @@ _EXPORTS = {
         "growth_report",
         "homotopy_ranks",
         "pbw_identity_check",
+        "pbw_series",
         "rank_polynomial_checks",
     ),
     "series": (
         "GradedDims",
         "TruncatedSeries",
         "free_comm_series",
-        "pbw_series",
         "quotient_series",
         "tensor_series",
     ),

@@ -45,9 +45,10 @@ from .ranks import (
     growth_report,
     homotopy_ranks,
     pbw_identity_check,
+    pbw_series,
     rank_polynomial_checks,
 )
-from .series import free_comm_series, pbw_series, quotient_series, tensor_series
+from .series import free_comm_series, quotient_series, tensor_series
 
 DEFAULT_RANKS_DEGREE = 20
 DEFAULT_VERIFY_DEGREE = 8
@@ -302,6 +303,31 @@ def cmd_verify(betti: int, max_degree: int, budget=None) -> CommandResult:
 # -- argument plumbing ------------------------------------------------------
 
 
+def _echo(text: str) -> str:
+    """repr of a refused value, cut to its first 20 characters."""
+    return repr(text[:20]) + ("..." if len(text) > 20 else "")
+
+
+def _signed_numeral(name: str, text: str, error):
+    """The int text spells as a decimal numeral with an optional sign (and
+    whitespace around), read by _numeral, so a numeral past its digit limit
+    raises error; None for any other text."""
+    body = text.strip()
+    digits = body[1:] if body.startswith(("+", "-")) else body
+    if not digits.isdecimal():
+        return None
+    value = _numeral(name, digits, error)
+    return -value if body.startswith("-") else value
+
+
+def _int_flag(text: str) -> int:
+    """argparse type of every integer flag."""
+    value = _signed_numeral("the value", text, argparse.ArgumentTypeError)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -321,8 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ranks", parents=[common], help="rational homotopy ranks")
-    p.add_argument("--betti", type=int, required=True, help="second Betti number")
-    p.add_argument("--max-degree", type=int, default=DEFAULT_RANKS_DEGREE)
+    p.add_argument("--betti", type=_int_flag, required=True, help="second Betti number")
+    p.add_argument("--max-degree", type=_int_flag, default=DEFAULT_RANKS_DEGREE)
 
     p = sub.add_parser("series", parents=[common], help="raw series coefficients")
     p.add_argument(
@@ -330,14 +356,14 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("tensor", "quotient", "pbw", "free-comm"),
         required=True,
     )
-    p.add_argument("--betti", type=int, required=True)
-    p.add_argument("--terms", type=int, default=DEFAULT_RANKS_DEGREE)
+    p.add_argument("--betti", type=_int_flag, required=True)
+    p.add_argument("--terms", type=_int_flag, default=DEFAULT_RANKS_DEGREE)
     p.add_argument("--dims", default="", help="free-comm generators, e.g. 1:2,2:2")
 
     p = sub.add_parser("stable", parents=[common], help="stable homotopy groups")
-    p.add_argument("--betti", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="stable index")
-    p.add_argument("--pi1-order", type=int, default=1)
+    p.add_argument("--betti", type=_int_flag, required=True)
+    p.add_argument("--n", type=_int_flag, required=True, help="stable index")
+    p.add_argument("--pi1-order", type=_int_flag, default=1)
     p.add_argument(
         "--stems-file",
         default="",
@@ -346,15 +372,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("growth", parents=[common], help="growth classification")
-    p.add_argument("--betti", type=int, required=True)
-    p.add_argument("--probe", type=int, default=DEFAULT_GROWTH_PROBE)
+    p.add_argument("--betti", type=_int_flag, required=True)
+    p.add_argument("--probe", type=_int_flag, default=DEFAULT_GROWTH_PROBE)
 
     p = sub.add_parser("verify", parents=[common], help="full verification suite")
-    p.add_argument("--betti", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=DEFAULT_VERIFY_DEGREE)
+    p.add_argument("--betti", type=_int_flag, required=True)
+    p.add_argument("--max-degree", type=_int_flag, default=DEFAULT_VERIFY_DEGREE)
     p.add_argument(
         "--budget",
-        type=int,
+        type=_int_flag,
         default=None,
         metavar="COLUMNS",
         help=f"oracle matrix column cap (default {DEFAULT_COLUMN_BUDGET}; "
@@ -372,10 +398,9 @@ def _resolve_budget(args) -> int | None:
         env = os.environ.get(BUDGET_ENV_VAR, "")
         if not env:
             return None
-        try:
-            budget = int(env)
-        except ValueError:
-            raise DomainError(f"{BUDGET_ENV_VAR}={env!r} is not an integer") from None
+        budget = _signed_numeral(BUDGET_ENV_VAR, env, DomainError)
+        if budget is None:
+            raise DomainError(f"{BUDGET_ENV_VAR}={_echo(env)} is not an integer")
         source = BUDGET_ENV_VAR
     _int_arg(source, budget, 1)
     return budget

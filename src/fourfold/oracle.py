@@ -181,8 +181,7 @@ def _containing(k: int, m: int, older: bytearray, old: bytearray, lead) -> bytea
     """Degree m's states by first letter, k copies of degree m-1's (old) and
     then k of degree m-2's (older), with degree m's window lead * w raised to
     1 at m = 3 (w empty) and to 2 from m = 4 on."""
-    states = old * k
-    states += older * k
+    states = bytearray().join([old] * k + [older] * k)  # one allocation
     return _mark(k, states, [lead], m, 2 if m >= 4 else 1)
 
 

@@ -30,11 +30,12 @@ its prefix.  So do the outcomes of PBW identity 1 (power sum c_n against L_n,
 the power sum of 1/(1 - k t + t^2)): flag n reads only m_1..m_n.  One store
 keeps, per b2 >= 2, the longest prefix computed of each sequence (ranks, PBW
 agreement flags), and only one that passed every check above (a check that
-raises stores nothing); a shorter request is a slice of it, so repeated calls
-at one b2 run each loop once.  The growth base beta, which depends on b2
-alone, is kept beside them as a sequence of one.  All of its entries together
-hold at most RANK_STORE_BYTES of objects: the least recently used (sequence,
-b2) goes first, and a prefix larger than the cap is returned but not kept.
+raises stores nothing); the store hands a reader that prefix uncopied, and
+the reader takes its first N entries, so repeated calls at one b2 run each
+loop once.  The growth base beta, which depends on b2 alone, is kept beside
+them as a sequence of one.  All of its entries together hold at most
+RANK_STORE_BYTES of objects: the least recently used (sequence, b2) goes
+first, and a prefix larger than the cap is returned but not kept.
 Every entry point that reads ranks reads them from the store's checked prefix
 (homotopy_ranks, or growth_report, which needs m_N alone); _necklace itself,
 which the polynomial checks call at b2 = 0..2, keeps nothing.
@@ -82,7 +83,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ._record import Record
 from .errors import DomainError, InternalInconsistency, _int_arg
-from .series import _power_sums
+from .series import TruncatedSeries, _power_sums, free_comm_series
 
 if TYPE_CHECKING:  # decimal is imported only where growth is computed
     from decimal import Decimal
@@ -152,15 +153,14 @@ class _PrefixStore:
             self.entries = {}
             self.nbytes = 0
 
-    def get(self, key, N: int) -> Optional[tuple]:
-        """s_1..s_N of the sequence at key if a prefix that long is kept, else None."""
+    def get(self, key) -> Optional[tuple]:
+        """The prefix kept at key, not copied, else None."""
         with self._lock:
             entry = self.entries.pop(key, None)
             if entry is None:
                 return None
             self.entries[key] = entry  # now the most recently used
-        seq = entry[0]
-        return seq[:N] if len(seq) >= N else None
+        return entry[0]
 
     def put(self, key, seq: tuple):
         size = sys.getsizeof(seq) + sum(map(sys.getsizeof, seq))
@@ -184,10 +184,11 @@ _store = _PrefixStore()
 
 
 def _prefix(k: int, N: int, compute) -> tuple:
-    """s_1..s_N at b2 = k: a slice of the store, else compute(k, N), then kept."""
+    """s_1..s_M, M >= N, at b2 = k: the kept prefix if it is that long, else
+    compute(k, N), then kept.  Each reader takes its N from it."""
     key = compute, k
-    seq = _store.get(key, N)
-    if seq is None:
+    seq = _store.get(key)
+    if seq is None or len(seq) < N:
         seq = compute(k, N)
         _store.put(key, seq)
     return seq
@@ -209,7 +210,7 @@ def homotopy_ranks(betti: int, N: int) -> RankTable:
     if betti == 1:
         ranks = tuple(_ELLIPTIC_B2_1[n - 1] if n <= 4 else 0 for n in range(1, N + 1))
         return RankTable(betti=1, ranks=ranks)
-    return RankTable(betti=betti, ranks=_prefix(betti, N, _checked_ranks))
+    return RankTable(betti=betti, ranks=_prefix(betti, N, _checked_ranks)[:N])
 
 
 def _checked_ranks(k: int, N: int) -> tuple:
@@ -317,10 +318,11 @@ def pbw_identity_check(betti: int, N: int) -> PbwCheck:
     _int_arg("max degree", N, 0)
     if betti == 1:
         return PbwCheck(status=PBW_NOT_APPLICABLE)
-    agree = _prefix(betti, N, _pbw_agreement)
-    if False in agree:
-        return PbwCheck(status=PBW_FAIL, first_failure=agree.index(False) + 1)
-    return PbwCheck(status=PBW_PASS)
+    try:  # among the first N flags only: the kept prefix may be longer
+        failure = _prefix(betti, N, _pbw_agreement).index(False, 0, N)
+    except ValueError:
+        return PbwCheck(status=PBW_PASS)
+    return PbwCheck(status=PBW_FAIL, first_failure=failure + 1)
 
 
 def _pbw_agreement(k: int, N: int) -> tuple:
@@ -330,6 +332,23 @@ def _pbw_agreement(k: int, N: int) -> tuple:
     lhs = _power_sums(dict(enumerate(table.ranks, start=1)), N)
     rhs = _lucas(k, N)
     return tuple(lhs[n] == rhs[n] for n in range(1, N + 1))
+
+
+def pbw_series(table: RankTable, N: int) -> TruncatedSeries:
+    """Product series of a graded Lie algebra's universal envelope.
+
+    Takes the ranks m_n of a RankTable as the multiplicities of degree n
+    and forms the free graded-commutative series on them: odd degrees give
+    exterior factors, even degrees polynomial factors.  (On a {degree: rank}
+    mapping that is free_comm_series.)
+
+    >>> pbw_series(homotopy_ranks(1, 5), 5).as_int_list()
+    [1, 1, 0, 0, 1, 1]
+    """
+    if not isinstance(table, RankTable):
+        raise TypeError(f"pbw_series takes a RankTable, not {type(table).__name__}")
+    _int_arg("truncation order", N, 0)
+    return free_comm_series(dict(enumerate(table.ranks, start=1)), N)
 
 
 class GrowthReport(Record):
@@ -402,7 +421,7 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
 
     from decimal import Decimal, localcontext
 
-    m_N = _prefix(betti, N, _checked_ranks)[-1]
+    m_N = _prefix(betti, N, _checked_ranks)[N - 1]
     beta = _prefix(betti, 1, _growth_base)[0]
     with localcontext() as ctx:
         ctx.prec = GROWTH_PRECISION

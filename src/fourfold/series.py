@@ -20,13 +20,10 @@ recurrences against.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._record import Record
 from .errors import DomainError, InternalInconsistency, UngradedGenerator, _int_arg
-
-if TYPE_CHECKING:  # ranks imports this module, so pbw_series imports it late
-    from .ranks import RankTable
 
 
 class TruncatedSeries(Record):
@@ -244,22 +241,3 @@ def quotient_series(k: int, N: int) -> TruncatedSeries:
         out.append(z)
     return _series(out)
 
-
-def pbw_series(table: RankTable, N: int) -> TruncatedSeries:
-    """Product series of a graded Lie algebra's universal envelope.
-
-    Takes the ranks m_n of a RankTable as the multiplicities of degree n
-    and forms the free graded-commutative series on them: odd degrees give
-    exterior factors, even degrees polynomial factors.  (On a {degree: rank}
-    mapping that is free_comm_series.)
-
-    >>> from fourfold.ranks import homotopy_ranks
-    >>> pbw_series(homotopy_ranks(1, 5), 5).as_int_list()
-    [1, 1, 0, 0, 1, 1]
-    """
-    from .ranks import RankTable
-
-    if not isinstance(table, RankTable):
-        raise TypeError(f"pbw_series takes a RankTable, not {type(table).__name__}")
-    _int_arg("truncation order", N, 0)
-    return free_comm_series(dict(enumerate(table.ranks, start=1)), N)

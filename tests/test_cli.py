@@ -20,7 +20,12 @@ SERIES_KINDS = ("tensor", "quotient", "pbw", "free-comm")
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of main(argv); an argparse error's
+    SystemExit gives the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -671,30 +676,96 @@ STABLE = ("stable", "--betti", "2", "--n", "5", "--stems-file")
 FREE_COMM = ("series", "--kind", "free-comm", "--betti", "1", "--dims")
 
 
+def flag_error(command, flag):
+    return f"fourfold {command}: error: argument {flag}: the value has more than {LIMIT} digits"
+
+
 @pytest.mark.skipif(not LIMIT, reason="this Python converts numerals of any length")
 @pytest.mark.parametrize(
-    "stems, argv, code, message",
+    "stems, env, argv, code, message",
     [
-        (f"0: Z\n{LONG}: Z/2\n", STABLE, 2, f"line 2: index has more than {LIMIT} digits"),
-        (f'{{"0": "Z", "{LONG}": "Z/2"}}', STABLE, 2,
-         f"a JSON entry's index has more than {LIMIT} digits"),
+        (f"0: Z\n{LONG}: Z/2\n", None, STABLE, 2,
+         f"error: line 2: index has more than {LIMIT} digits"),
+        (f'{{"0": "Z", "{LONG}": "Z/2"}}', None, STABLE, 2,
+         f"error: a JSON entry's index has more than {LIMIT} digits"),
         # past int() is past 10**9 too: the cyclic order is a resource limit
-        (f"0: Z\n1: Z/{LONG}\n", STABLE, 1,
-         f"line 2: cyclic order has more than {LIMIT} digits"),
-        (None, (*FREE_COMM, f"{LONG}:1"), 2, f"a --dims degree has more than {LIMIT} digits"),
-        (None, (*FREE_COMM, f"1:{LONG}"), 2,
-         f"a --dims multiplicity has more than {LIMIT} digits"),
+        (f"0: Z\n1: Z/{LONG}\n", None, STABLE, 1,
+         f"error: line 2: cyclic order has more than {LIMIT} digits"),
+        (None, None, (*FREE_COMM, f"{LONG}:1"), 2,
+         f"error: a --dims degree has more than {LIMIT} digits"),
+        (None, None, (*FREE_COMM, f"1:{LONG}"), 2,
+         f"error: a --dims multiplicity has more than {LIMIT} digits"),
+        (None, None, ("ranks", "--betti", LONG), 2, flag_error("ranks", "--betti")),
+        (None, None, ("ranks", "--betti", f"-{LONG}"), 2, flag_error("ranks", "--betti")),
+        (None, None, ("ranks", "--betti", "3", "--max-degree", LONG), 2,
+         flag_error("ranks", "--max-degree")),
+        (None, None, ("series", "--kind", "quotient", "--betti", "3", "--terms", LONG), 2,
+         flag_error("series", "--terms")),
+        (None, None, ("stable", "--betti", "2", "--n", LONG), 2, flag_error("stable", "--n")),
+        (None, None, ("stable", "--betti", "2", "--n", "5", "--pi1-order", LONG), 2,
+         flag_error("stable", "--pi1-order")),
+        (None, None, ("growth", "--betti", "3", "--probe", LONG), 2,
+         flag_error("growth", "--probe")),
+        (None, None, ("verify", "--betti", "2", "--budget", LONG), 2,
+         flag_error("verify", "--budget")),
+        (None, LONG, ("verify", "--betti", "2"), 2,
+         f"error: FOURFOLD_BUDGET has more than {LIMIT} digits"),
     ],
-    ids=["line-index", "json-key", "cyclic-order", "dims-degree", "dims-multiplicity"],
+    ids=["line-index", "json-key", "cyclic-order", "dims-degree", "dims-multiplicity",
+         "betti", "betti-signed", "max-degree", "terms", "n", "pi1-order", "probe",
+         "budget", "budget-env"],
 )
 def test_input_numeral_past_the_int_digit_limit_is_refused_by_its_parser(
-    capsys, tmp_path, stems, argv, code, message
+    capsys, monkeypatch, tmp_path, stems, env, argv, code, message
 ):
     if stems is not None:
         f = tmp_path / "stems.txt"
         f.write_text(stems, encoding="utf-8")
         argv = (*argv, str(f))
-    assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+    if env is None:
+        monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("FOURFOLD_BUDGET", env)
+    exit_code, out, err = run(capsys, *argv)
+    *usage, last = err.splitlines()
+    assert (exit_code, out, last) == (code, "", message)
+    # an argparse error follows its usage lines; the package's stands alone
+    assert bool(usage) == message.startswith("fourfold ")
+    assert all(line.startswith(("usage: ", " ")) for line in usage)
+
+
+def test_a_value_that_is_no_numeral_is_echoed_cut(capsys, monkeypatch):
+    junk = "x" * 5000
+    code, out, err = run(capsys, "ranks", "--betti", junk)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "fourfold ranks: error: argument --betti: invalid int value: 'xxxxxxxxxxxxxxxxxxxx'..."
+    )
+    monkeypatch.setenv("FOURFOLD_BUDGET", junk)
+    assert run(capsys, "verify", "--betti", "2") == (
+        2, "", "error: FOURFOLD_BUDGET='xxxxxxxxxxxxxxxxxxxx'... is not an integer\n"
+    )
+
+
+@pytest.mark.parametrize("text", ["3_000", "0x10", "1e3", "2.0", "3 3", "+-3", ""])
+def test_an_integer_flag_reads_a_decimal_numeral_only(capsys, text):
+    # int() reads 3_000; an integer flag, like every numeral the package
+    # reads, takes decimal digits with one optional sign
+    code, out, err = run(capsys, "ranks", "--betti", "3", "--max-degree", text)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"--max-degree: invalid int value: {text!r}")
+
+
+def test_a_sign_and_surrounding_whitespace_still_parse(capsys, monkeypatch):
+    plain = run(capsys, "ranks", "--betti", "3", "--max-degree", "6")
+    assert run(capsys, "ranks", "--betti", "+3", "--max-degree", " 6 ") == plain
+    assert run(capsys, "ranks", "--betti", "-3") == (
+        2, "", "error: second Betti number must be >= 1, got -3\n"
+    )
+    monkeypatch.setenv("FOURFOLD_BUDGET", " +1000 ")
+    assert run(capsys, "verify", "--betti", "4", "--max-degree", "8") == (
+        1, "", BUDGET_1000_AT_B2_4
+    )
 
 
 @pytest.mark.skipif(not LIMIT, reason="this Python converts numerals of any length")

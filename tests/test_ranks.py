@@ -3,7 +3,7 @@
 import random
 import sys
 import threading
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -11,10 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourfold import (
+    PBW_FAIL,
     PBW_NOT_APPLICABLE,
     PBW_PASS,
     DomainError,
     InternalInconsistency,
+    PbwCheck,
     cumulative_bound_check,
     growth_base,
     growth_report,
@@ -667,3 +669,19 @@ def test_entry_points_slice_one_stored_table(monkeypatch, empty_rank_store):
     assert loops == [("_growth_base", 3, 1), ("_pbw_agreement", 3, 45)]
     homotopy_ranks(3, 601)
     assert calls == [(3, 600), (3, 601)]
+
+
+def test_each_reader_takes_its_n_from_a_longer_kept_prefix(empty_rank_store):
+    k = 5
+    homotopy_ranks(k, 40)  # the store keeps m_1..m_40
+    assert homotopy_ranks(k, 7).ranks == tuple(_necklace(k, 7))
+    # the residual at N is the one from m_N, not from the last rank kept
+    beta = growth_base(k)
+    with localcontext() as ctx:
+        ctx.prec = GROWTH_PRECISION
+        residual = +abs(Decimal(12) * Decimal(_necklace(k, 12)[-1]) / beta**12 - 1)
+    assert growth_report(k, 12).limit_residual == residual
+    # PBW flags kept to order 3 that fail there: order 2 passes
+    empty_rank_store.put((_pbw_agreement, k), (True, True, False))
+    assert pbw_identity_check(k, 2) == PbwCheck(PBW_PASS)
+    assert pbw_identity_check(k, 3) == PbwCheck(PBW_FAIL, first_failure=3)

@@ -37,13 +37,13 @@ from fourfold.ranks import (
     growth_report,
     homotopy_ranks,
     pbw_identity_check,
+    pbw_series,
     rank_polynomial_checks,
 )
 from fourfold.series import (
     GradedDims,
     TruncatedSeries,
     free_comm_series,
-    pbw_series,
     quotient_series,
     tensor_series,
 )
@@ -559,6 +559,58 @@ def test_the_integer_rule_is_written_in_errors_py_alone():
         if INT_RULE.search(line)
     }
     assert {place.partition(":")[0] for place in found} == {"errors.py"}, sorted(found)
+
+
+#: The package modules each lower module may import, anywhere in it: series
+#: builds on errors and _record alone, ranks and oracle on series; stable and
+#: cli, above them, are not listed.
+IMPORTS_BELOW = {
+    "errors.py": set(),
+    "_record.py": set(),
+    "series.py": {"errors", "_record"},
+    "ranks.py": {"errors", "_record", "series"},
+    "oracle.py": {"errors", "_record", "series"},
+}
+
+
+def package_imports(path: Path) -> set:
+    """The fourfold modules path imports, at module level, under TYPE_CHECKING
+    or inside a function; a public name imported from the package counts as
+    its home module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("fourfold." * bool(node.level)) + (node.module or "")
+            if module.rstrip(".") == "fourfold":  # from fourfold import name
+                dotted = [f"fourfold.{fourfold._HOME.get(a.name, a.name)}" for a in node.names]
+            else:
+                dotted = [module]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in dotted if name.startswith("fourfold."))
+    return found
+
+
+def test_lower_modules_import_no_module_above_them():
+    # ranks imports series, so series importing ranks would be a cycle
+    package = Path(fourfold.__file__).parent
+    imports = {name: package_imports(package / name) for name in IMPORTS_BELOW}
+    assert {name: found - IMPORTS_BELOW[name] for name, found in imports.items()} == {
+        name: set() for name in IMPORTS_BELOW
+    }
+
+
+def test_package_imports_reads_every_import_form(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text(
+        "from .series import x\nfrom . import oracle\nimport fourfold.stable\n"
+        "from fourfold import homotopy_ranks\nimport os\n"
+        "def f():\n    from fourfold.cli import main\n",
+        encoding="utf-8",
+    )
+    assert package_imports(source) == {"series", "oracle", "stable", "ranks", "cli"}
 
 
 def public_callables():
