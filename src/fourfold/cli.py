@@ -6,12 +6,12 @@ table and a CSV form, each from the fields of the library's result records;
 `--format` picks which one is printed.  Identical flags always produce
 byte-identical output.
 
-Exit codes: 0 on success or a not-applicable check, 1 when a verification
+Exit codes: 0 on success, a not-applicable check or `-h`, 1 when a check
 fails, a size limit is hit, required data is missing or stdout closes before
-the output is written, 2 for usage errors (argparse's own convention,
-extended to mathematical domain violations).  A failed check prints its
-result, ending in FAIL; every FourfoldError leaves through _main as one
-`error:` line on stderr, with nothing on stdout.
+the output is written, 2 for usage errors (a flag spelled in full only, no
+`--FLAG=--`) and mathematical domain violations.  A failed check prints its
+result, ending in FAIL; every other refusal, argparse's among them, leaves
+through _main as one `error:` line on stderr, with nothing on stdout.
 
 Start-up: the module imports what `verify`, `ranks`, `series` and `growth`
 run; `stable` imports its module when it runs.
@@ -42,6 +42,7 @@ from .oracle import (
 from .ranks import (
     PBW_FAIL,
     PBW_NOT_APPLICABLE,
+    _classification,
     growth_report,
     homotopy_ranks,
     pbw_identity_check,
@@ -95,7 +96,7 @@ def _str_or_none(value):
 
 def cmd_ranks(betti: int, max_degree: int) -> CommandResult:
     table = homotopy_ranks(betti, max_degree)
-    classification = "elliptic" if betti <= 2 else "hyperbolic"
+    classification = _classification(betti)
     by_degree = list(enumerate(table.ranks, start=2))  # m_n is the rank of pi_{n+1}
     ranks = {f"pi_{n}": m for n, m in by_degree}
     payload = {"betti": table.betti, "ranks": ranks, "classification": classification}
@@ -125,16 +126,13 @@ def cmd_series(kind: str, betti: int, terms: int, dims_spec: str = "") -> Comman
         series = quotient_series(betti, terms)
     elif kind == "pbw":
         series = pbw_series(homotopy_ranks(betti, max(terms, 1)), terms)
-    elif kind == "free-comm" and dims_spec:
-        # the generators replace --betti, so they are reported in its place
+    elif dims_spec:  # free-comm: the generators, reported in place of --betti
         dims = dict(sorted(_parse_dims(dims_spec).items()))
         series = free_comm_series(dims, terms)
         payload = {"kind": kind, "dims": {str(d): m for d, m in dims.items()}}
         source = "generators " + ",".join(f"{d}:{m}" for d, m in dims.items())
-    elif kind == "free-comm":
+    else:  # free-comm, the last of --kind's choices
         series = free_comm_series({1: betti, 2: betti}, terms)
-    else:
-        raise DomainError(f"unknown series kind {kind!r}")
     payload["truncation_order"] = series.truncation_order
     payload["coefficients"] = [str(c) for c in series.coeffs]
     rows = list(enumerate(payload["coefficients"]))
@@ -328,6 +326,23 @@ def _int_flag(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse (subcommands too) refusing abbreviations and `--FLAG=--` by DomainError."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise DomainError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        for dest, value in vars(parsed).items():
+            if value == []:  # argparse's `--FLAG=--`; each dest is its flag
+                self.error(f"argument --{dest.replace('_', '-')}: expected one argument")
+        return parsed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -337,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: table)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fourfold",
         description=(
             "Exact homotopy invariants of simply connected closed 4-manifolds "
@@ -425,16 +440,12 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        text, code = _output(args)
-    except (DomainError, ParseError, ValidationError, OSError) as exc:
+        text, code = _output(_build_parser().parse_args(argv))
+    except (FourfoldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FourfoldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        usage = (DomainError, ParseError, ValidationError, OSError)
+        return 2 if isinstance(exc, usage) else 1
 
     # print writes the final newline on its own: a long write into a pipe
     # whose reader has gone can come back short with no error, and this

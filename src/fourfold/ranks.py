@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from math import isqrt
 from typing import TYPE_CHECKING, Optional
 
 from ._record import Record
@@ -377,27 +378,52 @@ class GrowthReport(Record):
     ):
         if cumulative_bound_ok is None:
             cumulative_bound_ok = {}
-        hyperbolic = betti >= 3
+        classification = _classification(betti)
         self.__dict__.update(
             betti=betti,
-            classification="hyperbolic" if hyperbolic else "elliptic",
+            classification=classification,
             probe_degree=probe_degree,
             growth_base=growth_base,
             limit_residual=limit_residual,
-            exponential_growth=hyperbolic,
+            exponential_growth=classification == "hyperbolic",
             cumulative_bound_ok=cumulative_bound_ok,
         )
 
 
+def _classification(betti: int) -> str:
+    """The growth class of b2: hyperbolic at b2 >= 3, where the ranks grow
+    exponentially, else elliptic; the one rule `ranks` and GrowthReport print."""
+    return "hyperbolic" if betti >= 3 else "elliptic"
+
+
 def growth_base(betti: int) -> Decimal:
-    """beta = (k + sqrt(k^2 - 4))/2 to GROWTH_PRECISION digits, k >= 3."""
+    """beta = (k + sqrt(k^2 - 4))/2 correctly rounded to GROWTH_PRECISION
+    digits, k >= 3.
+
+    beta = k - 1/beta with beta > 1, so k - 1 < beta < k and beta has as many
+    integer digits as k - 1.  (k-1)^2 < k^2 - 4 < k^2, so beta is irrational:
+    no rounding tie, and an isqrt bracket of beta * 10^places, widened until
+    both of its ends round to the same integer, settles every digit.
+    """
     _int_arg("second Betti number", betti, 3)
     from decimal import Decimal, localcontext
 
+    places = GROWTH_PRECISION - 1 - Decimal(betti - 1).adjusted()
+    guard = 8
+    while True:
+        scale = max(places, 0) + guard
+        unit = 10**scale
+        low = betti * unit + isqrt((betti * betti - 4) * unit * unit)
+        # 2 beta 10^scale lies in (low, low + 1); dividing it by 2 half
+        # gives beta * 10^places, rounded here to the nearest integer
+        half = 10 ** (scale - places)
+        first, last = ((low + end + half) // (2 * half) for end in (0, 1))
+        if first == last:
+            break
+        guard *= 2
     with localcontext() as ctx:
-        ctx.prec = GROWTH_PRECISION
-        k = Decimal(betti)
-        return +((k + (k * k - 4).sqrt()) / 2)
+        ctx.prec = GROWTH_PRECISION  # a carry to 10**GROWTH_PRECISION drops a 0
+        return Decimal(first).scaleb(-places)
 
 
 def _growth_base(k: int, N: int) -> tuple:
@@ -416,7 +442,7 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
     """
     _int_arg("second Betti number", betti, 1)
     _int_arg("probe degree", N, 1)
-    if betti <= 2:
+    if _classification(betti) == "elliptic":
         return GrowthReport(betti, N, None, None)
 
     from decimal import Decimal, localcontext

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, driven through main() in process."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -20,12 +21,8 @@ SERIES_KINDS = ("tensor", "quotient", "pbw", "free-comm")
 
 
 def run(capsys, *argv):
-    """(exit code, stdout, stderr) of main(argv); an argparse error's
-    SystemExit gives the exit code."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    """(exit code, stdout, stderr) of main(argv)."""
+    code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -676,8 +673,8 @@ STABLE = ("stable", "--betti", "2", "--n", "5", "--stems-file")
 FREE_COMM = ("series", "--kind", "free-comm", "--betti", "1", "--dims")
 
 
-def flag_error(command, flag):
-    return f"fourfold {command}: error: argument {flag}: the value has more than {LIMIT} digits"
+def flag_error(flag):
+    return f"error: argument {flag}: the value has more than {LIMIT} digits"
 
 
 @pytest.mark.skipif(not LIMIT, reason="this Python converts numerals of any length")
@@ -695,19 +692,17 @@ def flag_error(command, flag):
          f"error: a --dims degree has more than {LIMIT} digits"),
         (None, None, (*FREE_COMM, f"1:{LONG}"), 2,
          f"error: a --dims multiplicity has more than {LIMIT} digits"),
-        (None, None, ("ranks", "--betti", LONG), 2, flag_error("ranks", "--betti")),
-        (None, None, ("ranks", "--betti", f"-{LONG}"), 2, flag_error("ranks", "--betti")),
+        (None, None, ("ranks", "--betti", LONG), 2, flag_error("--betti")),
+        (None, None, ("ranks", "--betti", f"-{LONG}"), 2, flag_error("--betti")),
         (None, None, ("ranks", "--betti", "3", "--max-degree", LONG), 2,
-         flag_error("ranks", "--max-degree")),
+         flag_error("--max-degree")),
         (None, None, ("series", "--kind", "quotient", "--betti", "3", "--terms", LONG), 2,
-         flag_error("series", "--terms")),
-        (None, None, ("stable", "--betti", "2", "--n", LONG), 2, flag_error("stable", "--n")),
+         flag_error("--terms")),
+        (None, None, ("stable", "--betti", "2", "--n", LONG), 2, flag_error("--n")),
         (None, None, ("stable", "--betti", "2", "--n", "5", "--pi1-order", LONG), 2,
-         flag_error("stable", "--pi1-order")),
-        (None, None, ("growth", "--betti", "3", "--probe", LONG), 2,
-         flag_error("growth", "--probe")),
-        (None, None, ("verify", "--betti", "2", "--budget", LONG), 2,
-         flag_error("verify", "--budget")),
+         flag_error("--pi1-order")),
+        (None, None, ("growth", "--betti", "3", "--probe", LONG), 2, flag_error("--probe")),
+        (None, None, ("verify", "--betti", "2", "--budget", LONG), 2, flag_error("--budget")),
         (None, LONG, ("verify", "--betti", "2"), 2,
          f"error: FOURFOLD_BUDGET has more than {LIMIT} digits"),
     ],
@@ -726,20 +721,13 @@ def test_input_numeral_past_the_int_digit_limit_is_refused_by_its_parser(
         monkeypatch.delenv("FOURFOLD_BUDGET", raising=False)
     else:
         monkeypatch.setenv("FOURFOLD_BUDGET", env)
-    exit_code, out, err = run(capsys, *argv)
-    *usage, last = err.splitlines()
-    assert (exit_code, out, last) == (code, "", message)
-    # an argparse error follows its usage lines; the package's stands alone
-    assert bool(usage) == message.startswith("fourfold ")
-    assert all(line.startswith(("usage: ", " ")) for line in usage)
+    assert run(capsys, *argv) == (code, "", message + "\n")
 
 
 def test_a_value_that_is_no_numeral_is_echoed_cut(capsys, monkeypatch):
     junk = "x" * 5000
-    code, out, err = run(capsys, "ranks", "--betti", junk)
-    assert (code, out) == (2, "")
-    assert err.splitlines()[-1] == (
-        "fourfold ranks: error: argument --betti: invalid int value: 'xxxxxxxxxxxxxxxxxxxx'..."
+    assert run(capsys, "ranks", "--betti", junk) == (
+        2, "", "error: argument --betti: invalid int value: 'xxxxxxxxxxxxxxxxxxxx'...\n"
     )
     monkeypatch.setenv("FOURFOLD_BUDGET", junk)
     assert run(capsys, "verify", "--betti", "2") == (
@@ -751,9 +739,9 @@ def test_a_value_that_is_no_numeral_is_echoed_cut(capsys, monkeypatch):
 def test_an_integer_flag_reads_a_decimal_numeral_only(capsys, text):
     # int() reads 3_000; an integer flag, like every numeral the package
     # reads, takes decimal digits with one optional sign
-    code, out, err = run(capsys, "ranks", "--betti", "3", "--max-degree", text)
-    assert (code, out) == (2, "")
-    assert err.splitlines()[-1].endswith(f"--max-degree: invalid int value: {text!r}")
+    assert run(capsys, "ranks", "--betti", "3", "--max-degree", text) == (
+        2, "", f"error: argument --max-degree: invalid int value: {text!r}\n"
+    )
 
 
 def test_a_sign_and_surrounding_whitespace_still_parse(capsys, monkeypatch):
@@ -827,16 +815,75 @@ def test_verify_deep_at_betti_one(capsys):
     assert err == ""
 
 
-def test_unknown_subcommand_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_subcommand_is_usage_error(capsys):
+    assert run(capsys, "frobnicate") == (
+        2, "", "error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'ranks', 'series', 'stable', 'growth', 'verify')\n"
+    )
 
 
-def test_missing_required_flag_is_usage_error():
+def test_missing_required_flag_is_usage_error(capsys):
+    assert run(capsys, "ranks") == (
+        2, "", "error: the following arguments are required: --betti\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # argparse hands a flag's `--` over as [], past its type and choices
+        (("ranks", "--betti", "3", "--format=--"), "argument --format: expected one argument"),
+        (("stable", "--betti", "2", "--n", "5", "--stems-file=--"),
+         "argument --stems-file: expected one argument"),
+        (("ranks", "--betti=--"), "argument --betti: expected one argument"),
+        (("series", "--kind=--", "--betti", "3"), "argument --kind: expected one argument"),
+        # no abbreviations: --bet is not --betti, nor --max --max-degree
+        (("ranks", "--bet", "3", "--max", "4"),
+         "the following arguments are required: --betti"),
+        (("ranks", "--betti", "x"), "argument --betti: invalid int value: 'x'"),
+    ],
+    ids=["format-dashes", "stems-file-dashes", "betti-dashes", "kind-dashes",
+         "abbreviations", "betti-not-int"],
+)
+def test_an_argparse_refusal_is_one_error_line(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def _argv_forms():
+    """For each option string of each command, given with the command's other
+    required flags: the flag as `--FLAG=--`, and each strict prefix of it
+    longer than `--` (that no flag spells) with a value."""
+    parser = cli._build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in commands.choices.items():
+        value = {a: a.choices[0] if a.choices else "3" for a in sub._actions}
+        for action in sub._actions:
+            others = [
+                arg for a in sub._actions if a.required and a is not action
+                for arg in (a.option_strings[0], value[a])
+            ]
+            for flag in action.option_strings:
+                yield [command, *others, f"{flag}=--"]
+                for end in range(3, len(flag)):
+                    if flag[:end] not in sub._option_string_actions:
+                        yield [command, *others, flag[:end], value[action]]
+
+
+@pytest.mark.parametrize("argv", list(_argv_forms()), ids=" ".join)
+def test_every_flag_refuses_dashes_and_abbreviations(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", ["", "ranks", "series", "stable", "growth", "verify"])
+def test_help_is_printed_on_stdout_with_exit_0(capsys, command):
     with pytest.raises(SystemExit) as exc:
-        main(["ranks"])
-    assert exc.value.code == 2
+        main([command, "-h"] if command else ["-h"])
+    out = capsys.readouterr()
+    assert exc.value.code == 0
+    assert out.out.startswith(f"usage: fourfold {command}".rstrip() + " ")
+    assert out.err == ""
 
 
 def test_flags_belong_to_the_one_command_that_reads_them(capsys):
@@ -853,8 +900,6 @@ def test_flags_belong_to_the_one_command_that_reads_them(capsys):
         ("--budget", "-5", "verify"),
     ):
         for command in sorted(set(required) - {owner}):
-            with pytest.raises(SystemExit) as exc:
-                main([command, *required[command], flag, value])
-            assert exc.value.code == 2, (command, flag)
-            err = capsys.readouterr().err
-            assert err.endswith(f"\nfourfold: error: unrecognized arguments: {flag} {value}\n")
+            assert run(capsys, command, *required[command], flag, value) == (
+                2, "", f"error: unrecognized arguments: {flag} {value}\n"
+            ), (command, flag)

@@ -2,7 +2,7 @@
 
 tests/golden/cli_transcripts.json holds one record per run: its argv, exit
 code, stdout and stderr.  The runs cover all five commands at b2 = 1, 2, 3
-and 5 in the table, json and csv formats, plus seven error cases; each goes
+and 5 in the table, json and csv formats, plus twelve error cases; each goes
 through main(argv) in process, with FOURFOLD_BUDGET unset.  A change to any
 byte of output fails this test.
 
@@ -46,6 +46,12 @@ ERRORS = (
     # sum is a result, the other has more summands than a tuple holds
     ("stable", "--betti", "2", "--n", "1", "--pi1-order", str(10**30)),
     ("stable", "--betti", "2", "--n", "2", "--pi1-order", str(10**30)),
+    # argparse's refusals: one error: line each, as the package's are
+    ("ranks", "--betti", "x"),
+    ("frobnicate",),
+    ("ranks",),
+    ("ranks", "--bet", "3"),  # no abbreviations
+    ("ranks", "--betti", "3", "--format=--"),
 )
 
 RUNS = [
@@ -60,10 +66,7 @@ def transcript(argv) -> dict:
     """argv, exit code, stdout and stderr of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # argparse's own usage errors
-            code = exc.code
+        code = main(list(argv))
     return {"argv": list(argv), "exit_code": code, "stdout": out.getvalue(),
             "stderr": err.getvalue()}
 

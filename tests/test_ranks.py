@@ -300,6 +300,17 @@ def test_growth_base_50_digits():
     assert str(b).startswith("2.618033988749894848204586834365638117720309179805")
 
 
+def test_growth_base_is_correctly_rounded():
+    # against a 200-digit Decimal square root rounded once to the printed
+    # digits; at 10**31 beta rounds up to 10**31 itself, a digit longer
+    for k in [*range(3, 200), 10**30, 10**31]:
+        with localcontext() as ctx:
+            ctx.prec = 200
+            reference = (k + Decimal(k * k - 4).sqrt()) / 2
+            ctx.prec = ranks_module.GROWTH_PRECISION
+            assert str(growth_base(k)) == str(+reference), k
+
+
 def test_growth_base_needs_hyperbolic_betti():
     with pytest.raises(DomainError):
         growth_base(2)
