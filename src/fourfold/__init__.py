@@ -38,7 +38,6 @@ _EXPORTS = {
         "GrowthReport",
         "PbwCheck",
         "RankTable",
-        "cumulative_bound_check",
         "growth_base",
         "growth_report",
         "homotopy_ranks",

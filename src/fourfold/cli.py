@@ -113,10 +113,12 @@ def cmd_ranks(betti: int, max_degree: int) -> CommandResult:
     return CommandResult(STATUS_OK, payload, rendered, csv)
 
 
-def cmd_series(kind: str, betti: int, terms: int, dims_spec: str = "") -> CommandResult:
-    if dims_spec and kind != "free-comm":
+def cmd_series(
+    kind: str, betti: int, terms: int, dims_spec: str | None = None
+) -> CommandResult:
+    if dims_spec is not None and kind != "free-comm":
         raise DomainError(f"--dims applies only to --kind free-comm, not {kind}")
-    if not dims_spec:  # with --dims, --betti is not used
+    if dims_spec is None:  # with --dims, --betti is not used
         _int_arg("second Betti number", betti, 1)
     payload = {"kind": kind, "betti": betti}
     source = f"parameter {betti}"
@@ -126,7 +128,7 @@ def cmd_series(kind: str, betti: int, terms: int, dims_spec: str = "") -> Comman
         series = quotient_series(betti, terms)
     elif kind == "pbw":
         series = pbw_series(homotopy_ranks(betti, max(terms, 1)), terms)
-    elif dims_spec:  # free-comm: the generators, reported in place of --betti
+    elif dims_spec is not None:  # free-comm: the generators, reported in place of --betti
         dims = dict(sorted(_parse_dims(dims_spec).items()))
         series = free_comm_series(dims, terms)
         payload = {"kind": kind, "dims": {str(d): m for d, m in dims.items()}}
@@ -158,11 +160,13 @@ def _parse_dims(spec: str) -> dict:
     return out
 
 
-def cmd_stable(betti: int, n: int, pi1_order: int, stems_file: str = "") -> CommandResult:
+def cmd_stable(
+    betti: int, n: int, pi1_order: int, stems_file: str | None = None
+) -> CommandResult:
     # only this command needs the stems tables, so only it imports them
     from .stable import bundled_stems_table, load_stems_table, stable_homotopy_finite_pi1
 
-    if stems_file:
+    if stems_file is not None:
         try:
             with open(stems_file, encoding="utf-8") as fh:
                 text = fh.read()
@@ -219,14 +223,18 @@ def cmd_growth(betti: int, probe: int) -> CommandResult:
         lines.append(f"limit residual at degree {probe}: {report.limit_residual}")
     else:
         lines.append("growth base: none (elliptic)")
-    lines.append(f"exponential growth: {'yes' if report.exponential_growth else 'no'}")
-    # proved for every n at b2 >= 3 (the ranks module docstring)
-    bound_rows = [(n, "ok") for n in report.cumulative_bound_ok]
-    if bound_rows:
-        lines.append("cumulative lower bounds:")
-        lines.append(_align(bound_rows, ("n", "bound")))
+    # both proved for every n at b2 >= 3 (the ranks module docstring)
+    if report.exponential_growth:
+        lines.append("exponential growth: yes, m_n > beta^n / (2n), proved for every n >= 1")
+        lines.append(
+            f"cumulative lower bound: 2n (m_1 + ... + m_2n) >= {betti - 1}^(2n), "
+            "proved for every n >= 1"
+        )
+    else:
+        lines.append("exponential growth: no")
     rendered = "\n".join(lines)
-    csv = _csv_lines("n,cumulative_bound_ok", bound_rows)
+    scalars = {name: v for name, v in payload.items() if not isinstance(v, dict)}
+    csv = _csv_lines(",".join(scalars), [["" if v is None else v for v in scalars.values()]])
     return CommandResult(STATUS_OK, payload, rendered, csv)
 
 
@@ -373,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--betti", type=_int_flag, required=True)
     p.add_argument("--terms", type=_int_flag, default=DEFAULT_RANKS_DEGREE)
-    p.add_argument("--dims", default="", help="free-comm generators, e.g. 1:2,2:2")
+    p.add_argument("--dims", help="free-comm generators, e.g. 1:2,2:2")
 
     p = sub.add_parser("stable", parents=[common], help="stable homotopy groups")
     p.add_argument("--betti", type=_int_flag, required=True)
@@ -381,7 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi1-order", type=_int_flag, default=1)
     p.add_argument(
         "--stems-file",
-        default="",
         metavar="PATH",
         help="stems table file (default: bundled table for indices 0..19)",
     )

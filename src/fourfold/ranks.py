@@ -55,9 +55,10 @@ and 21 k >= 58, which hold exactly when k >= 3, so GrowthReport sets
 exponential_growth at every b2 >= 3, for every degree and not only its window.
 
 Cumulative bound.  For k >= 3 and every n >= 1, 2n sum_{i<=2n} m_i >=
-(k - 1)^(2n), the bound the paper states, so cumulative_bound_check reads no
-rank table.  _power_sums writes the power sums of the product series as
-c_N = sum_{d|N} d e_d with e_d = m_d - m_{d/2} [d/2 odd]:
+(k - 1)^(2n), the bound the paper states, so GrowthReport sets every
+cumulative_bound_ok flag at b2 >= 3 and reads no rank table.  _power_sums
+writes the power sums of the product series as c_N = sum_{d|N} d e_d with
+e_d = m_d - m_{d/2} [d/2 odd]:
 1. PBW identity 1 gives c_N = L_N at every N (the necklace formula is its
    Moebius inversion; pbw_identity_check confirms it).
 2. Every m_i >= 0 (_checked_ranks refuses anything else), so
@@ -89,8 +90,8 @@ from .series import TruncatedSeries, _power_sums, free_comm_series
 if TYPE_CHECKING:  # decimal is imported only where growth is computed
     from decimal import Decimal
 
-#: Working precision (decimal digits) for the growth base beta.  The residual
-#: check probes n = 60 against a 1e-6 tolerance; 50+ digits leaves headroom.
+#: Decimal digits of the growth base beta (correctly rounded) and of the
+#: precision the limit residual |N m_N / beta^N - 1| is computed at.
 GROWTH_PRECISION = 60
 
 #: Bytes of tuples (tuple and item objects) the prefix store may keep, summed
@@ -355,15 +356,16 @@ def pbw_series(table: RankTable, N: int) -> TruncatedSeries:
 class GrowthReport(Record):
     """Growth classification of the rank sequence at a given Betti number.
 
-    classification ("hyperbolic" at b2 >= 3, else "elliptic") and
+    growth_base and limit_residual are Decimals carrying `precision` digits;
+    they are absent (None) in the elliptic case b2 <= 2.  The rest is derived
+    from betti and probe_degree in __init__ and stored as fields, in the
+    order vars() lists them, because perfbench reads vars() of a report:
+    classification ("hyperbolic" at b2 >= 3, else "elliptic"),
     exponential_growth (b2 >= 3, by the growth lemma of the module docstring,
-    so it holds in every degree) are derived from betti in __init__ and
-    stored as fields, in the order vars() lists them.  growth_base and
-    limit_residual are Decimals carrying `precision` digits; they are absent
-    (None) in the elliptic case b2 <= 2.  cumulative_bound_ok is the paper's
-    stated bound sum_{i<=2n} m_i >= (b2 - 1)^(2n) / (2n) for each n of the
-    probe window, proved for every n when b2 >= 3 (cumulative_bound_check);
-    it defaults to a new empty dict.
+    so it holds in every degree) and cumulative_bound_ok, the paper's bound
+    sum_{i<=2n} m_i >= (b2 - 1)^(2n) / (2n) as {n: True} for n = 1..N/2 of
+    the probe window (n = 1 at least) at b2 >= 3, where the module docstring
+    proves it for every n, and a new empty dict otherwise.
     """
 
     precision = GROWTH_PRECISION
@@ -374,19 +376,20 @@ class GrowthReport(Record):
         probe_degree: int,
         growth_base: Optional[Decimal],
         limit_residual: Optional[Decimal],
-        cumulative_bound_ok: Optional[dict] = None,
     ):
-        if cumulative_bound_ok is None:
-            cumulative_bound_ok = {}
         classification = _classification(betti)
+        hyperbolic = classification == "hyperbolic"
+        bounds = {}
+        if hyperbolic:  # one flag per n of the probe window, n = 1 at least
+            bounds = dict.fromkeys(range(1, max(1, probe_degree // 2) + 1), True)
         self.__dict__.update(
             betti=betti,
             classification=classification,
             probe_degree=probe_degree,
             growth_base=growth_base,
             limit_residual=limit_residual,
-            exponential_growth=classification == "hyperbolic",
-            cumulative_bound_ok=cumulative_bound_ok,
+            exponential_growth=hyperbolic,
+            cumulative_bound_ok=bounds,
         )
 
 
@@ -453,8 +456,7 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
         ctx.prec = GROWTH_PRECISION
         residual = abs(Decimal(N) * Decimal(m_N) / beta**N - 1)
         residual = +residual
-    bounds = cumulative_bound_check(betti, max(1, N // 2))
-    return GrowthReport(betti, N, beta, residual, bounds)
+    return GrowthReport(betti, N, beta, residual)
 
 
 def rank_polynomial_checks(N: int) -> tuple:
@@ -477,18 +479,3 @@ def rank_polynomial_checks(N: int) -> tuple:
         for b2 in range(j + 1)
     )
     return divisible, closed
-
-
-def cumulative_bound_check(betti: int, n_max: int) -> dict:
-    """Check sum_{i=1}^{2n} m_i(b2) >= (b2 - 1)^(2n) / (2n) for n = 1..n_max.
-
-    The left side is the total rank of pi_2..pi_{2n+1}.  For b2 >= 3 the bound
-    holds for every n >= 1 (proved in the module docstring), so every flag is
-    True and no rank table is read.  Returns {n: bool}.
-
-    >>> cumulative_bound_check(3, 2)
-    {1: True, 2: True}
-    """
-    _int_arg("second Betti number", betti, 3)
-    _int_arg("n_max", n_max, 1)
-    return dict.fromkeys(range(1, n_max + 1), True)

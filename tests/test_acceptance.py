@@ -11,8 +11,8 @@ from pathlib import Path
 
 from fourfold import (
     PBW_PASS,
+    GrowthReport,
     bundled_stems_table,
-    cumulative_bound_check,
     growth_report,
     homotopy_ranks,
     koszul_leading_monomial_check,
@@ -126,7 +126,8 @@ def test_criterion_08_cumulative_lower_bound():
         holds = {
             n: 2 * n * sum(ranks[: 2 * n]) >= (betti - 1) ** (2 * n) for n in range(1, 16)
         }
-        ok = ok and all(holds.values()) and cumulative_bound_check(betti, 15) == holds
+        flags = GrowthReport(betti, 30, None, None).cumulative_bound_ok
+        ok = ok and all(holds.values()) and flags == holds
     _report(8, ok, "cumulative bound holds exactly for b2=3..7, n=1..15")
 
 

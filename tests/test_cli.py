@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +146,15 @@ def test_series_superscript_digit_in_dims_is_usage_error(capsys):
     )
     assert (code, out) == (2, "")
     assert err == "error: bad --dims entry '²:1'; expected degree:multiplicity\n"
+
+
+@pytest.mark.parametrize("empty", [("--dims", ""), ("--dims=",)], ids=["dims", "dims="])
+def test_an_empty_dims_is_refused_not_read_as_absent(capsys, empty):
+    # the generated empty-value forms run --kind tensor; here --dims is read
+    argv = ("series", "--kind", "free-comm", "--betti", "3", *empty)
+    assert run(capsys, *argv) == (
+        2, "", "error: bad --dims entry ''; expected degree:multiplicity\n"
+    )
 
 
 def test_series_degree_zero_generator_is_usage_error(capsys):
@@ -427,6 +437,28 @@ def test_growth_large_probe(capsys):
     assert code == 0
     assert "exponential growth: yes" in out
     assert err == ""
+
+
+def test_growth_prints_each_proved_fact_once(capsys):
+    # the bound holds for every n >= 1, so it is one line, not a row per n
+    for fmt in ("table", "csv"):
+        lines = {
+            probe: run(capsys, "growth", "--betti", "3", "--probe", probe, "--format", fmt)[1]
+            .splitlines()
+            for probe in ("60", "6000")
+        }
+        assert len(lines["60"]) == len(lines["6000"]), fmt
+    assert lines["60"][1].startswith("3,hyperbolic,60,2.618")
+    table = run(capsys, "growth", "--betti", "3", "--probe", "8")[1].splitlines()
+    assert table[-2:] == [
+        "exponential growth: yes, m_n > beta^n / (2n), proved for every n >= 1",
+        "cumulative lower bound: 2n (m_1 + ... + m_2n) >= 2^(2n), proved for every n >= 1",
+    ]
+    # one CSV row at b2 <= 2 too: the payload's scalars, None as an empty cell
+    payload = json.loads(run(capsys, "growth", "--betti", "2", "--format", "json")[1])
+    header, row = run(capsys, "growth", "--betti", "2", "--format", "csv")[1].splitlines()
+    assert header.split(",") == [k for k, v in payload.items() if not isinstance(v, dict)]
+    assert row == "2,elliptic,60,,,False,60"
 
 
 def test_verify_passes_at_small_degree(capsys):
@@ -849,31 +881,59 @@ def test_an_argparse_refusal_is_one_error_line(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+def _flags():
+    """(subparser, command, the command's other required flags with a value,
+    option string, its action) for each option string of each command."""
+    parser = cli._build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            others = [
+                arg for a in sub._actions if a.required and a is not action
+                for arg in (a.option_strings[0], _value(a))
+            ]
+            for flag in action.option_strings:
+                yield sub, command, others, flag, action
+
+
+def _value(action) -> str:
+    return action.choices[0] if action.choices else "3"
+
+
 def _argv_forms():
     """For each option string of each command, given with the command's other
     required flags: the flag as `--FLAG=--`, and each strict prefix of it
     longer than `--` (that no flag spells) with a value."""
-    parser = cli._build_parser()
-    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for command, sub in commands.choices.items():
-        value = {a: a.choices[0] if a.choices else "3" for a in sub._actions}
-        for action in sub._actions:
-            others = [
-                arg for a in sub._actions if a.required and a is not action
-                for arg in (a.option_strings[0], value[a])
-            ]
-            for flag in action.option_strings:
-                yield [command, *others, f"{flag}=--"]
-                for end in range(3, len(flag)):
-                    if flag[:end] not in sub._option_string_actions:
-                        yield [command, *others, flag[:end], value[action]]
+    for sub, command, others, flag, action in _flags():
+        yield [command, *others, f"{flag}=--"]
+        for end in range(3, len(flag)):
+            if flag[:end] not in sub._option_string_actions:
+                yield [command, *others, flag[:end], _value(action)]
+
+
+def _empty_value_forms():
+    """Each flag that takes a value, given an empty one as `--FLAG ""` and as
+    `--FLAG=`, with the command's other required flags."""
+    for _, command, others, flag, action in _flags():
+        if action.nargs != 0:  # -h takes none
+            yield [command, *others, flag, ""]
+            yield [command, *others, f"{flag}="]
+
+
+def _assert_one_error_line(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("argv", list(_argv_forms()), ids=" ".join)
 def test_every_flag_refuses_dashes_and_abbreviations(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    _assert_one_error_line(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv", list(_empty_value_forms()), ids=shlex.join)
+def test_every_flag_refuses_an_empty_value(capsys, argv):
+    # an empty --dims or --stems-file is a value, not the flag left out
+    _assert_one_error_line(*run(capsys, *argv))
 
 
 @pytest.mark.parametrize("command", ["", "ranks", "series", "stable", "growth", "verify"])

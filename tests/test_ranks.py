@@ -15,9 +15,9 @@ from fourfold import (
     PBW_NOT_APPLICABLE,
     PBW_PASS,
     DomainError,
+    GrowthReport,
     InternalInconsistency,
     PbwCheck,
-    cumulative_bound_check,
     growth_base,
     growth_report,
     homotopy_ranks,
@@ -397,10 +397,13 @@ def test_growth_report_json_is_plain_data():
 
 
 def test_cumulative_bound_range():
+    # one flag per n of the probe window, n = 1 even at probe degree 1
     for betti in range(3, 8):
-        result = cumulative_bound_check(betti, 15)
-        assert set(result) == set(range(1, 16))
-        assert all(result.values()), betti
+        for probe, n_max in ((30, 15), (31, 15), (2, 1), (1, 1)):
+            result = growth_report(betti, probe).cumulative_bound_ok
+            assert result == dict.fromkeys(range(1, n_max + 1), True), (betti, probe)
+    # and none at b2 <= 2, where the bound is not proved
+    assert [growth_report(betti, 30).cumulative_bound_ok for betti in (1, 2)] == [{}, {}]
 
 
 def _cumulative_bound_reference(table, k, n_max):
@@ -416,7 +419,8 @@ def _cumulative_bound_reference(table, k, n_max):
 @settings(max_examples=40, deadline=None)
 def test_cumulative_bound_matches_direct_reference(k, n_max):
     table = homotopy_ranks(k, 2 * n_max)
-    assert cumulative_bound_check(k, n_max) == _cumulative_bound_reference(table, k, n_max)
+    flags = growth_report(k, 2 * n_max).cumulative_bound_ok
+    assert flags == _cumulative_bound_reference(table, k, n_max)
 
 
 def test_the_cumulative_bound_proof_holds_step_by_step():
@@ -440,18 +444,20 @@ def test_the_cumulative_bound_proof_holds_step_by_step():
         for j in range(2, N + 1):
             assert L[j] - (k - 1) * L[j - 1] == L[j - 1] - L[j - 2] >= 0, (k, j)
             assert L[j] >= (k - 1) ** j, (k, j)
-        n_max = N // 2
-        assert cumulative_bound_check(k, n_max) == _cumulative_bound_reference(table, k, n_max)
+        flags = GrowthReport(k, N, None, None).cumulative_bound_ok
+        assert flags == _cumulative_bound_reference(table, k, N // 2), k
 
 
 def test_cumulative_bound_check_reads_no_rank_table(monkeypatch, empty_rank_store):
+    # a GrowthReport derives its bound flags from b2 and the probe degree alone
     def unreachable(*args):
         raise AssertionError("the cumulative bound read a rank table")
 
     monkeypatch.setattr("fourfold.ranks._necklace", unreachable)
     monkeypatch.setattr("fourfold.ranks.homotopy_ranks", unreachable)
-    for k, n_max in ((3, 1), (3, 250), (12, 7), (10**30, 40)):
-        assert cumulative_bound_check(k, n_max) == dict.fromkeys(range(1, n_max + 1), True)
+    for probe, n_max in ((1, 1), (2, 1), (15, 7), (80, 40), (500, 250)):
+        report = GrowthReport(10**30, probe, None, None)
+        assert report.cumulative_bound_ok == dict.fromkeys(range(1, n_max + 1), True)
     assert not empty_rank_store.entries
 
 
@@ -461,7 +467,7 @@ def test_cumulative_bound_is_exact_rational():
     lhs = Fraction(sum(homotopy_ranks(betti, 2).ranks))
     rhs = Fraction((betti - 1) ** 2, 2)
     assert lhs >= rhs
-    assert cumulative_bound_check(betti, 1) == {1: True}
+    assert growth_report(betti, 2).cumulative_bound_ok == {1: True}
 
 
 def test_rank_table_serialization():
@@ -671,8 +677,7 @@ def test_entry_points_slice_one_stored_table(monkeypatch, empty_rank_store):
     # first; the cumulative bound computes nothing
     for _ in range(3):
         growth_report(3, 500)
-        cumulative_bound_check(3, 250)
-        cumulative_bound_check(3, 7)
+        growth_report(3, 14)
         pbw_identity_check(3, 45)
         pbw_identity_check(3, 0)
         pbw_identity_check(3, 12)

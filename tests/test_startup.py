@@ -32,7 +32,6 @@ from fourfold.ranks import (
     PbwCheck,
     RankTable,
     _checked_ranks,
-    cumulative_bound_check,
     growth_base,
     growth_report,
     homotopy_ranks,
@@ -141,7 +140,6 @@ PUBLIC_API = [
     "PBW_FAIL", "PBW_NOT_APPLICABLE", "PBW_PASS", "ParseError", "PbwCheck",
     "RankTable", "ResourceLimit", "StemsTable", "TruncatedSeries",
     "UngradedGenerator", "ValidationError", "bundled_stems_table",
-    "cumulative_bound_check",
     "free_comm_series", "growth_base", "growth_report", "homotopy_ranks",
     "integral_low_homotopy", "koszul_leading_monomial_check",
     "load_stems_table", "pbw_identity_check", "pbw_series", "quotient_dims_oracle",
@@ -218,12 +216,12 @@ def report_fields():
     )
 
 
-#: vars() of the GrowthReport in RECORDS: it stores the two fields it derives
-#: from betti too, in the places perfbench reads them
+#: vars() of the GrowthReport in RECORDS: it stores the three fields it
+#: derives from betti and probe_degree too, in the places perfbench reads them
 GROWTH_VARS = dict(
     betti=3, classification="hyperbolic", probe_degree=4,
     growth_base=Decimal("2.6"), limit_residual=Decimal("0.1"),
-    exponential_growth=True, cumulative_bound_ok={1: True},
+    exponential_growth=True, cumulative_bound_ok={1: True, 2: True},
 )
 
 
@@ -239,7 +237,7 @@ RECORDS = [
     (PbwCheck, dict(status="fail", first_failure=4)),
     (GrowthReport, {
         name: value for name, value in GROWTH_VARS.items()
-        if name not in ("classification", "exponential_growth")
+        if name not in ("classification", "exponential_growth", "cumulative_bound_ok")
     }),
     (TruncatedSeries, dict(coeffs=(1, 2, -3))),
     (GradedDims, dict(dims=(1, 0, 2))),
@@ -423,12 +421,6 @@ def test_record_defaults():
              "second Betti number must be an int, got 3.5"),
             ("growth_base-b2=2", lambda: growth_base(2),
              "second Betti number must be >= 3, got 2"),
-            ("cumulative_bound_check-b2=3.0", lambda: cumulative_bound_check(3.0, 2),
-             "second Betti number must be an int, got 3.0"),
-            ("cumulative_bound_check-n_max=2.0", lambda: cumulative_bound_check(3, 2.0),
-             "n_max must be an int, got 2.0"),
-            ("cumulative_bound_check-b2=2", lambda: cumulative_bound_check(2, 1),
-             "second Betti number must be >= 3, got 2"),
             ("rank_polynomial_checks-N=8.0", lambda: rank_polynomial_checks(8.0),
              "max degree must be an int, got 8.0"),
             ("rank_polynomial_checks-N=-3", lambda: rank_polynomial_checks(-3),
@@ -503,7 +495,6 @@ INT_CALLS = {
     "pbw_identity_check": (pbw_identity_check, (3, 6), (0, 1)),
     "growth_base": (growth_base, (3,), (0,)),
     "growth_report": (growth_report, (3, 10), (0, 1)),
-    "cumulative_bound_check": (cumulative_bound_check, (3, 2), (0, 1)),
     "rank_polynomial_checks": (rank_polynomial_checks, (8,), (0,)),
     "quotient_series": (quotient_series, (3, 5), (0, 1)),
     "tensor_series": (lambda N: tensor_series({1: 2, 2: 2}, N), (5,), (0,)),
@@ -533,7 +524,8 @@ INT_CALLS = {
     ),
 }
 
-#: Records the package returns; their constructors hold what they are given.
+#: Records the package returns: the function that builds each has checked its
+#: integer arguments, so their constructors keep what they are given.
 RESULT_RECORDS = {"GrowthReport", "OracleReport", "PbwCheck", "RankTable"}
 
 #: Constructors whose integers are all inside a container.
