@@ -168,7 +168,7 @@ def cmd_stable(
 
     if stems_file is not None:
         try:
-            with open(stems_file, encoding="utf-8") as fh:
+            with open(stems_file, encoding="utf-8-sig") as fh:  # a leading BOM is skipped
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(

@@ -33,9 +33,10 @@ agreement flags), and only one that passed every check above (a check that
 raises stores nothing); the store hands a reader that prefix uncopied, and
 the reader takes its first N entries, so repeated calls at one b2 run each
 loop once.  The growth base beta, which depends on b2 alone, is kept beside
-them as a sequence of one.  All of its entries together hold at most
-RANK_STORE_BYTES of objects: the least recently used (sequence, b2) goes
-first, and a prefix larger than the cap is returned but not kept.
+them as a sequence of one.  A read is one dict lookup, without the lock that
+every write takes.  All of its entries together hold at most RANK_STORE_BYTES
+of objects: the oldest stored (sequence, b2) goes first, and a prefix larger
+than the cap is returned but not kept.
 Every entry point that reads ranks reads them from the store's checked prefix
 (homotopy_ranks, or growth_report, which needs m_N alone); _necklace itself,
 which the polynomial checks call at b2 = 0..2, keeps nothing.
@@ -95,7 +96,7 @@ if TYPE_CHECKING:  # decimal is imported only where growth is computed
 GROWTH_PRECISION = 60
 
 #: Bytes of tuples (tuple and item objects) the prefix store may keep, summed
-#: over every sequence and b2.
+#: over every sequence and b2; past it the oldest stored entries are evicted.
 RANK_STORE_BYTES = 8 << 20
 
 
@@ -140,10 +141,11 @@ _ELLIPTIC_B2_1 = (1, 0, 0, 1)
 
 
 class _PrefixStore:
-    """Prefixes s_1..s_M of sequences, one per key, least recently used first.
+    """Prefixes s_1..s_M of sequences, one per key, oldest inserted first.
 
     entries maps a key to (prefix, bytes) and nbytes is the sum of those
-    bytes; the lock keeps the two consistent across threads.
+    bytes.  A read is one dict lookup and takes no lock; every write holds
+    the lock, which keeps the two consistent across threads.
     """
 
     def __init__(self):
@@ -155,45 +157,32 @@ class _PrefixStore:
             self.entries = {}
             self.nbytes = 0
 
-    def get(self, key) -> Optional[tuple]:
-        """The prefix kept at key, not copied, else None."""
-        with self._lock:
-            entry = self.entries.pop(key, None)
-            if entry is None:
-                return None
-            self.entries[key] = entry  # now the most recently used
-        return entry[0]
-
-    def put(self, key, seq: tuple):
+    def prefix(self, k: int, N: int, compute) -> tuple:
+        """s_1..s_M, M >= N, at b2 = k: the kept prefix if it is that long, else
+        compute(k, N), then kept.  Each reader takes its N from it."""
+        key = compute, k
+        entry = self.entries.get(key)
+        if entry is not None and len(entry[0]) >= N:
+            return entry[0]
+        seq = compute(k, N)
         size = sys.getsizeof(seq) + sum(map(sys.getsizeof, seq))
         if size > RANK_STORE_BYTES:
-            return
+            return seq
         with self._lock:
-            old = self.entries.pop(key, None)
-            if old is not None:
-                self.nbytes -= old[1]
-                if len(old[0]) > len(seq):  # another thread stored a longer one
-                    seq, size = old
-            self.entries[key] = (seq, size)
-            self.nbytes += size
-            while self.nbytes > RANK_STORE_BYTES:
-                self.nbytes -= self.entries.pop(next(iter(self.entries)))[1]
+            old = self.entries.get(key)
+            if old is None or len(old[0]) < len(seq):  # else another thread kept one
+                if old is not None:  # the longer prefix goes in as the newest
+                    self.nbytes -= self.entries.pop(key)[1]
+                self.entries[key] = seq, size
+                self.nbytes += size
+                while self.nbytes > RANK_STORE_BYTES:
+                    self.nbytes -= self.entries.pop(next(iter(self.entries)))[1]
+        return seq
 
 
 # keyed by (compute, b2): m_1..m_N (_checked_ranks), PBW identity 1 agreement
 # flags (_pbw_agreement), and the growth base as a sequence of one (_growth_base)
 _store = _PrefixStore()
-
-
-def _prefix(k: int, N: int, compute) -> tuple:
-    """s_1..s_M, M >= N, at b2 = k: the kept prefix if it is that long, else
-    compute(k, N), then kept.  Each reader takes its N from it."""
-    key = compute, k
-    seq = _store.get(key)
-    if seq is None or len(seq) < N:
-        seq = compute(k, N)
-        _store.put(key, seq)
-    return seq
 
 
 def homotopy_ranks(betti: int, N: int) -> RankTable:
@@ -212,7 +201,7 @@ def homotopy_ranks(betti: int, N: int) -> RankTable:
     if betti == 1:
         ranks = tuple(_ELLIPTIC_B2_1[n - 1] if n <= 4 else 0 for n in range(1, N + 1))
         return RankTable(betti=1, ranks=ranks)
-    return RankTable(betti=betti, ranks=_prefix(betti, N, _checked_ranks)[:N])
+    return RankTable(betti=betti, ranks=_store.prefix(betti, N, _checked_ranks)[:N])
 
 
 def _checked_ranks(k: int, N: int) -> tuple:
@@ -321,7 +310,7 @@ def pbw_identity_check(betti: int, N: int) -> PbwCheck:
     if betti == 1:
         return PbwCheck(status=PBW_NOT_APPLICABLE)
     try:  # among the first N flags only: the kept prefix may be longer
-        failure = _prefix(betti, N, _pbw_agreement).index(False, 0, N)
+        failure = _store.prefix(betti, N, _pbw_agreement).index(False, 0, N)
     except ValueError:
         return PbwCheck(status=PBW_PASS)
     return PbwCheck(status=PBW_FAIL, first_failure=failure + 1)
@@ -450,8 +439,8 @@ def growth_report(betti: int, N: int = 60) -> GrowthReport:
 
     from decimal import Decimal, localcontext
 
-    m_N = _prefix(betti, N, _checked_ranks)[N - 1]
-    beta = _prefix(betti, 1, _growth_base)[0]
+    m_N = _store.prefix(betti, N, _checked_ranks)[N - 1]
+    beta = _store.prefix(betti, 1, _growth_base)[0]
     with localcontext() as ctx:
         ctx.prec = GROWTH_PRECISION
         residual = abs(Decimal(N) * Decimal(m_N) / beta**N - 1)

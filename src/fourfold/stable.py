@@ -227,31 +227,21 @@ def _parse_group_expr(expr: str, where: str) -> FinAbGroup:
     return FinAbGroup.from_orders(free, orders)
 
 
-def load_stems_table(source: str, source_note: str = "") -> StemsTable:
-    """Parse a stems document (line format `n: Z/a + Z/b`, or JSON).
-
-    Line format: one `n: <group>` entry per line, `#` comments allowed.
-    JSON: one flat object {"0": "Z", "1": "Z/2", ...} with the same value
-    grammar; it is the only JSON form.  The table's source_note is the
-    argument, never read from the document.
-    """
-    raw = {}
+def _stem_entries(source: str):
+    """(where, index text, group) for each entry of a stems document: the
+    group is a line's text, or whatever value the JSON entry holds."""
     if source.lstrip().startswith("{"):
         import json
 
         try:
-            # (key, value) pairs, so that a repeated key reaches the check
-            # below; an integer value is kept as its text, never converted
-            doc = json.loads(source, object_pairs_hook=list, parse_int=str)
+            # (key, value) pairs, so that a repeated key reaches the index
+            # checks; a number is read as a float, never through int(), and
+            # refused below like every other value that is not a string
+            doc = json.loads(source, object_pairs_hook=list, parse_int=float)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"bad JSON stems document: {exc}") from exc
         for key, val in doc:
-            if not key.isdecimal():
-                raise ParseError(f"entry {key!r}: index must be a nonnegative integer")
-            n = _numeral("a JSON entry's index", key, ParseError)
-            if n in raw:
-                raise ParseError(f"entry {key!r}: duplicate index")
-            raw[n] = _parse_group_expr(str(val), f"entry {key!r}")
+            yield f"entry {key!r}", key, val
     else:
         for lineno, line in enumerate(source.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
@@ -260,10 +250,27 @@ def load_stems_table(source: str, source_note: str = "") -> StemsTable:
             m = _LINE_RE.match(line)
             if not m:
                 raise ParseError(f"line {lineno}: expected `n: group`, got {line!r}")
-            n = _numeral(f"line {lineno}: index", m.group(1), ParseError)
-            if n in raw:
-                raise ParseError(f"line {lineno}: duplicate index {n}")
-            raw[n] = _parse_group_expr(m.group(2), f"line {lineno}")
+            yield f"line {lineno}", m.group(1), m.group(2)
+
+
+def load_stems_table(source: str, source_note: str = "") -> StemsTable:
+    """Parse a stems document (line format `n: Z/a + Z/b`, or JSON).
+
+    Line format: one `n: <group>` entry per line, `#` comments allowed.
+    JSON: one flat object {"0": "Z", "1": "Z/2", ...} whose values are
+    strings of the same grammar; it is the only JSON form.  The table's
+    source_note is the argument, never read from the document.
+    """
+    raw = {}
+    for where, index, group in _stem_entries(source):
+        if not index.isdecimal():
+            raise ParseError(f"{where}: index must be a nonnegative integer")
+        n = _numeral(f"{where}: index", index, ParseError)
+        if n in raw:
+            raise ParseError(f"{where}: duplicate index {n}")
+        if not isinstance(group, str):
+            raise ParseError(f"{where}: value must be a JSON string")
+        raw[n] = _parse_group_expr(group, where)
     if not raw:
         raise ParseError("empty stems document")
     return StemsTable(entries=raw, source_note=source_note)

@@ -716,7 +716,7 @@ def flag_error(flag):
         (f"0: Z\n{LONG}: Z/2\n", None, STABLE, 2,
          f"error: line 2: index has more than {LIMIT} digits"),
         (f'{{"0": "Z", "{LONG}": "Z/2"}}', None, STABLE, 2,
-         f"error: a JSON entry's index has more than {LIMIT} digits"),
+         f"error: entry '{LONG}': index has more than {LIMIT} digits"),
         # past int() is past 10**9 too: the cyclic order is a resource limit
         (f"0: Z\n1: Z/{LONG}\n", None, STABLE, 1,
          f"error: line 2: cyclic order has more than {LIMIT} digits"),
@@ -798,13 +798,37 @@ def test_input_numeral_past_the_limit_only_by_leading_zeros_is_read(capsys, tmp_
 
 
 @pytest.mark.skipif(not LIMIT, reason="this Python converts numerals of any length")
-def test_json_number_value_is_a_bad_term_not_a_conversion(capsys, tmp_path):
-    # the JSON parser keeps a number as its text: no grammar term reads a long one
+def test_json_number_value_is_refused_not_converted(capsys, tmp_path):
+    # the JSON parser reads a number as a float, which int() never sees
     f = tmp_path / "stems.json"
     f.write_text(f'{{"0": "Z", "1": {LONG}}}', encoding="utf-8")
     code, out, err = run(capsys, "stable", "--betti", "1", "--n", "3", "--stems-file", str(f))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: entry '1': unrecognized term '111") and err.count("\n") == 1
+    assert (code, out, err) == (2, "", "error: entry '1': value must be a JSON string\n")
+
+
+@pytest.mark.parametrize("value", ["[2]", '{"a": "1"}', "null", "true", "0", "2.5", "NaN"])
+def test_a_json_stems_value_that_is_not_a_string_is_refused(capsys, tmp_path, value):
+    # not echoed as a Python repr, and the number 0 is not the trivial group
+    f = tmp_path / "stems.json"
+    f.write_text(f'{{"0": "Z", "1": {value}}}', encoding="utf-8")
+    code, out, err = run(capsys, "stable", "--betti", "1", "--n", "3", "--stems-file", str(f))
+    assert (code, out, err) == (2, "", "error: entry '1': value must be a JSON string\n")
+
+
+@pytest.mark.parametrize("stems", [
+    "0: Z\n1: Z/2\n2: Z/2\n3: Z/24\n",
+    '{"0": "Z", "1": "Z/2", "2": "Z/2", "3": "Z/24"}',
+], ids=["line", "json"])
+def test_a_stems_file_with_a_byte_order_mark_reads_as_without(capsys, tmp_path, stems):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(stems, encoding="utf-8")
+    marked.write_text(stems, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for fmt in ("table", "csv", "json"):
+        argv = ("stable", "--betti", "2", "--n", "3", "--format", fmt, "--stems-file")
+        code, out, err = run(capsys, *argv, str(marked))
+        assert (code, err) == (0, ""), fmt
+        assert out == run(capsys, *argv, str(plain))[1].replace(str(plain), str(marked)), fmt
 
 
 RAISED = [

@@ -28,6 +28,7 @@ from fourfold import ranks as ranks_module
 from fourfold.cli import cmd_growth, cmd_ranks
 from fourfold.ranks import (
     GROWTH_PRECISION,
+    RANK_STORE_BYTES,
     RankTable,
     _checked_ranks,
     _closed_form,
@@ -562,22 +563,21 @@ def test_a_non_int_betti_is_refused_before_it_reaches_the_store(bad_call, empty_
     assert all(type(b2) is int for _, b2 in empty_rank_store.entries)
 
 
-def test_store_keeps_to_its_cap_and_evicts_the_least_recently_used(
-    monkeypatch, empty_rank_store
-):
+def test_store_keeps_to_its_cap_and_evicts_the_oldest_first(monkeypatch, empty_rank_store):
     store = empty_rank_store
     for k in (3, 4, 5):
         homotopy_ranks(k, 60)
     cap = store.nbytes
     monkeypatch.setattr("fourfold.ranks.RANK_STORE_BYTES", cap)
-    homotopy_ranks(3, 10)  # a hit makes b2 = 3 the most recently used
-    assert list(store.entries) == [(_checked_ranks, k) for k in (4, 5, 3)]
+    homotopy_ranks(3, 10)  # a hit leaves the order as it was
+    assert list(store.entries) == [(_checked_ranks, k) for k in (3, 4, 5)]
     homotopy_ranks(6, 60)
-    assert (_checked_ranks, 4) not in store.entries
-    assert {(_checked_ranks, 3), (_checked_ranks, 6)} <= set(store.entries)
+    # the oldest entries went first, as many as the new one needed
+    assert (_checked_ranks, 3) not in store.entries
     assert list(store.entries) == [
-        (_checked_ranks, k) for k in (4, 5, 3, 6) if (_checked_ranks, k) in store.entries
+        (_checked_ranks, k) for k in (3, 4, 5, 6) if (_checked_ranks, k) in store.entries
     ]
+    assert list(store.entries)[-1] == (_checked_ranks, 6)
     _assert_store_consistent(store, cap)
     # a table larger than the whole cap is returned but not kept
     kept = dict(store.entries)
@@ -588,6 +588,47 @@ def test_store_keeps_to_its_cap_and_evicts_the_least_recently_used(
         k, N = rng.randint(2, 12), rng.randint(1, 120)
         assert homotopy_ranks(k, N).ranks == tuple(_necklace(k, N))
         _assert_store_consistent(store, cap)
+
+
+def test_a_hit_takes_no_lock(empty_rank_store):
+    class Refusing:
+        def __enter__(self):
+            raise AssertionError("a read took the store's lock")
+
+        def __exit__(self, *exc_info):
+            return False
+
+    homotopy_ranks(3, 600)
+    pbw_identity_check(3, 45)
+    growth_report(3, 500)
+    hits = [
+        (entry_point, 3, N)
+        for entry_point, degrees in (
+            (homotopy_ranks, (1, 2, 300, 600)),
+            (pbw_identity_check, (0, 12, 45)),
+            (growth_report, (1, 14, 500)),
+        )
+        for N in degrees
+    ]
+    fresh = {call: _with_empty_store(*call) for call in hits}
+    order = list(empty_rank_store.entries)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(empty_rank_store, "_lock", Refusing())
+        for call in hits:
+            assert call[0](*call[1:]) == fresh[call], call
+    assert list(empty_rank_store.entries) == order
+
+
+def test_the_ranks_deep_working_set_fills_at_most_a_quarter_of_the_cap(empty_rank_store):
+    # what the ranks-deep mix reads, each prefix at its longest: no run evicts
+    for k in range(2, 13):
+        homotopy_ranks(k, 600)
+    for k in range(2, 9):
+        pbw_identity_check(k, 45)
+    for k in range(3, 13):
+        growth_report(k, 1)
+    assert len(empty_rank_store.entries) == 11 + 7 + 10
+    _assert_store_consistent(empty_rank_store, RANK_STORE_BYTES // 4)
 
 
 def test_threads_share_the_store_and_get_the_fresh_answers(monkeypatch, empty_rank_store):
@@ -687,7 +728,7 @@ def test_entry_points_slice_one_stored_table(monkeypatch, empty_rank_store):
     assert calls == [(3, 600), (3, 601)]
 
 
-def test_each_reader_takes_its_n_from_a_longer_kept_prefix(empty_rank_store):
+def test_each_reader_takes_its_n_from_a_longer_kept_prefix(monkeypatch, empty_rank_store):
     k = 5
     homotopy_ranks(k, 40)  # the store keeps m_1..m_40
     assert homotopy_ranks(k, 7).ranks == tuple(_necklace(k, 7))
@@ -697,7 +738,13 @@ def test_each_reader_takes_its_n_from_a_longer_kept_prefix(empty_rank_store):
         ctx.prec = GROWTH_PRECISION
         residual = +abs(Decimal(12) * Decimal(_necklace(k, 12)[-1]) / beta**12 - 1)
     assert growth_report(k, 12).limit_residual == residual
-    # PBW flags kept to order 3 that fail there: order 2 passes
-    empty_rank_store.put((_pbw_agreement, k), (True, True, False))
+    # PBW flags kept to order 3 that fail there (from a table with m_3 off by
+    # one): order 2 passes
+    m_1, m_2, m_3 = homotopy_ranks(k, 3).ranks
+    off_by_one = RankTable(k, (m_1, m_2, m_3 + 1))
+    monkeypatch.setattr(ranks_module, "homotopy_ranks", lambda *_: off_by_one)
+    pbw_identity_check(k, 3)
+    monkeypatch.undo()
+    assert empty_rank_store.entries[_pbw_agreement, k][0] == (True, True, False)
     assert pbw_identity_check(k, 2) == PbwCheck(PBW_PASS)
     assert pbw_identity_check(k, 3) == PbwCheck(PBW_FAIL, first_failure=3)

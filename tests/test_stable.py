@@ -178,9 +178,9 @@ def test_parse_rejects_duplicates():
     with pytest.raises(ParseError):
         load_stems_table("0: Z\n0: Z/2\n")
     # json.loads alone would keep the last value of a repeated key
-    with pytest.raises(ParseError, match="^entry '1': duplicate index$"):
+    with pytest.raises(ParseError, match="^entry '1': duplicate index 1$"):
         load_stems_table('{"0": "Z", "1": "Z/2", "1": "Z/3"}')
-    with pytest.raises(ParseError, match="^entry '01': duplicate index$"):
+    with pytest.raises(ParseError, match="^entry '01': duplicate index 1$"):
         load_stems_table('{"0": "Z", "1": "Z/2", "01": "Z/3"}')
 
 
