@@ -11,16 +11,13 @@ frozen dataclass.  Written out by hand because `dataclasses` would import
 
 
 class Record:
-    def _values(self) -> tuple:
-        return tuple(self.__dict__.values())
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.__dict__ == other.__dict__
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(tuple(self.__dict__.values()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")

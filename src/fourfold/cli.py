@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     ResourceLimit,
     ValidationError,
+    _echo,
     _int_arg,
     _numeral,
 )
@@ -56,19 +57,12 @@ DEFAULT_VERIFY_DEGREE = 8
 DEFAULT_GROWTH_PROBE = 60
 BUDGET_ENV_VAR = "FOURFOLD_BUDGET"
 
-STATUS_OK = "ok"
-STATUS_FAIL = "fail"
-
 
 class CommandResult(Record):
-    """What a command prints: JSON payload, text table, CSV."""
+    """What a command prints: JSON payload, text table, CSV; its exit code."""
 
-    def __init__(self, status: str, payload: dict, rendered: str, csv: str):
-        self.__dict__.update(status=status, payload=payload, rendered=rendered, csv=csv)
-
-    @property
-    def exit_code(self) -> int:
-        return 1 if self.status == STATUS_FAIL else 0
+    def __init__(self, exit_code: int, payload: dict, rendered: str, csv: str):
+        self.__dict__.update(exit_code=exit_code, payload=payload, rendered=rendered, csv=csv)
 
 
 def _align(rows, headers) -> str:
@@ -110,7 +104,7 @@ def cmd_ranks(betti: int, max_degree: int) -> CommandResult:
         ]
     )
     csv = _csv_lines("degree,rank", by_degree)
-    return CommandResult(STATUS_OK, payload, rendered, csv)
+    return CommandResult(0, payload, rendered, csv)
 
 
 def cmd_series(
@@ -145,7 +139,7 @@ def cmd_series(
         ]
     )
     csv = _csv_lines("degree,coefficient", rows)
-    return CommandResult(STATUS_OK, payload, rendered, csv)
+    return CommandResult(0, payload, rendered, csv)
 
 
 def _parse_dims(spec: str) -> dict:
@@ -154,7 +148,7 @@ def _parse_dims(spec: str) -> dict:
     for part in spec.split(","):
         deg, sep, mult = (s.strip() for s in part.partition(":"))
         if not sep or not deg.isdecimal() or not mult.isdecimal():
-            raise DomainError(f"bad --dims entry {part!r}; expected degree:multiplicity")
+            raise DomainError(f"bad --dims entry {_echo(part)}; expected degree:multiplicity")
         deg = _numeral("a --dims degree", deg)
         out[deg] = out.get(deg, 0) + _numeral("a --dims multiplicity", mult)
     return out
@@ -164,19 +158,9 @@ def cmd_stable(
     betti: int, n: int, pi1_order: int, stems_file: str | None = None
 ) -> CommandResult:
     # only this command needs the stems tables, so only it imports them
-    from .stable import bundled_stems_table, load_stems_table, stable_homotopy_finite_pi1
+    from .stable import _read_stems, bundled_stems_table, stable_homotopy_finite_pi1
 
-    if stems_file is not None:
-        try:
-            with open(stems_file, encoding="utf-8-sig") as fh:  # a leading BOM is skipped
-                text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(
-                f"{stems_file}: not UTF-8 text (byte {exc.start}: {exc.reason})"
-            ) from None
-        stems = load_stems_table(text, source_note=stems_file)
-    else:
-        stems = bundled_stems_table()
+    stems = bundled_stems_table() if stems_file is None else _read_stems(stems_file, stems_file)
     group = stable_homotopy_finite_pi1(betti, n, pi1_order, stems)
     human = str(group)
     payload = {
@@ -194,11 +178,8 @@ def cmd_stable(
             f"torsion {list(group.torsion)}",
         ]
     )
-    csv = _csv_lines(
-        "free_rank,torsion",
-        [(group.free_rank, ";".join(map(str, group.torsion)))],
-    )
-    return CommandResult(STATUS_OK, payload, rendered, csv)
+    csv = _csv_lines("free_rank,torsion", [(group.free_rank, ";".join(map(str, group.torsion)))])
+    return CommandResult(0, payload, rendered, csv)
 
 
 def cmd_growth(betti: int, probe: int) -> CommandResult:
@@ -235,7 +216,7 @@ def cmd_growth(betti: int, probe: int) -> CommandResult:
     rendered = "\n".join(lines)
     scalars = {name: v for name, v in payload.items() if not isinstance(v, dict)}
     csv = _csv_lines(",".join(scalars), [["" if v is None else v for v in scalars.values()]])
-    return CommandResult(STATUS_OK, payload, rendered, csv)
+    return CommandResult(0, payload, rendered, csv)
 
 
 def cmd_verify(betti: int, max_degree: int, budget=None) -> CommandResult:
@@ -303,15 +284,10 @@ def cmd_verify(betti: int, max_degree: int, budget=None) -> CommandResult:
     csv = _csv_lines(
         "degree,tensor_dim,ideal_dim,quotient_dim,series_match,euler_ok", rows
     )
-    return CommandResult(STATUS_OK if ok else STATUS_FAIL, payload, "\n".join(lines), csv)
+    return CommandResult(0 if ok else 1, payload, "\n".join(lines), csv)
 
 
 # -- argument plumbing ------------------------------------------------------
-
-
-def _echo(text: str) -> str:
-    """repr of a refused value, cut to its first 20 characters."""
-    return repr(text[:20]) + ("..." if len(text) > 20 else "")
 
 
 def _signed_numeral(name: str, text: str, error):

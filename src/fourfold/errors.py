@@ -1,13 +1,17 @@
 """Exception hierarchy shared by all fourfold modules, the one check of
-integer arguments, and the one reading of a decimal numeral.
+integer arguments, the one reading of a decimal numeral, and the one rule
+that shows a refused value.
 
 Every public function, constructor and method passes each of its integer
 arguments to _int_arg before any work, so what counts as a valid integer (an
 int, not a bool, a float or a numeric string, at or above a minimum where the
 argument has one) is decided here alone.  Every parser of the package's text
 inputs reads a numeral with _numeral, which refuses one too long for int().
+Every error that shows an input, or a number that grows with one, shows it
+by that rule, _echo: its first 20 characters at most, then `...`.
 """
 
+import reprlib
 import sys
 
 
@@ -19,12 +23,30 @@ class DomainError(FourfoldError):
     """Input outside the mathematical domain of the requested operation."""
 
 
+def _echo(value) -> str:
+    """value as an error shows it: the repr of a str's first 20 characters,
+    else the first 20 of an int's digits (the rest dropped unconverted) or of
+    reprlib's short repr (a container's first items); then `...` if cut."""
+    if isinstance(value, str):
+        return repr(value[:20]) + ("..." if len(value) > 20 else "")
+    if value.__class__ is int:
+        # |value| >= 2**(bits - 1), so it has at least drop + 22 digits
+        drop = max(0, (abs(value).bit_length() - 1) * 30102999 // 10**8 - 21)
+        text = ("-" if value < 0 else "") + str(abs(value) // 10**drop)
+    else:
+        try:
+            text = reprlib.repr(value)
+        except ValueError:  # an item's int past the limit
+            text = f"<{type(value).__name__}>"
+    return text[:20] + ("..." if len(text) > 20 else "")
+
+
 def _int_arg(name: str, value, minimum=None):
     """DomainError unless value is an int (a bool is not), >= minimum if given."""
     if value.__class__ is not int:
-        raise DomainError(f"{name} must be an int, got {value!r}")
+        raise DomainError(f"{name} must be an int, got {_echo(value)}")
     if minimum is not None and value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+        raise DomainError(f"{name} must be >= {minimum}, got {_echo(value)}")
 
 
 class UngradedGenerator(DomainError):
@@ -46,11 +68,9 @@ class InsufficientStemsData(FourfoldError):
     """A stable-stems lookup needs an index beyond the loaded table."""
 
     def __init__(self, index: int, max_index: int):
-        self.index = index
-        self.max_index = max_index
-        super().__init__(
-            f"stem index {index} requested but table ends at {max_index}"
-        )
+        self.index, self.max_index = index, max_index
+        super().__init__(f"stem index {_echo(index)} requested but table ends at "
+                         f"{_echo(max_index)}")
 
 
 class ParseError(FourfoldError):

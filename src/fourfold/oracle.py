@@ -74,7 +74,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ._record import Record
-from .errors import InternalInconsistency, ResourceLimit, _int_arg
+from .errors import InternalInconsistency, ResourceLimit, _echo, _int_arg
 from .series import GradedDims, quotient_series
 
 #: Largest admissible matrix width (= number of words in one degree).
@@ -104,8 +104,8 @@ def _columns(k: int, n: int, budget: int) -> int:
     cols = _word_count(k, n)
     if cols > budget:
         raise ResourceLimit(
-            f"degree {n} at k={k} needs a {cols}-column matrix; "
-            f"budget is {budget} columns"
+            f"degree {_echo(n)} at k={_echo(k)} needs a {_echo(cols)}-column matrix; "
+            f"budget is {_echo(budget)} columns"
         )
     return cols
 

@@ -71,10 +71,9 @@ e_d = m_d - m_{d/2} [d/2 odd]:
    L_j - L_{j-1} = (k - 2) L_{j-1} + L_{j-1} - L_{j-2}).
 5. With N = 2n: 2n sum_{i<=2n} m_i >= L_{2n} >= (k - 1)^(2n).
 
-Public parameter convention: every function here takes b2 itself.  The
-closed-form polynomials for low degrees are internally evaluated at b2 - 1;
-that reindexing lives in one place (_closed_form) with its own tests, because
-it is the easiest place to slip.
+Public parameter convention: every function here takes b2 itself, and so does
+_closed_form, the one place that evaluates a polynomial at c = b2 - 1, with
+its own tests, because that reindexing is the easiest place to slip.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ from math import isqrt
 from typing import TYPE_CHECKING, Optional
 
 from ._record import Record
-from .errors import DomainError, InternalInconsistency, _int_arg
+from .errors import DomainError, InternalInconsistency, _echo, _int_arg
 from .series import TruncatedSeries, _power_sums, free_comm_series
 
 if TYPE_CHECKING:  # decimal is imported only where growth is computed
@@ -129,7 +128,7 @@ class RankTable(Record):
         """m_n for 1 <= n <= max_degree."""
         _int_arg("degree", n)
         if not 1 <= n <= self.max_degree:
-            raise DomainError(f"degree {n} outside 1..{self.max_degree}")
+            raise DomainError(f"degree {_echo(n)} outside 1..{self.max_degree}")
         return self.ranks[n - 1]
 
 
@@ -214,10 +213,8 @@ def _checked_ranks(k: int, N: int) -> tuple:
     # m_2 by the degree-3 closed form
     if ranks[0] != k:
         raise InternalInconsistency(f"m_1({k}) = {ranks[0]}, expected {k}")
-    if N >= 2 and ranks[1] != _closed_form(2, k - 1):
-        raise InternalInconsistency(
-            f"m_2({k}) = {ranks[1]}, expected {_closed_form(2, k - 1)}"
-        )
+    if N >= 2 and ranks[1] != _closed_form(2, k):
+        raise InternalInconsistency(f"m_2({k}) = {ranks[1]}, expected {_closed_form(2, k)}")
     return ranks
 
 
@@ -243,11 +240,12 @@ def _necklace(k: int, N: int) -> list:
     return ranks
 
 
-def _closed_form(j: int, c: int) -> int:
-    """Low-degree closed forms at internal parameter c (= b2 - 1).
+def _closed_form(j: int, b2: int) -> int:
+    """Low-degree closed form m_j at b2, a polynomial in c = b2 - 1.
 
     Index j matches the m-table: m_j is the rank of pi_{j+1}.
     """
+    c = b2 - 1
     if j == 2:
         num = c * (c + 3)
         den = 2
@@ -463,7 +461,7 @@ def rank_polynomial_checks(N: int) -> tuple:
         not any(_necklace(b2, N)[first - 1:]) for b2, first in ((2, 3), (1, 4), (0, 5))
     )
     closed = all(
-        _closed_form(j, b2 - 1) == _necklace(b2, j)[-1]
+        _closed_form(j, b2) == _necklace(b2, j)[-1]
         for j in range(2, 7)
         for b2 in range(j + 1)
     )

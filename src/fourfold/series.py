@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from ._record import Record
-from .errors import DomainError, InternalInconsistency, UngradedGenerator, _int_arg
+from .errors import DomainError, InternalInconsistency, UngradedGenerator, _echo, _int_arg
 
 
 class TruncatedSeries(Record):
@@ -51,7 +51,7 @@ class TruncatedSeries(Record):
     def coefficient(self, i: int) -> int:
         _int_arg("coefficient index", i)
         if not 0 <= i <= self.truncation_order:
-            raise DomainError(f"coefficient index {i} outside 0..{self.truncation_order}")
+            raise DomainError(f"coefficient index {_echo(i)} outside 0..{self.truncation_order}")
         return self.coeffs[i]
 
     def as_int_list(self) -> list:
@@ -115,7 +115,7 @@ def _dims_by_degree(dims: Mapping[int, int]) -> dict:
             if deg == 0:
                 raise UngradedGenerator("degree-0 generators are not allowed")
             if deg < 0:
-                raise DomainError(f"negative degree {deg}")
+                raise DomainError(f"negative degree {_echo(deg)}")
             by_deg[deg] = mult
     return by_deg
 

@@ -32,6 +32,7 @@ from .errors import (
     ParseError,
     ResourceLimit,
     ValidationError,
+    _echo,
     _int_arg,
     _numeral,
 )
@@ -43,7 +44,7 @@ _MAX_ORDER = 10**9
 
 def _factor(n: int) -> dict:
     if n > _MAX_ORDER:
-        raise ResourceLimit(f"cyclic order {n} is above 10**9, the largest factored")
+        raise ResourceLimit(f"cyclic order {_echo(n)} is above 10**9, the largest factored")
     out = {}
     p = 2
     while p * p <= n:
@@ -126,8 +127,8 @@ class FinAbGroup(Record):
             return FinAbGroup(self.free_rank * e)
         if len(self.torsion) * e > sys.maxsize:
             raise ResourceLimit(
-                f"a sum of {e} copies has {len(self.torsion) * e} cyclic "
-                f"summands, more than {sys.maxsize}"
+                f"a sum of {_echo(e)} copies has {_echo(len(self.torsion) * e)} "
+                f"cyclic summands, more than {sys.maxsize}"
             )
         return FinAbGroup(self.free_rank * e, self.torsion * e)
 
@@ -176,7 +177,7 @@ class StemsTable(Record):
         for n, group in entries.items():
             _int_arg("stem index", n, 0)
             if not isinstance(group, FinAbGroup):
-                raise ValidationError(f"stem {n} must be a FinAbGroup, got {group!r}")
+                raise ValidationError(f"stem {_echo(n)} must be a FinAbGroup, got {_echo(group)}")
         for n in range(max(len(entries), 1)):
             if n not in entries:
                 raise ValidationError(f"stems table is missing index {n}")
@@ -220,10 +221,10 @@ def _parse_group_expr(expr: str, where: str) -> FinAbGroup:
                 _numeral(f"{where}: cyclic order", body, ResourceLimit) if body.isdecimal() else 0
             )
             if order < 1:
-                raise ParseError(f"{where}: bad cyclic order in {term!r}")
+                raise ParseError(f"{where}: bad cyclic order in {_echo(term)}")
             orders.append(order)
         else:
-            raise ParseError(f"{where}: unrecognized term {term!r}")
+            raise ParseError(f"{where}: unrecognized term {_echo(term)}")
     return FinAbGroup.from_orders(free, orders)
 
 
@@ -241,7 +242,7 @@ def _stem_entries(source: str):
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"bad JSON stems document: {exc}") from exc
         for key, val in doc:
-            yield f"entry {key!r}", key, val
+            yield f"entry {_echo(key)}", key, val
     else:
         for lineno, line in enumerate(source.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
@@ -249,7 +250,7 @@ def _stem_entries(source: str):
                 continue
             m = _LINE_RE.match(line)
             if not m:
-                raise ParseError(f"line {lineno}: expected `n: group`, got {line!r}")
+                raise ParseError(f"line {lineno}: expected `n: group`, got {_echo(line)}")
             yield f"line {lineno}", m.group(1), m.group(2)
 
 
@@ -267,7 +268,7 @@ def load_stems_table(source: str, source_note: str = "") -> StemsTable:
             raise ParseError(f"{where}: index must be a nonnegative integer")
         n = _numeral(f"{where}: index", index, ParseError)
         if n in raw:
-            raise ParseError(f"{where}: duplicate index {n}")
+            raise ParseError(f"{where}: duplicate index {_echo(n)}")
         if not isinstance(group, str):
             raise ParseError(f"{where}: value must be a JSON string")
         raw[n] = _parse_group_expr(group, where)
@@ -276,13 +277,21 @@ def load_stems_table(source: str, source_note: str = "") -> StemsTable:
     return StemsTable(entries=raw, source_note=source_note)
 
 
+def _read_stems(path: str, source_note: str) -> StemsTable:
+    """The stems table in the file at path (a BOM skipped); ParseError if not UTF-8."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    return load_stems_table(text, source_note)
+
+
 @lru_cache(maxsize=None)
 def bundled_stems_table() -> StemsTable:
     """The packaged reference table of stems 0..19."""
     path = os.path.join(os.path.dirname(__file__), "data", "stable_stems.txt")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return load_stems_table(text, source_note="bundled reference table, stems 0..19")
+    return _read_stems(path, "bundled reference table, stems 0..19")
 
 
 def _assemble(stems: StemsTable, contributions) -> FinAbGroup:

@@ -36,7 +36,7 @@ def test_criterion_01_low_degree_rank_rows():
     t0 = time.perf_counter()
     row3 = homotopy_ranks(3, 6).ranks
     row4 = homotopy_ranks(4, 6).ranks
-    closed4 = tuple([4] + [_closed_form(j, 4 - 1) for j in range(2, 7)])
+    closed4 = tuple([4] + [_closed_form(j, 4) for j in range(2, 7)])
     elapsed = time.perf_counter() - t0
     ok = (
         row3 == (3, 5, 5, 10, 24, 55)

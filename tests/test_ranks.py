@@ -156,7 +156,9 @@ def test_rank_polynomial_checks_fail_on_a_changed_polynomial(monkeypatch, empty_
     assert rank_polynomial_checks(8) == (False, True)
     monkeypatch.undo()
     # one coefficient of the degree-5 closed form, c^1, moved by 1
-    monkeypatch.setattr("fourfold.ranks._closed_form", lambda j, c: _closed_form(j, c) + (j == 5) * c)
+    monkeypatch.setattr(
+        "fourfold.ranks._closed_form", lambda j, b2: _closed_form(j, b2) + (j == 5) * (b2 - 1)
+    )
     assert rank_polynomial_checks(8) == (True, False)
 
 
@@ -218,21 +220,21 @@ def test_ranks_are_nonnegative_integers(k, n):
 
 
 def test_closed_forms_match_moebius_inversion():
-    """Degrees 2..6 have polynomial closed forms in c = b2 - 1."""
+    """Degrees 2..6 have polynomial closed forms in c = b2 - 1, taking b2."""
     for betti in range(3, 9):
         table = homotopy_ranks(betti, 6)
         for j in range(2, 7):
-            assert _closed_form(j, betti - 1) == table.rank(j), (betti, j)
+            assert _closed_form(j, betti) == table.rank(j), (betti, j)
 
 
 def test_closed_form_values_at_betti_4():
-    assert [_closed_form(j, 4 - 1) for j in range(2, 7)] == [9, 16, 45, 144, 456]
+    assert [_closed_form(j, 4) for j in range(2, 7)] == [9, 16, 45, 144, 456]
 
 
 def test_closed_form_domain():
     for j in (1, 7):
         with pytest.raises(DomainError, match="supported range is 2..6"):
-            _closed_form(j, 3)
+            _closed_form(j, 4)
 
 
 def test_pbw_identities_pass_for_hyperbolic_range():

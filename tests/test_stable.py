@@ -45,7 +45,7 @@ def test_from_orders_drops_trivial_factors():
 
 def test_orders_above_a_billion_are_not_factored():
     assert FinAbGroup.from_orders(0, [10**9]).torsion == (2**9, 5**9)
-    message = "cyclic order 99999999999999999999999999989 is above 10**9, the largest factored"
+    message = "cyclic order 99999999999999999999... is above 10**9, the largest factored"
     with pytest.raises(ResourceLimit) as exc:
         FinAbGroup.from_orders(0, [99999999999999999999999999989])
     assert str(exc.value) == message
