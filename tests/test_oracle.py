@@ -1,5 +1,6 @@
 """Brute-force graded-algebra oracle: word bases, relation rows, exact ranks."""
 
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -62,14 +63,16 @@ def top_degree(k, columns):
     return top
 
 
-def record_degrees(monkeypatch, k, N, rel=None):
+def record_degrees(monkeypatch, k, N, rel=None, may_refuse=False):
     """Run _ideal_ranks(k, N), with the relation rel in place of r if given,
     and record, per degree 3..N (the first with a row r * v), what its
     elimination starts from and what it makes: the skip flags (1 where the
     step's state is 2), a lookup of the lower degrees' pivots by column, its
     row flags (1 where the state is nonzero) and top, its pivots by column
-    (the template at each state 0), and the rows it builds.  The step must
-    leave its states as it found them."""
+    (the template at each state 0), what it keeps, (top, flags, template),
+    and the rows it builds.  The step must leave its states as it found
+    them.  With may_refuse, an InternalInconsistency ends the run and marks
+    the degree that raised it as refused."""
     degrees = []
     step, reduce_row = oracle._degree_pivots, oracle._reduce_row
 
@@ -83,9 +86,10 @@ def record_degrees(monkeypatch, k, N, rel=None):
         })
         top, flags, template = state = step(k, n, widths, lower, states)
         assert bytes(states) == given, (k, n)
-        degrees[-1].update(top=top, flags=bytes(map(bool, flags)), new={
-            top + pos: template for pos, flag in enumerate(flags) if not flag
-        })
+        degrees[-1].update(
+            top=top, flags=bytes(map(bool, flags)), kept=(top, bytes(flags), template),
+            new={top + pos: template for pos, flag in enumerate(flags) if not flag},
+        )
         return state
 
     def recording_reduce(row, pivot_at):
@@ -96,8 +100,15 @@ def record_degrees(monkeypatch, k, N, rel=None):
     monkeypatch.setattr(oracle, "_reduce_row", recording_reduce)
     if rel:
         monkeypatch.setattr(oracle, "_relation_terms", lambda k: rel)
-    _ideal_ranks(k, N)
-    monkeypatch.undo()
+    try:
+        _ideal_ranks(k, N)
+    except InternalInconsistency:
+        if not may_refuse:
+            raise
+        degrees[-1]["refused"] = True
+        return degrees
+    finally:
+        monkeypatch.undo()
     assert len(degrees) == N - 2
     return degrees
 
@@ -283,6 +294,41 @@ def test_row_and_skip_flags_find_the_lead_in_v_and_in_v_without_its_last_letter(
         assert list(degree["skipped"]) == [occurs(lead, v[:-1]) for v in words], n
 
 
+def random_relation(rng, k, bordered):
+    """A degree-3 relation with a lead of +-1 and up to three smaller words:
+    the lead x_a x_b x_a, which overlaps itself, if bordered, else any word."""
+    pool = list(enumerate_words(k, 3))
+    a, b = rng.randrange(k), rng.randrange(k)
+    lead = (a, b, a) if bordered else rng.choice(pool)
+    below = [w for w in pool if w < lead]
+    words = rng.sample(below, rng.randint(0, min(3, len(below))))
+    return ((rng.choice((1, -1)), lead), *((rng.choice((1, -1, 2, -3)), w) for w in words))
+
+
+#: SHA-256 of what every degree keeps, (top, flags, template), and the
+#: leads of the rows it builds, in the order the oracle reaches them: at k =
+#: 1..8 through the top degree within 20,000 columns, then for 20 seeded
+#: random relations (test_what_every_degree_keeps_and_builds_is_unchanged).
+ORACLE_DIGEST = "a817108d25a2f97e70583c9c2c547176e04053d87dd2008e91a3b21b4ef7774f"
+
+
+def test_what_every_degree_keeps_and_builds_is_unchanged(monkeypatch):
+    # a refactor of the elimination must keep each degree's state and the
+    # rows it builds, not only the ranks they add up to
+    runs = [(k, None) for k in range(1, 9)]
+    rng = random.Random(35)
+    runs += [(1 + trial % 3, random_relation(rng, 1 + trial % 3, trial % 2)) for trial in range(20)]
+    digest = hashlib.sha256()
+    refused = 0
+    for k, rel in runs:
+        for degree in record_degrees(monkeypatch, k, top_degree(k, 20_000), rel, True):
+            refused += degree.get("refused", False)
+            kept = "refused" if degree.get("refused") else degree["kept"]
+            digest.update(repr((k, kept, [max(row) for row in degree["built"]])).encode())
+    assert refused, "no random relation reaches a degree the oracle refuses"
+    assert digest.hexdigest() == ORACLE_DIGEST
+
+
 def test_random_relations_get_exact_ranks_until_the_oracle_refuses(monkeypatch):
     # any degree-3 relation with a lead of +-1: each rank the oracle returns is
     # the full elimination's.  Every other lead is x_a x_b x_a, which overlaps
@@ -292,12 +338,8 @@ def test_random_relations_get_exact_ranks_until_the_oracle_refuses(monkeypatch):
     bordered = refused = 0
     for trial in range(40):
         k = 1 + trial % 3
-        pool = list(enumerate_words(k, 3))
-        a, b = rng.randrange(k), rng.randrange(k)
-        lead = rng.choice(pool) if trial % 2 else (a, b, a)
-        below = [w for w in pool if w < lead]
-        words = rng.sample(below, rng.randint(0, min(3, len(below))))
-        rel = ((rng.choice((1, -1)), lead), *((rng.choice((1, -1, 2, -3)), w) for w in words))
+        rel = random_relation(rng, k, bordered=not trial % 2)
+        lead = rel[0][1]
         monkeypatch.setattr(oracle, "_relation_terms", lambda k: rel)
         for N in range(3, top_degree(k, 600) + 1):
             try:
