@@ -72,7 +72,8 @@ def __getattr__(name):
         return _import_module(f"{__name__}.{name}")
     module = _HOME.get(name)
     if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from .errors import _echo
+        raise AttributeError(f"module 'fourfold' has no attribute {_echo(name)}")
     value = getattr(_import_module(f"{__name__}.{module}"), name)
     globals()[name] = value  # later lookups skip this function
     return value

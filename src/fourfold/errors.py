@@ -23,12 +23,12 @@ class DomainError(FourfoldError):
     """Input outside the mathematical domain of the requested operation."""
 
 
-def _echo(value) -> str:
-    """value as an error shows it: the repr of a str's first 20 characters,
+def _echo(value, show=repr) -> str:
+    """value as an error shows it: show (repr) of a str's first 20 characters,
     else the first 20 of an int's digits (the rest dropped unconverted) or of
     reprlib's short repr (a container's first items); then `...` if cut."""
     if isinstance(value, str):
-        return repr(value[:20]) + ("..." if len(value) > 20 else "")
+        return show(value[:20]) + ("..." if len(value) > 20 else "")
     if value.__class__ is int:
         # |value| >= 2**(bits - 1), so it has at least drop + 22 digits
         drop = max(0, (abs(value).bit_length() - 1) * 30102999 // 10**8 - 21)
@@ -46,7 +46,7 @@ def _int_arg(name: str, value, minimum=None):
     if value.__class__ is not int:
         raise DomainError(f"{name} must be an int, got {_echo(value)}")
     if minimum is not None and value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {_echo(value)}")
+        raise DomainError(f"{name} must be >= {_echo(minimum)}, got {_echo(value)}")
 
 
 class UngradedGenerator(DomainError):
@@ -96,5 +96,4 @@ def _numeral(name: str, text: str, error=DomainError) -> int:
         try:
             return int(text[first:])
         except ValueError:
-            limit = sys.get_int_max_str_digits()
-            raise error(f"{name} has more than {limit} digits") from None
+            raise error(f"{name} has more than {sys.get_int_max_str_digits()} digits") from None

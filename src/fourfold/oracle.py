@@ -14,12 +14,13 @@ W(n-2).  A row u * r * v with u = c * u' is c * (u' * r * v), a degree
 n - deg(c) row shifted by the offset of block c.  So the rows with u nonempty
 span the direct sum of the lower-degree row spaces, one per block, with the
 lower degrees' pivot rows, shifted, as an echelon basis (max columns stay
-distinct).  Degree n streams only its W(n-3) rows r * v; a pivot is one of
-degree n or is found by walking down the blocks (subtract the block offset,
-go down deg(c)) until a degree below 3.  Nothing is copied, and
+distinct).  Degree n streams only its W(n-3) rows r * v, its window kept
+before they reduce.  One rule finds a pivot: test degree n's window, then
+walk down the blocks (subtract the block offset, go down deg(c)), testing
+each degree reached, until a degree below 3.  Nothing is copied, and
 rank_n = k rank_{n-1} + k rank_{n-2} + (pivots of degree n).  A walk starts
-at any column but a template's lead, and ends in None where no lower pivot
-holds the column.  A degree's pivot columns are its words that contain the
+at any column but a template's lead, and ends in None where no pivot holds
+the column.  A degree's pivot columns are its words that contain the
 lead L = y_k x_k (see Pivots are templates), so a lower pivot holds the lead
 L * v of r * v where L occurs in it past the first letter: where v contains
 L, or starts with the rest of L after a border (a proper suffix of L that is
@@ -121,29 +122,28 @@ def _word_offset(k: int, letters, rem: int) -> int:
     return pos
 
 
-def _inherited_pivot(k: int, widths: list, degrees: list, n: int, col: int):
-    """The lower degree's pivot that holds column col of degree n, or None.
-    widths[m] is W(m); degrees[m] is degree m's (top, flags, template), whose
-    pivots are its template at each column top + pos with flags[pos] == 0.
-    Each step drops the first letter: the column within its block, one or two
+def _pivot(k: int, widths: list, degrees: list, n: int, col: int):
+    """The pivot that holds column col of degree n, or None.  widths[m] is
+    W(m); degrees[m] is degree m's (top, flags, template), whose pivots are
+    its template at each column top + pos with flags[pos] == 0.  Each degree
+    from n down is tested in turn: where its window does not hold the column,
+    the step drops the first letter, the column within its block, one or two
     degrees down."""
     while n >= 3:
+        top, flags, template = degrees[n]
+        if top <= col < top + len(flags) and not flags[col - top]:
+            return template
         x_width = widths[n - 1]
         if col < k * x_width:
             col, n = col % x_width, n - 1
         else:
             col, n = (col - k * x_width) % widths[n - 2], n - 2
-        top, flags, template = degrees[n]
-        pos = col - top
-        if 0 <= pos < len(flags) and not flags[pos]:
-            return template
     return None
 
 
-def _reduce_row(row: dict, pivot_at) -> bool:
-    """Reduce row, a {column: nonzero int} dict, in place from its max column
-    down by pivot_at(col), the pivot that holds col or None; whether the row
-    vanished.
+def _reduce_row(row: dict, k: int, widths: list, degrees: list, n: int) -> bool:
+    """Reduce row, a {column: nonzero int} dict of degree n, in place from its
+    max column down by the pivots _pivot finds; whether the row vanished.
 
     A pivot is ((column - lead column, value) for the entries left of its
     lead, lead), so it applies at whatever column it leads; every lead is -1,
@@ -151,7 +151,7 @@ def _reduce_row(row: dict, pivot_at) -> bool:
     """
     while row:
         c = max(row)
-        piv = pivot_at(c)
+        piv = _pivot(k, widths, degrees, n, c)
         if piv is None:
             return False
         rel, inv = piv
@@ -185,38 +185,29 @@ def _containing(k: int, m: int, older: bytearray, old: bytearray, lead) -> bytea
     return _mark(k, states, [lead], m, 2 if m >= 4 else 1)
 
 
-def _degree_pivots(k: int, n: int, widths: list, degrees: list, flags) -> tuple:
-    """Degree n's (top, flags, template): its lead window starts at column
-    top.  flags has one entry per row r * v, v at pos among the degree n-3
-    words: 0 at each template, 1 where a lower degree's pivot holds the row's
-    lead, 2 where one does and right multiplication shows the row dependent
-    (module docstring); the nonzero flags are its lower-pivot window.
+def _degree_pivots(k: int, n: int, widths: list, degrees: list, flags) -> None:
+    """Append degree n's (top, flags, template) to degrees (as for _pivot):
+    its lead window starts at column top.  flags has one entry per row r * v,
+    v at pos among the degree n-3 words: 0 at each template, 1 where a lower
+    degree's pivot holds the row's lead, 2 where one does and right
+    multiplication shows the row dependent (module docstring); the nonzero
+    flags are its lower-pivot window.
 
-    The rows r * v go in lex order of v, skipping those flagged 2.  The lead
-    of r * v is its -1 at y_k x_k * v, column top + pos: a template pivot
+    The rows r * v then go in lex order of v, skipping those flagged 2.  The
+    lead of r * v is its -1 at y_k x_k * v, column top + pos: a template pivot
     needs no work; a row flagged 1 is built and must reduce to zero.
-    widths and degrees are as for _inherited_pivot; no argument is written.
     """
     mids = [(_word_offset(k, w, n), c) for c, w in _relation_terms(k)]
     top, lead = max(mids)  # lead -1 is its own inverse
-    template = tuple((m - top, c) for m, c in mids if m != top), lead
-
-    def pivot_at(col):
-        # a window column flagged 0 is an earlier row's lead: a template
-        pos = col - top
-        if pos >= 0 and not flags[pos]:
-            return template
-        return _inherited_pivot(k, widths, degrees, n, col)
-
+    degrees.append((top, flags, (tuple((m - top, c) for m, c in mids if m != top), lead)))
     pos = flags.find(1)
     while pos >= 0:
-        if not _reduce_row({pos + m: c for m, c in mids}, pivot_at):
+        if not _reduce_row({pos + m: c for m, c in mids}, k, widths, degrees, n):
             raise InternalInconsistency(
-                f"row r * v at position {pos} of degree {n}, k={k}, "
+                f"row r * v at position {_echo(pos)} of degree {_echo(n)}, k={_echo(k)}, "
                 "does not reduce to zero"
             )
         pos = flags.find(1, pos + 1)
-    return top, flags, template
 
 
 def _ideal_ranks(k: int, N: int) -> list:
@@ -228,7 +219,7 @@ def _ideal_ranks(k: int, N: int) -> list:
     lead = max(w for _, w in _relation_terms(k))
     # the rest of the lead after each border, a proper suffix also its prefix
     rests = [lead[b:] for b in range(1, len(lead)) if lead[-b:] == lead[:b]]
-    degrees = [(0, b"", None)] * 3
+    degrees = [(0, b"", None)] * 3  # no row below degree 3: never tested
     out = [0] * 5  # degrees -2..2
     # the states of the words of degrees m-1 and m = n-3 (module docstring);
     # the empty word is free of the lead
@@ -240,7 +231,7 @@ def _ideal_ranks(k: int, N: int) -> list:
         # lead * v holds the lead past its first letter where v does, or where
         # v starts with the rest of the lead after a border: raise 0 to 1 there
         flags = _mark(k, bytearray(states[1]), rests, m, 1) if rests else states[1]
-        degrees.append(_degree_pivots(k, n, widths, degrees, flags))
+        _degree_pivots(k, n, widths, degrees, flags)
         out.append(k * out[-1] + k * out[-2] + flags.count(0))
     return out[2:]
 
@@ -270,7 +261,7 @@ class OracleReport(Record):
     def __init__(self, betti_param: int, tensor_dims: GradedDims, ideal_dims: GradedDims):
         for n in range(3):
             if ideal_dims[n] != 0:
-                raise InternalInconsistency(f"nonzero ideal dim at degree {n} < 3")
+                raise InternalInconsistency(f"nonzero ideal dim at degree {_echo(n)} < 3")
         self.__dict__.update(
             betti_param=betti_param, tensor_dims=tensor_dims, ideal_dims=ideal_dims
         )

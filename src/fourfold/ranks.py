@@ -128,7 +128,7 @@ class RankTable(Record):
         """m_n for 1 <= n <= max_degree."""
         _int_arg("degree", n)
         if not 1 <= n <= self.max_degree:
-            raise DomainError(f"degree {_echo(n)} outside 1..{self.max_degree}")
+            raise DomainError(f"degree {_echo(n)} outside 1..{_echo(self.max_degree)}")
         return self.ranks[n - 1]
 
 
@@ -208,13 +208,17 @@ def _checked_ranks(k: int, N: int) -> tuple:
     ranks = tuple(_necklace(k, N))
     for n, m_n in enumerate(ranks, start=1):
         if m_n < 0:
-            raise InternalInconsistency(f"m_{n}({k}) = {m_n} < 0; sign convention violated")
+            raise InternalInconsistency(
+                f"m_{_echo(n)}({_echo(k)}) = {_echo(m_n)} < 0; sign convention violated"
+            )
     # anchors forced independently of the inversion: m_1 by Hurewicz,
     # m_2 by the degree-3 closed form
     if ranks[0] != k:
-        raise InternalInconsistency(f"m_1({k}) = {ranks[0]}, expected {k}")
+        raise InternalInconsistency(f"m_1({_echo(k)}) = {_echo(ranks[0])}, expected {_echo(k)}")
     if N >= 2 and ranks[1] != _closed_form(2, k):
-        raise InternalInconsistency(f"m_2({k}) = {ranks[1]}, expected {_closed_form(2, k)}")
+        raise InternalInconsistency(
+            f"m_2({_echo(k)}) = {_echo(ranks[1])}, expected {_echo(_closed_form(2, k))}"
+        )
     return ranks
 
 
@@ -235,7 +239,9 @@ def _necklace(k: int, N: int) -> list:
         acc = -h[n] if n % 2 else h[n]  # n m_n = (-1)^n h_n
         m_n, rem = divmod(acc, n)
         if rem:
-            raise InternalInconsistency(f"m_{n}({k}) = {acc}/{n} is not an integer")
+            raise InternalInconsistency(
+                f"m_{_echo(n)}({_echo(k)}) = {_echo(acc)}/{_echo(n)} is not an integer"
+            )
         ranks.append(m_n)
     return ranks
 
@@ -262,9 +268,9 @@ def _closed_form(j: int, b2: int) -> int:
         num = c * (c - 1) * (c + 1) * (c + 3) * (c * c + 3 * c + 1)
         den = 6
     else:
-        raise DomainError(f"no closed form for degree {j}; supported range is 2..6")
+        raise DomainError(f"no closed form for degree {_echo(j)}; supported range is 2..6")
     if num % den:
-        raise InternalInconsistency(f"closed form at j={j}, c={c} is not integral")
+        raise InternalInconsistency(f"closed form at j={_echo(j)}, c={_echo(c)} is not integral")
     return num // den
 
 

@@ -51,7 +51,9 @@ class TruncatedSeries(Record):
     def coefficient(self, i: int) -> int:
         _int_arg("coefficient index", i)
         if not 0 <= i <= self.truncation_order:
-            raise DomainError(f"coefficient index {_echo(i)} outside 0..{self.truncation_order}")
+            raise DomainError(
+                f"coefficient index {_echo(i)} outside 0..{_echo(self.truncation_order)}"
+            )
         return self.coeffs[i]
 
     def as_int_list(self) -> list:
@@ -183,7 +185,7 @@ def free_comm_series(dims: Mapping[int, int], N: int) -> TruncatedSeries:
     for n in range(1, N + 1):
         a[n], rem = divmod(sum(c[j] * a[n - j] for j in range(1, n + 1)), n)
         if rem:
-            raise InternalInconsistency(f"product series coefficient {n} is not integral")
+            raise InternalInconsistency(f"product series coefficient {_echo(n)} is not integral")
     return _series(a)
 
 

@@ -13,8 +13,9 @@ Betti number k reads off three sphere stems:
 and a finite fundamental group of order m adds (pi_{n-1}^s)^(m-1).  Stems
 below index 0 are trivial.  The stem values themselves are standard reference
 data loaded from a table, never computed here: the bundled table, or a file
-in the line format or as one flat JSON object.  Stems and assembled groups
-are all FinAbGroups, the one group type of the package.
+in the line format or as one flat JSON object.  A StemsTable keeps them as
+one tuple indexed by stem, which no caller can change.  Stems and assembled
+groups are all FinAbGroups, the one group type of the package.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _prime_power_key(q: int) -> tuple:
     millions of times."""
     f = _factor(q)
     if len(f) != 1:
-        raise DomainError(f"torsion order {q} is not a prime power")
+        raise DomainError(f"torsion order {_echo(q)} is not a prime power")
     ((p, e),) = f.items()
     return p, e
 
@@ -150,8 +151,9 @@ class FinAbGroup(Record):
             factors.append(d)
         return factors
 
-    def __str__(self):
-        """Invariant-factor rendering, largest torsion first, free part last."""
+    def __str__(self, show=str):
+        """Invariant-factor rendering, largest torsion first, free part last;
+        show renders each int (_echo: never past the int-to-text limit)."""
         parts = []
         factors = self.invariant_factors()
         i = 0
@@ -160,34 +162,36 @@ class FinAbGroup(Record):
             while j < len(factors) and factors[j] == factors[i]:
                 j += 1
             mult = j - i
-            base = f"Z/{factors[i]}"
-            parts.append(f"({base})^{mult}" if mult > 1 else base)
+            base = f"Z/{show(factors[i])}"
+            parts.append(f"({base})^{show(mult)}" if mult > 1 else base)
             i = j
         if self.free_rank == 1:
             parts.append("Z")
         elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
+            parts.append(f"Z^{show(self.free_rank)}")
         return " + ".join(parts) if parts else "0"
 
 
 class StemsTable(Record):
-    """Sphere stems pi_n^s for n = 0..max_index; lower indices are trivial."""
+    """Sphere stems pi_n^s = entries[n] for n = 0..max_index; lower indices
+    are trivial.  Given as {n: pi_n^s}; no later change to that mapping
+    reaches the table, which hashes and pickles by value."""
 
     def __init__(self, entries: dict, source_note: str = ""):
         for n, group in entries.items():
             _int_arg("stem index", n, 0)
             if not isinstance(group, FinAbGroup):
                 raise ValidationError(f"stem {_echo(n)} must be a FinAbGroup, got {_echo(group)}")
-        for n in range(max(len(entries), 1)):
-            if n not in entries:
-                raise ValidationError(f"stems table is missing index {n}")
-        if entries[0] != FinAbGroup(1, ()):
-            raise ValidationError(f"stem 0 must be Z, got {entries[0]}")
-        self.__dict__.update(entries=entries, source_note=source_note)
+        # distinct keys >= 0, none missing below len, are 0..len - 1
+        stems = tuple(map(entries.get, range(max(len(entries), 1))))
+        if not all(stems):  # every group is true, a missing index None
+            raise ValidationError(f"stems table is missing index {_echo(stems.index(None))}")
+        if stems[0] != FinAbGroup(1, ()):
+            raise ValidationError(f"stem 0 must be Z, got {_echo(stems[0].__str__(_echo), str)}")
+        self.__dict__.update(entries=stems, source_note=source_note)
 
     @property
     def max_index(self) -> int:
-        # the largest key: distinct keys >= 0, none missing below len, are 0..len - 1
         return len(self.entries) - 1
 
     def lookup(self, n: int) -> FinAbGroup:
@@ -250,7 +254,7 @@ def _stem_entries(source: str):
                 continue
             m = _LINE_RE.match(line)
             if not m:
-                raise ParseError(f"line {lineno}: expected `n: group`, got {_echo(line)}")
+                raise ParseError(f"line {_echo(lineno)}: expected `n: group`, got {_echo(line)}")
             yield f"line {lineno}", m.group(1), m.group(2)
 
 
@@ -283,7 +287,7 @@ def _read_stems(path: str, source_note: str) -> StemsTable:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+        raise ParseError(f"{path}: not UTF-8 text (byte {_echo(exc.start)}: {exc.reason})") from None
     return load_stems_table(text, source_note)
 
 
@@ -292,14 +296,6 @@ def bundled_stems_table() -> StemsTable:
     """The packaged reference table of stems 0..19."""
     path = os.path.join(os.path.dirname(__file__), "data", "stable_stems.txt")
     return _read_stems(path, "bundled reference table, stems 0..19")
-
-
-def _assemble(stems: StemsTable, contributions) -> FinAbGroup:
-    total = FinAbGroup.trivial()
-    for index, exponent in contributions:
-        if exponent > 0:
-            total = total.direct_sum(stems.lookup(index).power(exponent))
-    return total
 
 
 def stable_homotopy_simply_connected(betti: int, n: int, stems: StemsTable) -> FinAbGroup:
@@ -319,9 +315,11 @@ def stable_homotopy_finite_pi1(
     _int_arg("order of the fundamental group", m, 1)
     _int_arg("stable index", n, 0)
     k = pi2_rank
-    return _assemble(
-        stems, [(n - 2, k), (n - 3, k - 1), (n - 5, 1), (n - 1, m - 1)]
-    )
+    total = FinAbGroup.trivial()
+    for index, exponent in [(n - 2, k), (n - 3, k - 1), (n - 5, 1), (n - 1, m - 1)]:
+        if exponent > 0:
+            total = total.direct_sum(stems.lookup(index).power(exponent))
+    return total
 
 
 def integral_low_homotopy(betti: int) -> Tuple[FinAbGroup, FinAbGroup]:

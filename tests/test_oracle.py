@@ -25,7 +25,7 @@ from fourfold import oracle
 from fourfold.oracle import (
     DEFAULT_COLUMN_BUDGET,
     _ideal_ranks,
-    _inherited_pivot,
+    _pivot,
     _word_count,
     _word_offset,
 )
@@ -77,24 +77,26 @@ def record_degrees(monkeypatch, k, N, rel=None, may_refuse=False):
     step, reduce_row = oracle._degree_pivots, oracle._reduce_row
 
     def recording_step(k, n, widths, lower, states):
-        assert n == len(degrees) + 3
+        assert n == len(degrees) + 3 == len(lower)
         given = bytes(states)
+        # the lower degrees as they stand, and an empty window at degree n
+        below = [*lower, (0, b"", None)]
         degrees.append({
             "skipped": bytes(state == 2 for state in given),
-            "below": lambda col: _inherited_pivot(k, widths, lower, n, col),
+            "below": lambda col: _pivot(k, widths, below, n, col),
             "built": [],
         })
-        top, flags, template = state = step(k, n, widths, lower, states)
-        assert bytes(states) == given, (k, n)
+        step(k, n, widths, lower, states)
+        top, flags, template = lower[n]
+        assert bytes(states) == given and flags is states, (k, n)
         degrees[-1].update(
             top=top, flags=bytes(map(bool, flags)), kept=(top, bytes(flags), template),
             new={top + pos: template for pos, flag in enumerate(flags) if not flag},
         )
-        return state
 
-    def recording_reduce(row, pivot_at):
+    def recording_reduce(row, *pivots):
         degrees[-1]["built"].append(dict(row))
-        return reduce_row(row, pivot_at)
+        return reduce_row(row, *pivots)
 
     monkeypatch.setattr(oracle, "_degree_pivots", recording_step)
     monkeypatch.setattr(oracle, "_reduce_row", recording_reduce)
@@ -203,9 +205,11 @@ def test_production_rows_are_the_rows_with_empty_left_factor(monkeypatch):
 
 def test_block_walk_maps_columns_to_first_letter_and_rest():
     # one marker pivot, as a window of one template at the column the first
-    # step down must reach, so the walk ends there or not at all
+    # step down must reach, so the walk ends there or not at all; degree n's
+    # own window is tested before any step, and none below degree 3, which
+    # has no row r * v
     for k in range(1, 4):
-        for n in range(3, 8):
+        for n in range(3, 9):
             widths = [_word_count(k, m) for m in range(n + 1)]
             empty = [(0, b"", None)] * (n + 1)
             position = [
@@ -218,13 +222,16 @@ def test_block_walk_maps_columns_to_first_letter_and_rest():
                 j = position[m][rest]
                 marked = list(empty)
                 marked[m] = (j, b"\x00", (m, j))
-                assert _inherited_pivot(k, widths, marked, n, col) == (m, j)
+                assert _pivot(k, widths, marked, n, col) == ((m, j) if m >= 3 else None)
+                marked[n] = (col, b"\x00", "own")
+                assert _pivot(k, widths, marked, n, col) == "own"
                 # a flag of 1 is no pivot: the walk goes on past it
+                marked[n] = (col, b"\x01", "own")
                 marked[m] = (j, b"\x01", (m, j))
-                assert _inherited_pivot(k, widths, marked, n, col) is None
-            # with no pivot below, the walk runs out below degree 3
+                assert _pivot(k, widths, marked, n, col) is None
+            # with no pivot at or below degree n, the walk runs out below degree 3
             assert all(
-                _inherited_pivot(k, widths, empty, n, col) is None
+                _pivot(k, widths, empty, n, col) is None
                 for col in range(widths[n])
             )
 

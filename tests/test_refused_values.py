@@ -29,6 +29,15 @@ LONG = "x" * 5000
 CUT = repr(LONG[:21])[:-1]  # what showing 21 characters of LONG would show
 ITEMS = list(range(10**5))
 Z = FinAbGroup(1)
+# stem 0 as Z plus Z/p over the first 1,500 primes: its one invariant factor,
+# their product, has more digits than Python converts to text by default
+PRIMES = [p for p in range(2, 12_554) if all(p % d for d in range(2, int(p**0.5) + 1))]
+PRODUCT = 1
+for p in PRIMES:
+    PRODUCT *= p
+LEAD = PRODUCT
+while LEAD >= 10**21:  # the product's first 21 digits, never converted whole
+    LEAD //= 10
 
 
 def raise_(exc):
@@ -57,6 +66,8 @@ LIBRARY = [
     ("stems-table-str", lambda: StemsTable({0: Z, 1: LONG}), ValidationError, CUT),
     ("stems-table-list", lambda: StemsTable({0: Z, 1: ITEMS}),
      ValidationError, repr(ITEMS[:7])[:21]),
+    ("stems-table-stem-0", lambda: StemsTable({0: FinAbGroup(BIG)}),
+     ValidationError, "Z^" + SEVENS[:19]),
     ("factor", lambda: FinAbGroup.from_orders(0, [BIG]), ResourceLimit, SEVENS),
     ("power", lambda: FinAbGroup(0, (2,)).power(BIG), ResourceLimit, SEVENS),
     ("rank", lambda: homotopy_ranks(3, 5).rank(BIG), DomainError, SEVENS),
@@ -101,6 +112,9 @@ COMMAND_LINE = [
      2, CUT, "error: line 2: unrecognized term"),
     ("stems-line", ("stable", "--betti", "2", "--n", "5"), f"0: Z\n{LONG}\n",
      2, CUT, "error: line 2: expected `n: group`, got"),
+    ("stems-stem-0", ("stable", "--betti", "2", "--n", "3"),
+     "0: Z + " + " + ".join(f"Z/{p}" for p in PRIMES) + "\n1: Z/2\n2: Z/2\n3: Z/24\n",
+     2, "Z/" + str(LEAD)[:19], "error: stem 0 must be Z, got Z/"),
     ("verify-column-budget", ("verify", "--betti", DIGITS[:2000], "--max-degree", "3"), None,
      1, DIGITS[:21], "-column matrix; budget is 50000 columns"),
 ]

@@ -13,6 +13,7 @@ from fourfold import (
     InsufficientStemsData,
     ParseError,
     ResourceLimit,
+    StemsTable,
     ValidationError,
     bundled_stems_table,
     homotopy_ranks,
@@ -120,6 +121,22 @@ def test_bundled_table_spans_0_to_19():
     assert t.lookup(19) == FinAbGroup.from_orders(0, [264, 2])
 
 
+def test_no_caller_can_change_a_table_under_another():
+    # the bundled table is one object shared by the process, and a table
+    # built from a mapping keeps the stems, not the caller's mapping
+    pi_5 = "(Z/24)^2 + Z/2 + Z"
+    shared = bundled_stems_table()
+    assert isinstance(shared.entries, tuple)
+    with pytest.raises(TypeError):
+        shared.entries[3] = FinAbGroup(5, ())
+    assert str(stable_homotopy_finite_pi1(2, 5, 1, bundled_stems_table())) == pi_5
+    mapping = dict(enumerate(shared.entries))
+    table = StemsTable(mapping, shared.source_note)
+    mapping[3] = FinAbGroup(5, ())
+    assert table == shared and hash(table) == hash(shared)
+    assert str(stable_homotopy_finite_pi1(2, 5, 1, table)) == pi_5
+
+
 def test_lookup_below_zero_is_trivial():
     assert bundled_stems_table().lookup(-3).is_trivial()
 
@@ -153,8 +170,8 @@ def test_deeply_nested_json_is_a_parse_error():
 
 @given(st.integers(0, 40), st.randoms(use_true_random=False), st.booleans())
 def test_max_index_is_the_largest_key_of_a_loaded_table(top, rng, as_json):
-    # max_index is not stored: it is read off the keys, in whatever order
-    # the document lists them
+    # max_index is not stored, and each stem sits at its index in the tuple
+    # of stems, in whatever order the document lists them
     groups = {0: "Z", **{n: rng.choice(["0", "Z", "Z/2", "Z/24 + Z/2"]) for n in range(1, top + 1)}}
     order = list(groups)
     rng.shuffle(order)
@@ -163,7 +180,8 @@ def test_max_index_is_the_largest_key_of_a_loaded_table(top, rng, as_json):
     else:
         text = "".join(f"{n}: {groups[n]}\n" for n in order)
     t = load_stems_table(text)
-    assert t.max_index == max(t.entries) == top
+    assert t.max_index == len(t.entries) - 1 == top
+    assert [str(g) for g in t.entries] == [groups[n] for n in range(top + 1)]
     assert str(t.lookup(top)) == groups[top]
     with pytest.raises(InsufficientStemsData, match=f"table ends at {top}$"):
         t.lookup(top + 1)

@@ -226,7 +226,10 @@ GROWTH_VARS = dict(
 
 
 def stored(cls, fields) -> dict:
-    """vars() of cls(**fields)."""
+    """vars() of cls(**fields): a GrowthReport adds its derived fields, and a
+    StemsTable keeps its mapping's stems as one tuple."""
+    if cls is StemsTable:
+        return {**fields, "entries": tuple(fields["entries"].values())}
     return GROWTH_VARS if cls is GrowthReport else fields
 
 
@@ -288,7 +291,7 @@ def test_record_equality_is_by_class_and_fields(cls, fields):
 @pytest.mark.parametrize(
     "record",
     [RankTable(3, (3, 5)), PbwCheck("pass"),
-     TruncatedSeries((1, 2)), GradedDims((1, 2)), FinAbGroup(1, (8, 3))],
+     TruncatedSeries((1, 2)), GradedDims((1, 2)), FinAbGroup(1, (8, 3)), StemsTable(STEMS)],
     ids=lambda r: type(r).__name__,
 )
 def test_hashable_records_hash_by_value(record):
@@ -298,9 +301,10 @@ def test_hashable_records_hash_by_value(record):
 
 
 def test_records_holding_a_dict_are_unhashable():
-    # as with a frozen dataclass, the hash of a dict field raises
+    # as with a frozen dataclass, the hash of a dict field raises; a
+    # StemsTable is given a dict but holds a tuple
     for cls, fields in RECORDS:
-        if any(isinstance(v, dict) for v in fields.values()):
+        if any(isinstance(v, dict) for v in stored(cls, fields).values()):
             with pytest.raises(TypeError):
                 hash(cls(**fields))
 
@@ -551,12 +555,51 @@ def test_the_integer_rule_is_written_in_errors_py_alone():
     assert {place.partition(":")[0] for place in found} == {"errors.py"}, sorted(found)
 
 
-#: The package modules each lower module may import, anywhere in it: series
-#: builds on errors and _record alone, ranks and oracle on series; stable and
-#: cli, above them, are not listed.
+#: The f-string fields a raise may show as they are, each with the bound that
+#: keeps it short; any other field is an _echo(...) call or type(...).__name__.
+SHOWN_AS_IS = {
+    "name": "a label the package writes, such as 'stem index'",
+    "kind": "one of the --kind choices argparse accepts",
+    "where": "'line N' or 'entry ' + _echo(key), from the stems parser",
+    "exc": "a JSON decoder's message: a reason, then a line, column and offset",
+    "exc.reason": "a codec's reason, such as 'invalid start byte'",
+    "path": "a path the OS has just opened: at most PATH_MAX, 4096 bytes on Linux",
+    "sys.maxsize": "at most 19 digits",
+    "sys.get_int_max_str_digits()": "Python's int-to-text limit, 4300 by default",
+    "BUDGET_ENV_VAR": "the constant 'FOURFOLD_BUDGET'",
+}
+
+
+def shown_as_is(field: ast.expr) -> bool:
+    """Whether a raise's f-string shows field other than by _echo."""
+    if isinstance(field, ast.Call) and getattr(field.func, "id", None) == "_echo":
+        return False
+    if isinstance(field, ast.Attribute) and field.attr == "__name__":
+        return getattr(getattr(field.value, "func", None), "id", None) != "type"
+    return ast.unparse(field) not in SHOWN_AS_IS
+
+
+def test_every_raise_shows_a_value_by_the_one_rule():
+    # an int past Python's int-to-text limit, formatted directly, raises
+    # ValueError while the message is built, and a long text is shown whole
+    package = Path(fourfold.__file__).parent
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}: {ast.unparse(part.value)}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for part in ast.walk(node.exc)
+        if isinstance(part, ast.FormattedValue) and shown_as_is(part.value)
+    ]
+    assert found == []
+
+
+#: The package modules each lower module may import, anywhere in it: _record
+#: builds on errors alone (for _echo), series on errors and _record, ranks
+#: and oracle on series; stable and cli, above them, are not listed.
 IMPORTS_BELOW = {
     "errors.py": set(),
-    "_record.py": set(),
+    "_record.py": {"errors"},
     "series.py": {"errors", "_record"},
     "ranks.py": {"errors", "_record", "series"},
     "oracle.py": {"errors", "_record", "series"},
