@@ -9,8 +9,6 @@ frozen dataclass.  Written out by hand because `dataclasses` would import
 `inspect` and generate code for every class each time the package loads.
 """
 
-from .errors import _echo
-
 
 class Record:
     def __eq__(self, other):
@@ -22,10 +20,10 @@ class Record:
         return hash(tuple(self.__dict__.values()))
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {_echo(name)} of {type(self).__name__}")
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {_echo(name)} of {type(self).__name__}")
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())

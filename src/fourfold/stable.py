@@ -184,7 +184,7 @@ class StemsTable(Record):
                 raise ValidationError(f"stem {_echo(n)} must be a FinAbGroup, got {_echo(group)}")
         # distinct keys >= 0, none missing below len, are 0..len - 1
         stems = tuple(map(entries.get, range(max(len(entries), 1))))
-        if not all(stems):  # every group is true, a missing index None
+        if None in stems:
             raise ValidationError(f"stems table is missing index {_echo(stems.index(None))}")
         if stems[0] != FinAbGroup(1, ()):
             raise ValidationError(f"stem 0 must be Z, got {_echo(stems[0].__str__(_echo), str)}")

@@ -555,51 +555,78 @@ def test_the_integer_rule_is_written_in_errors_py_alone():
     assert {place.partition(":")[0] for place in found} == {"errors.py"}, sorted(found)
 
 
-#: The f-string fields a raise may show as they are, each with the bound that
-#: keeps it short; any other field is an _echo(...) call or type(...).__name__.
+#: The f-string fields a raise may show as they are, by module, function and
+#: field, each with the bound that keeps it short; any other field is an
+#: _echo(...) call or type(...).__name__.
+LABEL = "a label the package writes, such as 'stem index'"
+STEMS_WHERE = "'line N' or 'entry ' + _echo(key), from the stems parser"
+FIELD = "the field a caller sets on a frozen record: a misuse, not a refused value"
+INT_LIMIT = "Python's int-to-text limit, 4300 by default"
 SHOWN_AS_IS = {
-    "name": "a label the package writes, such as 'stem index'",
-    "kind": "one of the --kind choices argparse accepts",
-    "where": "'line N' or 'entry ' + _echo(key), from the stems parser",
-    "exc": "a JSON decoder's message: a reason, then a line, column and offset",
-    "exc.reason": "a codec's reason, such as 'invalid start byte'",
-    "path": "a path the OS has just opened: at most PATH_MAX, 4096 bytes on Linux",
-    "sys.maxsize": "at most 19 digits",
-    "sys.get_int_max_str_digits()": "Python's int-to-text limit, 4300 by default",
-    "BUDGET_ENV_VAR": "the constant 'FOURFOLD_BUDGET'",
+    ("errors.py", "_int_arg", "name"): LABEL,
+    ("errors.py", "_numeral", "name"): LABEL,
+    ("errors.py", "_numeral", "sys.get_int_max_str_digits()"): INT_LIMIT,
+    ("_record.py", "__setattr__", "name"): FIELD,
+    ("_record.py", "__delattr__", "name"): FIELD,
+    ("cli.py", "cmd_series", "kind"): "one of the --kind choices argparse accepts",
+    ("cli.py", "_resolve_budget", "BUDGET_ENV_VAR"): "the constant 'FOURFOLD_BUDGET'",
+    ("cli.py", "_output", "sys.get_int_max_str_digits()"): INT_LIMIT,
+    ("stable.py", "power", "sys.maxsize"): "at most 19 digits",
+    ("stable.py", "_parse_group_expr", "where"): STEMS_WHERE,
+    ("stable.py", "load_stems_table", "where"): STEMS_WHERE,
+    ("stable.py", "_stem_entries", "exc"):
+        "a JSON decoder's message: a reason, then a line, column and offset",
+    ("stable.py", "_read_stems", "exc.reason"): "a codec's reason, such as 'invalid start byte'",
+    ("stable.py", "_read_stems", "path"):
+        "a path the OS has just opened: at most PATH_MAX, 4096 bytes on Linux",
 }
 
 
-def shown_as_is(field: ast.expr) -> bool:
-    """Whether a raise's f-string shows field other than by _echo."""
-    if isinstance(field, ast.Call) and getattr(field.func, "id", None) == "_echo":
-        return False
-    if isinstance(field, ast.Attribute) and field.attr == "__name__":
-        return getattr(getattr(field.value, "func", None), "id", None) != "type"
-    return ast.unparse(field) not in SHOWN_AS_IS
+def raise_fields(path: Path):
+    """(function, field) for each f-string field of a raise in path, the
+    function being the innermost one that holds the raise."""
+    owner = {}
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # ast.walk meets an outer function first, so the inner one wins
+            owner.update((node, fn.name) for node in ast.walk(fn))
+    for node, function in owner.items():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            for part in ast.walk(node.exc):
+                if isinstance(part, ast.FormattedValue):
+                    yield node.lineno, function, part.value
+
+
+def by_the_rule(field: ast.expr) -> bool:
+    """Whether field is an _echo(...) call or type(...).__name__."""
+    if isinstance(field, ast.Call):
+        return getattr(field.func, "id", None) == "_echo"
+    return (isinstance(field, ast.Attribute) and field.attr == "__name__"
+            and getattr(getattr(field.value, "func", None), "id", None) == "type")
 
 
 def test_every_raise_shows_a_value_by_the_one_rule():
     # an int past Python's int-to-text limit, formatted directly, raises
     # ValueError while the message is built, and a long text is shown whole
     package = Path(fourfold.__file__).parent
-    found = [
-        f"{path.relative_to(package)}:{node.lineno}: {ast.unparse(part.value)}"
-        for path in sorted(package.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Raise) and node.exc is not None
-        for part in ast.walk(node.exc)
-        if isinstance(part, ast.FormattedValue) and shown_as_is(part.value)
-    ]
+    shown, found = set(), []
+    for path in sorted(package.rglob("*.py")):
+        for lineno, function, field in raise_fields(path):
+            key = (str(path.relative_to(package)), function, ast.unparse(field))
+            if key in SHOWN_AS_IS:
+                shown.add(key)
+            elif not by_the_rule(field):
+                found.append(f"{key[0]}:{lineno}: {function}: {key[2]}")
     assert found == []
+    assert shown == set(SHOWN_AS_IS)  # no entry outlives its raise
 
 
-#: The package modules each lower module may import, anywhere in it: _record
-#: builds on errors alone (for _echo), series on errors and _record, ranks
-#: and oracle on series; stable and cli, above them, are not listed.
+#: The package modules each lower module may import, anywhere in it: series
+#: builds on errors and _record alone, ranks and oracle on series; stable and
+#: cli, above them, are not listed.
 IMPORTS_BELOW = {
     "errors.py": set(),
-    "_record.py": {"errors"},
+    "_record.py": set(),
     "series.py": {"errors", "_record"},
     "ranks.py": {"errors", "_record", "series"},
     "oracle.py": {"errors", "_record", "series"},
